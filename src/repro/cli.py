@@ -72,7 +72,7 @@ from repro.lang.executor import QueryResult
 from repro.lang.interpreter import CrowdSQLSession, StatementResult
 from repro.obs import NULL_TRACER, JsonlSink, MetricsRegistry, Tracer, report_from_file
 from repro.obs.runtime import activate, deactivate
-from repro.platform.batch import BatchConfig
+from repro.platform.batch import BatchConfig, check_seed
 from repro.platform.platform import SimulatedPlatform
 from repro.quality.truth import CATEGORICAL_METHODS
 from repro.workers.pool import WorkerPool
@@ -669,7 +669,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-parallel",
         type=int,
         default=1,
-        help="concurrent assignment lanes (1 = sequential)",
+        help="simulated-clock assignment lanes (1 = sequential)",
     )
     parser.add_argument(
         "--inference",
@@ -841,6 +841,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     profile_parser.add_argument("profile_file", help="path to the profile file")
 
     args = parser.parse_args(argv)
+    try:
+        check_seed(args.seed, optional=False)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "trace-report":
         try:

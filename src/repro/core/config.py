@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.platform.batch import BatchConfig
+from repro.platform.batch import BatchConfig, check_seed
 from repro.quality.truth import CATEGORICAL_METHODS
 
 
@@ -20,14 +20,17 @@ class EngineConfig:
             :data:`repro.quality.truth.CATEGORICAL_METHODS`).
         budget: Total spend ceiling for the engine's platform.
         task_price: Default per-assignment reward.
-        seed: Master seed — the pool gets ``seed``, the platform ``seed+1``,
-            and the batch runtime's per-assignment streams ``seed+2``.
+        seed: Master seed, a non-negative int — the pool gets ``seed``, the
+            platform ``seed+1``, and the batch runtime's per-assignment
+            streams ``seed+2``.
         pool_size: Workers in the default pool.
         pool_accuracy_range: (low, high) accuracies for the default
             heterogeneous pool.
         batch_size: Tasks grouped per dispatch wave of the batch runtime.
-        max_parallel: Concurrent assignment lanes; 1 (the default) is the
-            sequential path, bit-identical to pre-batch-runtime behaviour.
+        max_parallel: Simulated-clock lanes the batch runtime overlaps
+            assignments on (draws run on the caller's thread); 1 (the
+            default) is the sequential path, bit-identical to
+            pre-batch-runtime behaviour.
         retry_limit: Retries per assignment after the first attempt.
         assignment_timeout: Simulated seconds before an in-flight
             assignment is reclaimed and retried; None disables timeouts.
@@ -130,6 +133,8 @@ class EngineConfig:
     pipeline: bool = False
 
     def __post_init__(self) -> None:
+        # The pool, platform and batch seeds all derive from this one.
+        check_seed(self.seed, optional=False)
         if self.redundancy < 1:
             raise ConfigurationError("redundancy must be >= 1")
         if self.inference not in CATEGORICAL_METHODS:

@@ -1,4 +1,4 @@
-"""Batched concurrent task runtime for the simulated platform.
+"""Batched task runtime for the simulated platform.
 
 Real crowd platforms do not hand out one microtask at a time: requesters
 post *batches* of HITs, many assignments are in flight at once, workers
@@ -7,23 +7,24 @@ a retry limit is hit (the Reprowd / human-powered-sorts-and-joins regime).
 :class:`BatchScheduler` brings that execution model to the simulation:
 
 * pending tasks are grouped into batches of ``batch_size``;
-* each batch's assignments are dispatched through a bounded
-  ``ThreadPoolExecutor`` (``max_parallel`` lanes) and stamped onto a
-  simulated clock with the same number of concurrent lanes, so *simulated*
-  makespan shrinks as parallelism grows;
+* each batch's assignments are drawn one after another on the caller's
+  thread and stamped onto a simulated clock with ``max_parallel`` lanes,
+  so *simulated* makespan shrinks as lanes grow — a lane is a quantity of
+  the simulated clock, never a thread;
 * per-assignment faults — worker abandonment (``abandon_rate``) and
   service times exceeding ``assignment_timeout`` — trigger bounded
   retry-with-exponential-backoff on a fresh worker, and exhausting the
   retry budget raises :class:`~repro.errors.RetryExhaustedError`.
 
-Determinism: planning (worker sampling) always happens on the caller's
-thread in task order, so the pool's RNG stream is consumed identically at
-any parallelism. With ``max_parallel=1`` attempts also draw from the
-platform RNG in the legacy order, making the sequential path bit-identical
-to :meth:`SimulatedPlatform.collect`. With ``max_parallel>1`` every
-assignment gets its own RNG derived from ``(seed, assignment index)``, so
-results are reproducible regardless of thread interleaving — just a
-different (equally valid) random stream than the sequential one.
+Determinism: planning (worker sampling) happens in task order, so the
+pool's RNG stream is consumed identically at any lane count. With
+``max_parallel=1`` attempts also draw from the platform RNG in the legacy
+order, making the single-lane path bit-identical to
+:meth:`SimulatedPlatform.collect`. With ``max_parallel>1`` every
+assignment gets its own RNG derived from ``(seed, assignment index)`` — a
+different (equally valid) random stream than the single-lane one. The two
+rules stay split because a shared stream at every lane count measurably
+changes the hedging benchmark's outcome (see DESIGN.md).
 
 Tail-latency control (``hedge_enabled``): the scheduler fits per-task-type
 lognormal completion-time models online (:class:`HedgeState`, built on
@@ -42,9 +43,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -60,9 +61,24 @@ from repro.platform.task import Answer, Task
 from repro.recovery.degrade import FailureInfo, FailurePolicy
 
 if TYPE_CHECKING:  # avoid import cycles with platform/workers
+    from repro.obs.metrics import Counter, Histogram, MetricsRegistry
     from repro.platform.platform import SimulatedPlatform
     from repro.recovery.breakers import CircuitBreaker
     from repro.workers.worker import Worker
+
+
+def check_seed(seed: object, *, optional: bool = True) -> None:
+    """Raise :class:`ConfigurationError` unless *seed* is a non-negative int.
+
+    numpy seeds only from non-negative integers, so a bad seed is refused
+    before anything is built instead of failing mid-run (and, for the
+    batch runtime, only at some lane counts). *optional* also admits None.
+    """
+    if seed is None and optional:
+        return
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        expected = "None or a non-negative int" if optional else "a non-negative int"
+        raise ConfigurationError(f"seed must be {expected}, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +87,9 @@ class BatchConfig:
 
     Attributes:
         batch_size: Tasks grouped into one dispatch wave.
-        max_parallel: Concurrent assignment lanes (threads and simulated
-            clock lanes). 1 reproduces the sequential path bit-for-bit.
+        max_parallel: Simulated-clock lanes: how many assignments the
+            simulated clock overlaps. Draws always run on the caller's
+            thread. 1 reproduces the sequential path bit-for-bit.
         retry_limit: Retries per assignment after the first attempt.
         assignment_timeout: Simulated seconds after which an in-flight
             assignment is reclaimed and retried; None disables timeouts.
@@ -81,7 +98,8 @@ class BatchConfig:
         retry_backoff: Base simulated delay before retry r, growing as
             ``retry_backoff * 2**(r-1)``.
         seed: Entropy for the per-assignment RNG streams used when
-            ``max_parallel > 1``; None derives nothing extra (stream 0).
+            ``max_parallel > 1``: None or a non-negative int. None derives
+            nothing extra (stream 0).
         failure_policy: What happens when a task cannot be completed
             (retries exhausted, budget gone, breaker open): ``"fail"``
             raises, ``"skip"`` drops the task from the answers,
@@ -108,6 +126,7 @@ class BatchConfig:
     hedge_min_samples: int = 20
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_parallel < 1:
@@ -207,6 +226,36 @@ class _Assignment:
     # speculative hedge copy racing this attempt, if any
     hedge: "_Assignment | None" = None
     hedge_detect: float = 0.0  # simulated offset at which the hedge launched
+
+
+class _BatchInstruments:
+    """Handles on the series the scheduler records per assignment.
+
+    Built once per batch when the registry is enabled, so the commit loop
+    skips the registry's per-call label normalisation and key formatting.
+    Each handle is resolved on first use: an outcome that never happens
+    (``outcome="timeout"`` on a fault-free run) registers no series.
+    """
+
+    __slots__ = ("_metrics", "_outcomes", "_latency")
+
+    def __init__(self, metrics: "MetricsRegistry") -> None:
+        self._metrics = metrics
+        self._outcomes: dict[str, Counter] = {}
+        self._latency: Histogram | None = None
+
+    def latency(self, seconds: float) -> None:
+        if self._latency is None:
+            self._latency = self._metrics.histogram("batch.assignment_latency")
+        self._latency.observe(seconds)
+
+    def outcome(self, outcome: str) -> None:
+        counter = self._outcomes.get(outcome)
+        if counter is None:
+            counter = self._outcomes[outcome] = self._metrics.counter(
+                "batch.assignment_outcomes", {"outcome": outcome}
+            )
+        counter.inc()
 
 
 class HedgeState:
@@ -333,7 +382,7 @@ class BatchScheduler:
 
     @property
     def parallel(self) -> bool:
-        """True when this scheduler actually runs assignments concurrently."""
+        """True when assignments overlap on more than one simulated lane."""
         return self.config.max_parallel > 1
 
     @property
@@ -591,7 +640,7 @@ class BatchScheduler:
                         "fault.outage", sim_start=self._clock, wait=outage
                     )
 
-        # Plan on the caller's thread: the pool RNG stream is consumed in
+        # Plan the whole wave first: the pool RNG stream is consumed in
         # task order exactly as the sequential path would. Workers who have
         # already answered a task (round-structured callers) are excluded,
         # which is a no-op — hence still bit-identical — for fresh tasks.
@@ -607,12 +656,13 @@ class BatchScheduler:
         lanes = [outage] * self.config.max_parallel
         tracer = platform.tracer
         metrics = platform.metrics
+        instruments = _BatchInstruments(metrics) if metrics.enabled else None
         retry_counts: dict[str, int] = {}
         while wave:
             self._execute_wave(wave)
-            # Hedge planning happens on the caller's thread in wave order
-            # (pool RNG determinism), then the hedge copies run as one
-            # mini-wave after their primaries.
+            # Hedge planning happens in wave order (pool RNG determinism),
+            # then the hedge copies run as one mini-wave after their
+            # primaries.
             if self.hedge_state is not None:
                 hedges = self._plan_hedges(wave, attempted)
                 if hedges:
@@ -655,16 +705,16 @@ class BatchScheduler:
                         continue
                     if self.hedge_state is not None:
                         self.hedge_state.observe(a.task.task_type.value, effective)
-                    metrics.observe("batch.assignment_latency", winner.duration)
-                    metrics.inc("batch.assignment_outcomes", labels={"outcome": "ok"})
+                    if instruments is not None:
+                        instruments.latency(winner.duration)
+                        instruments.outcome("ok")
                 else:
                     if a.fault == "timeout":
                         record.timed_out += 1
                     else:
                         record.abandoned += 1
-                    metrics.inc(
-                        "batch.assignment_outcomes", labels={"outcome": a.fault}
-                    )
+                    if instruments is not None:
+                        instruments.outcome(a.fault)
                     a.outcomes.append(a.fault)
                     retry_counts[task_id] = retry_counts.get(task_id, 0) + 1
                     if tracer.enabled:
@@ -707,9 +757,10 @@ class BatchScheduler:
                             ),
                         )
             wave = retries
-        if metrics.enabled:
+        if instruments is not None:
+            retries_per_task = metrics.histogram("batch.retries_per_task")
             for task in batch:
-                metrics.observe("batch.retries_per_task", retry_counts.get(task.task_id, 0))
+                retries_per_task.observe(retry_counts.get(task.task_id, 0))
         if complete:
             for task in batch:
                 if task.is_open:
@@ -756,10 +807,10 @@ class BatchScheduler:
     ) -> list[_Assignment]:
         """Attach a speculative copy to each straggling successful attempt.
 
-        Runs on the caller's thread in wave order, so the pool RNG stream
-        is identical at any parallelism. Faulted attempts are left to the
-        retry path; a pool with no spare eligible worker skips the hedge
-        without consuming RNG (``pool.sample`` raises before drawing).
+        Runs in wave order, so the pool RNG stream is identical at any
+        lane count. Faulted attempts are left to the retry path; a pool
+        with no spare eligible worker skips the hedge without consuming
+        RNG (``pool.sample`` raises before drawing).
         """
         state = self.hedge_state
         wave_workers: dict[str, set[str]] = {}
@@ -877,23 +928,23 @@ class BatchScheduler:
     # ------------------------------------------------------------------ #
 
     def _execute_wave(self, wave: list[_Assignment]) -> None:
-        """Fill in each assignment's (fault, duration, value) in place."""
-        if not self.parallel:
-            # Sequential: draw from the platform RNG in dispatch order —
-            # with faults off this is the legacy collect() stream exactly.
-            for a in wave:
-                self._attempt(a, self.platform.rng)
-            return
-        with ThreadPoolExecutor(max_workers=self.config.max_parallel) as pool:
-            futures = [pool.submit(self._attempt_isolated, a) for a in wave]
-            for future in futures:
-                future.result()  # re-raise worker-thread exceptions
+        """Fill in each assignment's (fault, duration, value) in place.
 
-    def _attempt_isolated(self, a: _Assignment) -> None:
-        entropy = (
-            [self.config.seed, a.stream] if self.config.seed is not None else [a.stream]
-        )
-        self._attempt(a, np.random.default_rng(entropy))
+        Runs on the caller's thread in wave order; lanes exist only on the
+        simulated clock. One lane draws from the platform RNG in dispatch
+        order — with faults off this is the legacy collect() stream
+        exactly. More lanes give each assignment its own generator seeded
+        by ``(seed, stream)``.
+        """
+        if not self.parallel:
+            rng = self.platform.rng
+            for a in wave:
+                self._attempt(a, rng)
+            return
+        seed = self.config.seed
+        for a in wave:
+            entropy = [seed, a.stream] if seed is not None else [a.stream]
+            self._attempt(a, np.random.default_rng(entropy))
 
     def _attempt(self, a: _Assignment, rng: np.random.Generator) -> None:
         cfg = self.config
@@ -909,9 +960,9 @@ class BatchScheduler:
         duration = a.worker.latency.service_time(rng)
         faults = self.platform.faults
         if faults is not None:
-            # Keyed by the assignment's global stream id — identical at any
-            # parallelism; only the flag is set here (worker thread), the
-            # metric is counted on the caller thread.
+            # Keyed by the assignment's global stream id, so identical at
+            # any lane count; only the flag is set here, and the metric is
+            # counted when the wave is committed.
             duration, a.straggled = faults.perturb_duration(a.stream, duration)
         if cfg.assignment_timeout is not None and duration > cfg.assignment_timeout:
             a.fault = "timeout"
@@ -922,7 +973,7 @@ class BatchScheduler:
         a.value = a.worker.model.answer(a.task, rng)
 
     # ------------------------------------------------------------------ #
-    # Commit (always on the caller's thread, in deterministic order)
+    # Commit (in deterministic wave order)
     # ------------------------------------------------------------------ #
 
     def _commit(self, a: _Assignment, result: BatchRunResult, finished: float) -> None:

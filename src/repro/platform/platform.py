@@ -272,7 +272,8 @@ class SimulatedPlatform:
 
     @property
     def parallel_batching(self) -> bool:
-        """True when an attached scheduler runs assignments concurrently."""
+        """True when an attached scheduler overlaps assignments on more than
+        one simulated-clock lane (draws always run on the caller's thread)."""
         return self.scheduler is not None and self.scheduler.parallel
 
     # ------------------------------------------------------------------ #
@@ -455,10 +456,10 @@ class SimulatedPlatform:
         """Like :meth:`collect`, routed through the batch runtime when attached.
 
         Without a scheduler this is exactly :meth:`collect`; with one, tasks
-        are dispatched in batches with the configured parallelism and fault
-        model (bit-identical to :meth:`collect` at ``max_parallel=1`` with
-        fault injection off). Operators call this so a single engine knob
-        flips the whole stack between sequential and concurrent execution.
+        are dispatched in batches with the configured simulated lanes and
+        fault model (bit-identical to :meth:`collect` at ``max_parallel=1``
+        with fault injection off). Operators call this so a single engine
+        knob flips the whole stack between one lane and many.
         """
         if self.scheduler is None:
             return self.collect(tasks, redundancy=redundancy)

@@ -1,4 +1,6 @@
-"""Unit tests for the batched concurrent task runtime (repro.platform.batch)."""
+"""Unit tests for the batched task runtime (repro.platform.batch)."""
+
+import threading
 
 import pytest
 
@@ -59,6 +61,7 @@ class TestBatchConfig:
             {"abandon_rate": -0.1},
             {"assignment_timeout": 0.0},
             {"retry_backoff": -1.0},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -159,6 +162,29 @@ class TestFaultModel:
             batch=BatchConfig(max_parallel=2, retry_limit=20, abandon_rate=0.4, seed=2),
         )
         run = platform.scheduler.run(make_tasks(6), redundancy=3)
+        assert all(len(a) == 3 for a in run.answers.values())
+
+    def test_lanes_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("the batch runtime must not start a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        platform = make_platform(
+            batch=BatchConfig(
+                batch_size=16,
+                max_parallel=8,
+                retry_limit=10,
+                abandon_rate=0.2,
+                assignment_timeout=80.0,
+                seed=5,
+            )
+        )
+        run = platform.scheduler.run(make_tasks(30), redundancy=3)
+        stats = platform.stats
+        assert stats.assignments_abandoned > 0
+        assert stats.assignments_timed_out > 0
+        assert stats.assignments_retried > 0
+        assert len(run.answers) == 30
         assert all(len(a) == 3 for a in run.answers.values())
 
     def test_redundancy_above_pool_still_rejected(self):

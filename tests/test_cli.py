@@ -136,6 +136,8 @@ class TestBatchFlags:
     def test_invalid_batch_flags_report_cleanly(self, capsys):
         assert main(["--max-parallel", "0", "demo"]) == 2
         assert "error: max_parallel must be >= 1" in capsys.readouterr().err
+        assert main(["--seed", "-1", "demo"]) == 2
+        assert "error: seed must be a non-negative int, got -1" in capsys.readouterr().err
 
     def test_parallel_demo_is_deterministic(self, capsys):
         main(["--seed", "9", "--max-parallel", "8", "--batch-size", "16", "demo"])

@@ -34,6 +34,10 @@ class TestEngineConfig:
         with pytest.raises(ConfigurationError):
             EngineConfig(pool_accuracy_range=(0.9, 0.5))
 
+    def test_invalid_seed(self):
+        with pytest.raises(ConfigurationError, match="got -1"):
+            EngineConfig(seed=-1)
+
     def test_make_inference(self):
         assert isinstance(EngineConfig(inference="ds").make_inference(), DawidSkene)
 

@@ -36,7 +36,9 @@ def make_tasks(n):
     ]
 
 
-def traced_platform(seed=7, pool_size=15, max_parallel=4, metrics_enabled=True):
+def traced_platform(
+    seed=7, pool_size=15, max_parallel=4, metrics_enabled=True, **batch_kwargs
+):
     pool = WorkerPool.heterogeneous(
         pool_size, accuracy_low=0.7, accuracy_high=0.95, seed=seed
     )
@@ -45,7 +47,9 @@ def traced_platform(seed=7, pool_size=15, max_parallel=4, metrics_enabled=True):
     platform = SimulatedPlatform(
         pool,
         seed=seed + 1,
-        batch=BatchConfig(batch_size=8, max_parallel=max_parallel, seed=seed + 2),
+        batch=BatchConfig(
+            batch_size=8, max_parallel=max_parallel, seed=seed + 2, **batch_kwargs
+        ),
         tracer=tracer,
         metrics=metrics,
     )
@@ -316,13 +320,30 @@ class TestLabeledMetrics:
         assert misses == platform.stats.cache_misses == 4
         assert hits == platform.stats.cache_hits == 4
 
-    def test_batch_assignment_outcomes_labeled(self):
-        platform, _, _ = traced_platform(metrics_enabled=True)
-        platform.collect_batch(make_tasks(6), redundancy=3)
-        ok = platform.metrics.counter(
-            "batch.assignment_outcomes", {"outcome": "ok"}
-        ).value
-        assert ok == platform.stats.assignments_dispatched
+    @pytest.mark.parametrize(
+        "faults",
+        [{}, {"abandon_rate": 0.2, "assignment_timeout": 80.0, "retry_limit": 10}],
+        ids=["fault_free", "faulty"],
+    )
+    def test_batch_assignment_outcomes_labeled(self, faults):
+        platform, _, metrics = traced_platform(metrics_enabled=True, **faults)
+        platform.collect_batch(make_tasks(16), redundancy=3)
+        stats = platform.stats
+        outcomes = {
+            dict(c.labels)["outcome"]: c.value
+            for c in metrics.counters.values()
+            if c.name == "batch.assignment_outcomes"
+        }
+        assert sum(outcomes.values()) == stats.assignments_dispatched
+        for outcome, happened in (
+            ("timeout", stats.assignments_timed_out),
+            ("abandoned", stats.assignments_abandoned),
+        ):
+            assert outcomes.get(outcome, 0) == happened
+            # A series exists only for an outcome that happened.
+            assert (outcome in outcomes) == (happened > 0)
+            assert (happened > 0) == bool(faults)
+        assert outcomes["ok"] == stats.answers_collected
 
     def test_em_iterations_labeled_by_method(self):
         from repro.quality.truth import CATEGORICAL_METHODS
