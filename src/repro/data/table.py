@@ -244,17 +244,25 @@ class Table:
         """
         if rowid not in self._store:
             raise KeyError(f"table {self.name!r} has no rowid {rowid}")
+        self._store.set_cell(rowid, column, self.validate_update(column, value))
+
+    def validate_update(self, column: str, value: Any) -> Any:
+        """*value* validated for an update of *column*, touching no row.
+
+        Raises as :meth:`update_cell` would: unknown column, primary-key
+        column, or a value the column type rejects.
+        """
         col = self.schema.column(column)
         if column in self.schema.primary_key:
             raise KeyViolationError(f"cannot update primary key column {column!r}")
-        self._store.set_cell(rowid, column, col.validate(value))
+        return col.validate(value)
 
     def delete(self, rowid: int) -> None:
         """Remove the row with the given rowid."""
         if rowid not in self._store:
             raise KeyError(f"table {self.name!r} has no rowid {rowid}")
         if self.schema.primary_key:
-            pk = self._pk_tuple(self._store.row_dict(rowid))
+            pk = tuple(self._store.cell(rowid, k) for k in self.schema.primary_key)
             self._pk_index.pop(pk, None)
         self._store.delete(rowid)
 
@@ -344,8 +352,7 @@ class Table:
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Materialize all rows as plain dicts (CNULL markers preserved)."""
-        store = self._store
-        return [store.row_dict(rowid) for rowid in store.iter_rowids()]
+        return self._store.rows_at(np.arange(len(self._store), dtype=np.int64))
 
     def copy(self, name: str | None = None) -> Table:
         """Independent copy sharing nothing with the original.

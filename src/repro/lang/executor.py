@@ -5,14 +5,18 @@ platform with the configured redundancy and truth-inference method. Ground
 truth for the simulated workers comes from a :class:`CrowdOracle`, which a
 real deployment would simply omit (workers would supply knowledge instead).
 
-Machine-side work is vectorized where the plan shape allows it: scan/filter
-chains over a base table evaluate one fused predicate on the table's column
-arrays, crowd filters pre-drop rows whose machine-decidable prefix is
-definitely False before any crowd question is purchased, and machine
-equi-joins build/probe on column arrays instead of nested-loop row dicts.
-Every fast path produces bit-identical rows, ordering, and crowd purchase
-sequences to the row-at-a-time code it replaces, which stays in place as
-the fallback for plan shapes the vectorizer does not cover.
+Machine-side work runs on the column store's arrays where the plan shape
+allows it: scan/filter chains over a base table evaluate one fused
+predicate, crowd filters pre-drop rows whose machine-decidable prefix is
+definitely False before any crowd question is purchased, machine
+equi-joins build/probe on key arrays, and aggregates group and reduce
+per-column value lists. Row dicts are built only for rows a node returns
+or hands to the crowd, one column at a time
+(:meth:`~repro.data.columnstore.ColumnStore.rows_at`); the hash join
+still builds its matched rows through ``row_dict``. Every fast path
+produces bit-identical rows, ordering, and crowd purchase sequences to the
+row-at-a-time code, which stays in place as the fallback for plan shapes
+the columnar resolver does not cover.
 
 Per-run accounting (questions, answers, spend) is collected in
 :class:`ExecutionStats` so the T7 benchmark can compare plans.
@@ -20,7 +24,7 @@ Per-run accounting (questions, answers, spend) is collected in
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,7 +47,7 @@ from repro.data.expressions import (
     is_crowd_unknown,
     split_conjuncts,
 )
-from repro.data.schema import Column, ColumnType, Schema, is_cnull
+from repro.data.schema import CNULL, Column, ColumnType, Schema, is_cnull
 from repro.data.table import Table
 from repro.errors import ExecutionError, ExpressionError
 from repro.lang.planner import (
@@ -72,6 +76,22 @@ from repro.quality.truth import MajorityVote, TruthInference
 
 YES = "yes"
 NO = "no"
+
+#: The one key every NaN groups under: NaN != NaN, so hashing the cells
+#: themselves would open a GROUP BY group (or DISTINCT row) per NaN.
+_NAN = float("nan")
+
+
+def group_key(value: Any) -> Any:
+    """*value* as a GROUP BY / DISTINCT key, with every NaN mapped to one."""
+    if isinstance(value, float) and value != value:
+        return _NAN
+    return value
+
+
+def distinct_key(row: dict[str, Any], columns: Sequence[str]) -> tuple[Any, ...]:
+    """The key DISTINCT deduplicates *row* on (its *columns*, in order)."""
+    return tuple(group_key(row[c]) for c in columns)
 
 
 def _default_equal_truth(a: Any, b: Any) -> bool:
@@ -189,7 +209,7 @@ class Executor:
     def _run(self, node: PlanNode, stats: ExecutionStats) -> tuple[Schema, list[dict[str, Any]]]:
         if isinstance(node, ScanNode):
             table = self.database.table(node.table)
-            return table.schema, [row.as_dict() for row in table]
+            return table.schema, table.to_dicts()
         if isinstance(node, FillNode):
             return self._run_fill(node, stats)
         if isinstance(node, FilterNode):
@@ -215,7 +235,7 @@ class Executor:
             seen: set[tuple[Any, ...]] = set()
             unique = []
             for row in rows:
-                key = tuple(row[c] for c in schema.column_names)
+                key = distinct_key(row, schema.column_names)
                 if key not in seen:
                     seen.add(key)
                     unique.append(row)
@@ -245,7 +265,8 @@ class Executor:
         Positions index the table's live row order (insertion order). Filters
         in the chain are applied vectorized, innermost first. Returns None
         when the subtree is not a pure machine-side scan/filter chain over a
-        base table; callers then fall back to row-at-a-time execution.
+        base table, or when a vectorized filter raises ``ExpressionError``;
+        callers then fall back to row-at-a-time execution.
         """
         if isinstance(node, ScanNode):
             table = self.database.table(node.table)
@@ -258,7 +279,13 @@ class Executor:
             if pos.size == 0:
                 return table, pos
             batch, n = self._batch_for(table, node.predicate, pos)
-            true, _null, _cnull = evaluate_tristate(node.predicate, batch, n)
+            try:
+                true, _null, _cnull = evaluate_tristate(node.predicate, batch, n)
+            except ExpressionError:
+                # The row path short-circuits conjunctions per row, so an
+                # error raised vectorized may not be reachable row-at-a-time;
+                # the caller re-runs the exact per-row semantics instead.
+                return None
             return table, pos[true]
         return None
 
@@ -284,13 +311,6 @@ class Executor:
         return batch, int(pos.size)
 
     @staticmethod
-    def _materialize(table: Table, pos: np.ndarray) -> list[dict[str, Any]]:
-        """Row dicts (schema order) for live-order positions *pos*."""
-        store = table.store
-        rowids = table.rowids()
-        return [store.row_dict(int(rowids[p])) for p in pos.tolist()]
-
-    @staticmethod
     def _apply_order(
         rows: list[dict[str, Any]], keys: tuple[tuple[str, bool], ...]
     ) -> list[dict[str, Any]]:
@@ -311,17 +331,11 @@ class Executor:
 
     def _vectorized_filter(self, node: FilterNode) -> tuple[Schema, list[dict[str, Any]]] | None:
         """Fuse a machine filter chain over a scan into one vectorized pass."""
-        try:
-            resolved = self._columnar_rows(node)
-        except ExpressionError:
-            # The row path short-circuits conjunctions per row, so an error
-            # raised vectorized may not be reachable row-at-a-time; re-run
-            # the exact per-row semantics instead of guessing.
-            return None
+        resolved = self._columnar_rows(node)
         if resolved is None:
             return None
         table, pos = resolved
-        return table.schema, self._materialize(table, pos)
+        return table.schema, table.store.rows_at(pos)
 
     @staticmethod
     def _machine_prefix(expr: Expression) -> tuple[Expression, Expression] | None:
@@ -365,30 +379,30 @@ class Executor:
         if not contains_crowd_predicate(node.predicate):
             # Degenerate crowd filter over a machine predicate: pure
             # vectorized filter, no purchases at all.
-            try:
-                resolved = self._columnar_rows(node.child)
-                if resolved is None:
-                    return None
-                table, pos = resolved
-                if pos.size:
-                    batch, n = self._batch_for(table, node.predicate, pos)
-                    true, _null, _cnull = evaluate_tristate(node.predicate, batch, n)
-                    pos = pos[true]
-            except ExpressionError:
-                return None
-            return table.schema, self._materialize(table, pos)
-        split = self._machine_prefix(node.predicate)
-        if split is None:
-            return None
-        prefix, rest = split
-        try:
             resolved = self._columnar_rows(node.child)
             if resolved is None:
                 return None
             table, pos = resolved
-            if pos.size == 0:
-                return table.schema, []
-            batch, n = self._batch_for(table, prefix, pos)
+            if pos.size:
+                batch, n = self._batch_for(table, node.predicate, pos)
+                try:
+                    true, _null, _cnull = evaluate_tristate(node.predicate, batch, n)
+                except ExpressionError:
+                    return None
+                pos = pos[true]
+            return table.schema, table.store.rows_at(pos)
+        split = self._machine_prefix(node.predicate)
+        if split is None:
+            return None
+        prefix, rest = split
+        resolved = self._columnar_rows(node.child)
+        if resolved is None:
+            return None
+        table, pos = resolved
+        if pos.size == 0:
+            return table.schema, []
+        batch, n = self._batch_for(table, prefix, pos)
+        try:
             true, null, cnull = evaluate_tristate(prefix, batch, n)
         except ExpressionError:
             return None
@@ -398,13 +412,12 @@ class Executor:
         # row. Mirror all three cases exactly.
         candidate = true | null | cnull
         satisfied = (true | cnull)[candidate]
-        store = table.store
-        rowids = table.rowids()
-        kept = []
-        for p, ok in zip(pos[candidate].tolist(), satisfied.tolist(), strict=True):
-            row = store.row_dict(int(rowids[p]))
-            if self._eval_crowd(rest, row, stats) is True and ok:
-                kept.append(row)
+        rows = table.store.rows_at(pos[candidate])
+        kept = [
+            row
+            for row, ok in zip(rows, satisfied.tolist(), strict=True)
+            if self._eval_crowd(rest, row, stats) is True and ok
+        ]
         return table.schema, kept
 
     @staticmethod
@@ -477,27 +490,54 @@ class Executor:
     def _run_aggregate(
         self, node: AggregateNode, stats: ExecutionStats
     ) -> tuple[Schema, list[dict[str, Any]]]:
-        schema, rows = self._run(node.child, stats)
+        """Group and aggregate per-column value lists.
+
+        The lists come straight from the column arrays when the child
+        resolves to a scan/filter chain, and from the child's rows
+        otherwise; either way each holds the same Python values in the same
+        row order, so every group, type check and ``sum`` is identical.
+        """
+        resolved = self._columnar_rows(node.child)
+        if resolved is not None:
+            table, pos = resolved
+            schema, n = table.schema, int(pos.size)
+
+            def values_of(name: str) -> list[Any]:
+                return table.store.column_values(name, pos)
+
+        else:
+            schema, rows = self._run(node.child, stats)
+            n = len(rows)
+
+            def values_of(name: str) -> list[Any]:
+                return [row[name] for row in rows]
+
         for spec in node.aggregates:
             if spec.column is not None and spec.column not in schema:
                 raise ExecutionError(f"aggregate over unknown column {spec.column!r}")
         if node.group_by is not None and node.group_by not in schema:
             raise ExecutionError(f"GROUP BY unknown column {node.group_by!r}")
+        inputs = {
+            spec.column: values_of(spec.column)
+            for spec in node.aggregates
+            if spec.column is not None
+        }
 
-        def compute(bucket: list[dict[str, Any]]) -> dict[str, Any]:
+        def compute(indices: Sequence[int]) -> dict[str, Any]:
             out: dict[str, Any] = {}
             for spec in node.aggregates:
                 if spec.column is None:
-                    out[spec.output_name] = len(bucket)
+                    out[spec.output_name] = len(indices)
                     continue
+                column = inputs[spec.column]
                 values = [
-                    row[spec.column]
-                    for row in bucket
-                    if row[spec.column] is not None and not is_cnull(row[spec.column])
+                    v
+                    for v in (column[i] for i in indices)
+                    if v is not None and v is not CNULL
                 ]
                 if spec.func in ("SUM", "AVG") and any(
-                    not isinstance(v, (int, float)) or isinstance(v, bool)
-                    for v in values
+                    not issubclass(t, (int, float)) or issubclass(t, bool)
+                    for t in {type(v) for v in values}
                 ):
                     raise ExecutionError(
                         f"{spec.func} requires numeric values in {spec.column!r}"
@@ -520,16 +560,17 @@ class Executor:
         out_schema = Schema(columns)
 
         if node.group_by is None:
-            return out_schema, [compute(rows)]
-        buckets: dict[Any, list[dict[str, Any]]] = {}
-        for row in rows:
-            buckets.setdefault(row[node.group_by], []).append(row)
-        result_rows = []
-        for key in sorted(buckets, key=repr):
-            grouped = compute(buckets[key])
-            grouped = {node.group_by: key, **grouped}
-            result_rows.append(grouped)
-        return out_schema, result_rows
+            return out_schema, [compute(range(n))]
+        buckets: dict[Any, list[int]] = {}
+        for i, key in enumerate(values_of(node.group_by)):
+            bucket = buckets.get(key)
+            if bucket is None:  # a new key, or a NaN: normalize before opening
+                bucket = buckets.setdefault(group_key(key), [])
+            bucket.append(i)
+        return out_schema, [
+            {node.group_by: key, **compute(buckets[key])}
+            for key in sorted(buckets, key=repr)
+        ]
 
     # ------------------------------------------------------------------ #
     # Crowd-powered pieces
@@ -561,7 +602,7 @@ class Executor:
         schema, rows = self._run(node.child, stats)
         # Re-read from the (now filled) table rows when the child is a scan.
         if isinstance(node.child, ScanNode):
-            rows = [row.as_dict() for row in table]
+            rows = table.to_dicts()
         return schema, rows
 
     def _run_join(
@@ -648,11 +689,8 @@ class Executor:
         left rows in order, each left row's matches in right insertion
         order — so results are bit-identical to the fallback.
         """
-        try:
-            lres = self._columnar_rows(node.left)
-            rres = self._columnar_rows(node.right) if lres is not None else None
-        except ExpressionError:
-            return None
+        lres = self._columnar_rows(node.left)
+        rres = self._columnar_rows(node.right) if lres is not None else None
         if lres is None or rres is None:
             return None
         ltab, lpos = lres
@@ -681,6 +719,10 @@ class Executor:
             lmatch, rmatch = self._probe_sorted(lkeys[0], rkeys[0])
         else:
             lmatch, rmatch = self._probe_dict(lkeys, rkeys)
+        # Matched pairs are still built row by row through row_dict, one dict
+        # per distinct input row: perfbench's data.materialize_ms wraps only
+        # row_dict, so this loop moves to rows_at with the benchmark change
+        # that counts rows_at (ROADMAP item 8).
         res_expr = conjoin(residual) if residual else None
         lrids = ltab.rowids()[lpos] if lpos.size != len(ltab) else ltab.rowids()
         rrids = rtab.rowids()[rpos] if rpos.size != len(rtab) else rtab.rowids()

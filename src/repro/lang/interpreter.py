@@ -15,7 +15,7 @@ from typing import Any
 from repro.data.database import Database
 from repro.data.expressions import contains_crowd_predicate
 from repro.data.schema import Column, ColumnType, Schema
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ExpressionError, UnknownColumnError
 from repro.lang.ast_nodes import (
     CreateTable,
     Delete,
@@ -46,7 +46,7 @@ _TYPE_MAP = {
 class StatementResult:
     """Outcome of one non-query statement."""
 
-    kind: str           # created | dropped | inserted
+    kind: str           # created | dropped | inserted | updated | deleted
     table: str
     row_count: int = 0
 
@@ -213,7 +213,7 @@ class CrowdSQLSession:
         """Rowids of *table_name* whose rows satisfy *where* (crowd-aware)."""
         table = self.database.table(table_name)
         if where is None:
-            return [row.rowid for row in table]
+            return table.rowids().tolist()
         if contains_crowd_predicate(where):
             if self.platform is None:
                 raise ExecutionError(
@@ -234,15 +234,26 @@ class CrowdSQLSession:
                 for row in table
                 if executor._eval_crowd(where, row.as_dict(), stats) is True
             ]
+        try:
+            return table.filter_rowids(where).tolist()
+        except (ExpressionError, UnknownColumnError):
+            # The vector path evaluates both arms of an AND/OR where the row
+            # loop short-circuits, and rejects an unknown column even when
+            # no row reaches it: let the row loop decide, errors included.
+            pass
         return [row.rowid for row in table if where.evaluate(row.as_dict()) is True]
 
     def _update(self, statement: Update) -> StatementResult:
         table = self.database.table(statement.table)
-        for column, _value in statement.assignments:
-            table.schema.column(column)  # validate existence up front
+        # Validate every assignment before touching a row, so a statement
+        # that fails leaves the table unchanged.
+        assignments = [
+            (column, table.validate_update(column, value))
+            for column, value in statement.assignments
+        ]
         rowids = self._matching_rowids(statement.table, statement.where)
         for rowid in rowids:
-            for column, value in statement.assignments:
+            for column, value in assignments:
                 table.update_cell(rowid, column, value)
         return StatementResult(
             kind="updated", table=statement.table, row_count=len(rowids)
@@ -280,15 +291,19 @@ class CrowdSQLSession:
     def _insert(self, statement: Insert) -> StatementResult:
         table = self.database.table(statement.table)
         columns = statement.columns or table.schema.column_names
-        inserted = 0
         for row in statement.rows:
             if len(row) != len(columns):
                 raise ExecutionError(
                     f"INSERT row has {len(row)} values for {len(columns)} columns"
                 )
-            table.insert(dict(zip(columns, row, strict=True)))
-            inserted += 1
-        return StatementResult(kind="inserted", table=statement.table, row_count=inserted)
+        # One bulk insert validates every value and key before storing any,
+        # so a statement that fails stores nothing.
+        table.insert_columns(
+            {name: [row[i] for row in statement.rows] for i, name in enumerate(columns)}
+        )
+        return StatementResult(
+            kind="inserted", table=statement.table, row_count=len(statement.rows)
+        )
 
     def _select(self, statement: Select) -> QueryResult:
         plan = build_plan(statement, self.database)

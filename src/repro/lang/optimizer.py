@@ -7,7 +7,15 @@ CrowdOP insight — is **machine work before crowd work**:
 2. *Classify* each conjunct as machine or crowd.
 3. *Push* machine filters below crowd filters (and below crowd fills when
    the filter doesn't read a crowd column) so every free predicate shrinks
-   the row set before any task is purchased.
+   the row set before any task is purchased. A machine conjunct above a
+   machine join sinks onto the input that owns all its columns when that
+   input is machine-only, so the hash join probes a filtered side (Qurk's
+   filter-before-join); purchases above the join see the same rows in the
+   same order. Conjuncts spanning both inputs stay above the join, and
+   nothing sinks below a crowd join. One error path moves with it: a
+   pushed ill-typed conjunct raises whenever any input row reaches it,
+   even when the join, or the conjuncts left above it, would have
+   removed every such row.
 4. *Order* consecutive crowd filters by estimated cost per eliminated row:
    cheaper, more selective crowd predicates run first.
 
@@ -42,6 +50,7 @@ from repro.lang.planner import (
     ProjectNode,
     ScanNode,
     crowd_predicates_of,
+    machine_only,
 )
 
 #: Default selectivity guesses per predicate shape.
@@ -159,6 +168,8 @@ class Optimizer:
             for conjunct in sinkable:
                 inner = FilterNode(inner, conjunct)
             plan = FillNode(inner, plan.table, plan.columns)
+        elif isinstance(plan, JoinNode):
+            plan, stacked = self._push_into_join(plan, machine)
         else:
             stacked = machine
 
@@ -169,6 +180,48 @@ class Optimizer:
         for conjunct in sorted(crowd, key=self.cost_model.rank_key):
             plan = CrowdFilterNode(plan, conjunct)
         return plan
+
+    def _push_into_join(
+        self, join: JoinNode, conjuncts: list[Expression]
+    ) -> tuple[PlanNode, list[Expression]]:
+        """Sink each machine conjunct onto the machine-only join input that
+        owns all its columns; returns the new join and the conjuncts that
+        stay above it.
+        """
+        left_cols = self._columns_of(join.left)
+        right_cols = self._columns_of(join.right)
+        if not conjuncts or left_cols is None or right_cols is None or left_cols & right_cols:
+            # Shared names make the join raise its clash error; keep that first.
+            return join, conjuncts
+        left_movable, right_movable = machine_only(join.left), machine_only(join.right)
+        to_left: list[Expression] = []
+        to_right: list[Expression] = []
+        kept: list[Expression] = []
+        for conjunct in conjuncts:
+            names = conjunct.columns()
+            if names and left_movable and names <= left_cols:
+                to_left.append(conjunct)
+            elif names and right_movable and names <= right_cols:
+                to_right.append(conjunct)
+            else:
+                kept.append(conjunct)
+        left = self._rebuild_filters(join.left, to_left) if to_left else join.left
+        right = self._rebuild_filters(join.right, to_right) if to_right else join.right
+        return JoinNode(left, right, join.condition), kept
+
+    def _columns_of(self, node: PlanNode) -> set[str] | None:
+        """Output column names of a join input, or None when not derivable."""
+        if isinstance(node, ScanNode):
+            if node.table not in self.database:
+                return None
+            return set(self.database.table(node.table).schema.column_names)
+        if isinstance(node, (JoinNode, CrowdJoinNode)):
+            left, right = self._columns_of(node.left), self._columns_of(node.right)
+            return None if left is None or right is None else left | right
+        if isinstance(node, (ProjectNode, AggregateNode)):
+            return None
+        children = node.children()
+        return self._columns_of(children[0]) if len(children) == 1 else None
 
 
 def estimate_plan_cost(

@@ -323,6 +323,17 @@ def count_crowd_operators(plan: LogicalPlan) -> int:
     return sum(1 for node in plan.root.walk() if isinstance(node, crowd_types))
 
 
+def machine_only(node: PlanNode) -> bool:
+    """True when the subtree buys no crowd answers and draws no RNG."""
+    if isinstance(node, (CrowdFilterNode, CrowdJoinNode, CrowdOrderNode, FillNode)):
+        return False
+    if isinstance(node, FilterNode) and contains_crowd_predicate(node.predicate):
+        return False
+    if isinstance(node, JoinNode) and contains_crowd_predicate(node.condition):
+        return False
+    return all(machine_only(c) for c in node.children())
+
+
 def crowd_predicates_of(expression: Expression) -> list[CrowdPredicate]:
     """All CrowdPredicate nodes inside an expression tree."""
     found: list[CrowdPredicate] = []

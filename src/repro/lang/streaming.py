@@ -48,20 +48,17 @@ from repro.data.expressions import (
 )
 from repro.data.schema import Schema
 from repro.errors import ExecutionError
-from repro.lang.executor import NO, YES, ExecutionStats, Executor, QueryResult
+from repro.lang.executor import NO, YES, ExecutionStats, Executor, QueryResult, distinct_key
 from repro.lang.planner import (
     CrowdFilterNode,
-    CrowdJoinNode,
-    CrowdOrderNode,
     DistinctNode,
-    FillNode,
-    FilterNode,
     JoinNode,
     LimitNode,
     LogicalPlan,
     OrderNode,
     PlanNode,
     ProjectNode,
+    machine_only,
 )
 from repro.platform.cache import signature_of
 from repro.platform.task import Task, TaskType
@@ -158,7 +155,7 @@ class StreamingExecutor(Executor):
                 raise _Unsupported
             if not isinstance(node.left, CrowdFilterNode):
                 raise _Unsupported
-            if not self._machine_only(node.right):
+            if not machine_only(node.right):
                 raise _Unsupported
             join = node
             node = node.left
@@ -168,7 +165,7 @@ class StreamingExecutor(Executor):
             # Degenerate crowd filter over a machine predicate: the barrier
             # path already vectorizes it without any crowd purchase.
             raise _Unsupported
-        if not self._machine_only(node.child):
+        if not machine_only(node.child):
             raise _Unsupported
         predicate: Expression = node.predicate
         prefix: Expression | None = None
@@ -189,17 +186,6 @@ class StreamingExecutor(Executor):
             distinct=distinct,
             limit=limit,
         )
-
-    @staticmethod
-    def _machine_only(node: PlanNode) -> bool:
-        """True when the subtree buys no crowd answers and draws no RNG."""
-        if isinstance(node, (CrowdFilterNode, CrowdJoinNode, CrowdOrderNode, FillNode)):
-            return False
-        if isinstance(node, FilterNode) and contains_crowd_predicate(node.predicate):
-            return False
-        if isinstance(node, JoinNode) and contains_crowd_predicate(node.condition):
-            return False
-        return all(StreamingExecutor._machine_only(c) for c in node.children())
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -338,7 +324,7 @@ class StreamingExecutor(Executor):
                     else merged
                 )
                 if pipe.distinct:
-                    key = tuple(final[c] for c in out_schema.column_names)
+                    key = distinct_key(final, out_schema.column_names)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -425,7 +411,7 @@ class StreamingExecutor(Executor):
             if pipe.distinct:
                 unique = []
                 for row in ordered:
-                    key = tuple(row[c] for c in out_schema.column_names)
+                    key = distinct_key(row, out_schema.column_names)
                     if key not in seen:
                         seen.add(key)
                         unique.append(row)

@@ -7,16 +7,18 @@ Covers the invariants the columnar rebuild must preserve:
 - 100k-row CSV and on-disk persistence round-trips with CNULL, NULL,
   unicode, and the documented empty-string→NULL codec lossiness;
 - property-style equivalence between the row-at-a-time reference scan and
-  the vectorized ``filter_rowids`` path over randomized expression trees;
-- the CrowdSQL executor's vectorized fast paths (machine filter, crowd
-  pre-pass, hash join) against the row-path fallback, comparing result
-  rows, execution stats, and platform spend bit-for-bit.
+  the vectorized ``filter_rowids`` path over randomized expression trees,
+  and between batched ``rows_at`` and per-row ``row_dict``;
+- the CrowdSQL executor's columnar fast paths (machine filter, crowd
+  pre-pass, hash join, aggregates, filters the optimizer pushed below a
+  join) against the row-path fallback, comparing result rows, execution
+  stats, platform spend and raised errors bit-for-bit.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.csvio import table_from_csv_string, table_to_csv_string
@@ -39,8 +41,12 @@ from repro.data.expressions import (
 from repro.data.persistence import load_database, save_database
 from repro.data.schema import CNULL, SchemaBuilder, is_cnull
 from repro.data.table import Table, make_table
+from repro.errors import CrowdDMError
+from repro.lang.ast_nodes import AggregateSpec
 from repro.lang.executor import CrowdOracle, Executor
+from repro.lang.optimizer import Optimizer
 from repro.lang.planner import (
+    AggregateNode,
     CrowdFilterNode,
     FilterNode,
     JoinNode,
@@ -269,6 +275,58 @@ def test_scan_with_expression_matches_reference(rows, expr):
     assert [row.rowid for row in table.scan(expr)] == reference
 
 
+_CELLS = {
+    "i": (None, 0, -7, 2**40, 2**70),  # 2**70 widens the column to object
+    "f": (None, 0.5, -0.0, float("nan"), float("inf")),
+    "b": (None, True, False),
+    "s": (None, "", "abc", "ünï"),
+    "cs": (None, CNULL, "rome"),
+}
+
+
+def _rows_at_table(n, seed):
+    rng = random.Random(seed)
+    schema = (
+        SchemaBuilder()
+        .integer("i")
+        .float("f")
+        .boolean("b")
+        .string("s")
+        .crowd_string("cs")
+        .build()
+    )
+    table = Table("r", schema)
+    for _ in range(n):
+        table.insert({name: rng.choice(cells) for name, cells in _CELLS.items()})
+    return table, rng
+
+
+@given(
+    n=st.integers(0, 200),
+    seed=st.integers(0, 2**16),
+    delete_share=st.floats(0.0, 1.0),
+    picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+)
+@example(n=200, seed=5, delete_share=0.8, picks=[0.9, 0.0, 0.5, 0.5])
+@settings(max_examples=60, deadline=None)
+def test_rows_at_matches_row_dict(n, seed, delete_share, picks):
+    """Batched rows equal per-row ``row_dict`` (repr for repr, key order
+    included) at any positions, duplicates and any order included, after
+    deletes and the compaction enough of them trigger."""
+    table, rng = _rows_at_table(n, seed)
+    for rowid in table.rowids().tolist():
+        if rng.random() < delete_share:
+            table.delete(rowid)
+    if (n, seed) == (200, 5):
+        assert table.store._length < n  # the example compacts dead slots away
+    store = table.store
+    rowids = table.rowids()
+    positions = [int(p * len(table)) for p in picks] if len(table) else []
+    reference = [store.row_dict(int(rowids[p])) for p in positions]
+    assert _canon(store.rows_at(positions)) == _canon(reference)
+    assert _canon(table.to_dicts()) == _canon(row.as_dict() for row in table)
+
+
 # --------------------------------------------------------------------- #
 # Executor fast paths vs the row-path fallback
 # --------------------------------------------------------------------- #
@@ -284,6 +342,7 @@ def _exec_db():
         .string("s")
         .crowd_string("cs")
         .integer("n")
+        .crowd_float("cf")
         .build()
     )
     rows = [
@@ -296,6 +355,11 @@ def _exec_db():
         }
         for _ in range(200)
     ]
+    # A grouping key with NULL, CNULL and NaN cells, drawn from its own
+    # stream so the other columns keep their values.
+    keys = random.Random(8)
+    for row in rows:
+        row["cf"] = keys.choice([None, CNULL, float("nan"), 0.5, 2.0])
     database.create_table("t1", s1, rows=rows)
     s2 = SchemaBuilder().integer("k").string("tag").build()
     database.create_table(
@@ -317,11 +381,27 @@ def _executor(database, fast):
     oracle = CrowdOracle(filter_fn=lambda value, question: "o" in str(value))
     ex = Executor(database, platform, redundancy=3, oracle=oracle)
     if not fast:
-        # Shadow the fast paths so every node takes the row-path fallback.
-        ex._vectorized_filter = lambda node: None
-        ex._columnar_join = lambda node: None
-        ex._crowd_filter_prepass = lambda node, stats: None
+        # Shadow the fast paths so every node takes the row-path fallback:
+        # no subtree resolves to column arrays (filters, crowd pre-pass,
+        # joins, aggregates), and rows are built one row_dict at a time.
+        ex._columnar_rows = lambda node: None
+        for table in database:
+            store = table.store
+            store.rows_at = lambda positions, store=store: [
+                store.row_dict(int(rowid)) for rowid in store.rowids()[positions]
+            ]
     return ex, platform
+
+
+def _optimized(node):
+    """*node* as the optimizer rewrites it over the differential database."""
+    return Optimizer(_exec_db()).optimize(LogicalPlan(node)).root
+
+
+def _aggregate(child, *specs, group_by=None):
+    return AggregateNode(
+        child, tuple(AggregateSpec(func, column) for func, column in specs), group_by
+    )
 
 
 _C = ColumnRef
@@ -381,30 +461,96 @@ _PLANS = {
     "cross-dtype-join": JoinNode(
         ScanNode("t1"), ScanNode("t2"), Comparison("=", _C("b"), _C("k"))
     ),
+    "agg-group-null-cnull-nan": _aggregate(
+        ScanNode("t1"),
+        ("COUNT", None), ("COUNT", "b"), ("SUM", "b"), ("AVG", "n"), ("MIN", "s"),
+        ("MAX", "a"),
+        group_by="cf",
+    ),
+    "agg-group-filtered": _aggregate(
+        FilterNode(ScanNode("t1"), Comparison(">", _C("n"), _L(10))),
+        ("COUNT", None), ("SUM", "a"), ("AVG", "b"), ("MAX", "cs"),
+        group_by="s",
+    ),
+    "agg-no-group": _aggregate(
+        ScanNode("t1"),
+        ("COUNT", None), ("COUNT", "cs"), ("SUM", "b"), ("AVG", "a"), ("MIN", "b"),
+        ("MAX", "s"),
+    ),
+    "agg-sum-string": _aggregate(ScanNode("t1"), ("SUM", "n"), ("SUM", "s"), group_by="a"),
+    "agg-over-join": _aggregate(
+        JoinNode(ScanNode("t1"), ScanNode("t2"), Comparison("=", _C("a"), _C("k"))),
+        ("COUNT", None), ("SUM", "b"),
+        group_by="tag",
+    ),
 }
+
+#: Filters above a machine join, as written; ``_PLANS`` holds them as the
+#: optimizer rewrites them (the filter sinks onto one join input).
+_PUSHDOWN_RAW = {
+    "pushdown-left": FilterNode(
+        JoinNode(ScanNode("t1"), ScanNode("t2"), Comparison("=", _C("a"), _C("k"))),
+        Comparison(">", _C("n"), _L(10)),
+    ),
+    "pushdown-each-side-and-both": FilterNode(
+        JoinNode(ScanNode("t1"), ScanNode("t2"), Comparison("=", _C("s"), _C("tag"))),
+        And(
+            And(Comparison("<", _C("n"), _L(30)), Comparison("!=", _C("tag"), _L("y"))),
+            Comparison(">=", _C("a"), _C("k")),
+        ),
+    ),
+    "pushdown-below-crowd-filter": CrowdFilterNode(
+        JoinNode(ScanNode("t1"), ScanNode("t2"), Comparison("=", _C("a"), _C("k"))),
+        And(Comparison(">", _C("n"), _L(5)), _CROWD),
+    ),
+}
+_PLANS.update({name: _optimized(raw) for name, raw in _PUSHDOWN_RAW.items()})
 
 
 def _canon(rows):
     return [tuple((k, repr(v)) for k, v in row.items()) for row in rows]
 
 
+def _outcome(executor, platform, plan):
+    """Rows, stats and spend of one execution, or the error it raised."""
+    try:
+        result = executor.execute(plan)
+    except CrowdDMError as exc:
+        return ("raised", type(exc), str(exc), platform.stats.cost_spent)
+    s = result.stats
+    return (
+        _canon(result.rows),
+        (s.crowd_questions, s.crowd_answers, s.crowd_cost),
+        platform.stats.cost_spent,
+    )
+
+
 class TestExecutorFastPathsMatchFallback:
     """Fast and fallback executors on identical seeded state must agree on
     rows, execution stats, AND platform spend (same crowd purchases in the
-    same order → same RNG stream → same simulated answers)."""
+    same order → same RNG stream → same simulated answers), or raise the
+    same error."""
 
     @pytest.mark.parametrize("name", sorted(_PLANS))
     def test_differential(self, name):
         plan = LogicalPlan(_PLANS[name])
-        ex_fast, platform_fast = _executor(_exec_db(), fast=True)
-        ex_slow, platform_slow = _executor(_exec_db(), fast=False)
-        result_fast = ex_fast.execute(plan)
-        result_slow = ex_slow.execute(plan)
-        assert _canon(result_fast.rows) == _canon(result_slow.rows)
-        sf, ss = result_fast.stats, result_slow.stats
-        assert (sf.crowd_questions, sf.crowd_answers, sf.crowd_cost) == (
-            ss.crowd_questions,
-            ss.crowd_answers,
-            ss.crowd_cost,
+        fast = _outcome(*_executor(_exec_db(), fast=True), plan)
+        slow = _outcome(*_executor(_exec_db(), fast=False), plan)
+        assert fast == slow
+        assert (fast[0] == "raised") == (name == "agg-sum-string")
+
+    @pytest.mark.parametrize("name", sorted(_PUSHDOWN_RAW))
+    def test_pushdown_matches_unoptimized_plan(self, name):
+        """The optimizer moved a filter below the join: the fast path over
+        the rewritten plan equals the row path over the plan as written."""
+        rewritten = _PLANS[name]
+        assert any(
+            isinstance(node, JoinNode)
+            and any(isinstance(side, FilterNode) for side in node.children())
+            for node in rewritten.walk()
         )
-        assert platform_fast.stats.cost_spent == platform_slow.stats.cost_spent
+        fast = _outcome(*_executor(_exec_db(), fast=True), LogicalPlan(rewritten))
+        slow = _outcome(
+            *_executor(_exec_db(), fast=False), LogicalPlan(_PUSHDOWN_RAW[name])
+        )
+        assert fast == slow

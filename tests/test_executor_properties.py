@@ -2,7 +2,7 @@
 reference implementation on randomized tables and predicates."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lang.interpreter import CrowdSQLSession
@@ -159,3 +159,70 @@ def test_multikey_order_matches_python_reference(rows):
     got = [(r["k"], r["v"]) for r in result.rows]
     expected = sorted(((k, v) for k, v, _w in rows), key=lambda p: (p[0], -p[1]))
     assert got == expected
+
+
+FLOAT_KEYED = st.lists(
+    st.tuples(
+        st.sampled_from([float("nan"), None, -0.5, 0.0, 2.5]),  # g (FLOAT)
+        st.integers(-5, 5),                                    # v
+    ),
+    max_size=20,
+)
+
+
+@given(rows=FLOAT_KEYED)
+@example(rows=[(float("nan"), 1), (float("nan"), 2)])
+@settings(max_examples=40, deadline=None)
+def test_nan_keys_group_and_dedupe_as_one_value(rows):
+    """GROUP BY and DISTINCT put every NaN key in one group, like NULL."""
+    session = CrowdSQLSession()
+    session.execute("CREATE TABLE f (g FLOAT, v INTEGER)")
+    table = session.database.table("f")
+    for g, v in rows:
+        table.insert({"g": g, "v": v})
+    expected: dict[str, tuple[int, int]] = {}
+    for g, v in rows:
+        count, total = expected.get(repr(g), (0, 0))
+        expected[repr(g)] = (count + 1, total + v)
+    grouped = session.query("SELECT g, COUNT(*), SUM(v) FROM f GROUP BY g").rows
+    assert [repr(r["g"]) for r in grouped] == sorted(expected)
+    assert {repr(r["g"]): (r["count"], r["sum_v"]) for r in grouped} == expected
+    distinct = session.query("SELECT DISTINCT g FROM f").rows
+    assert [repr(r["g"]) for r in distinct] == list(dict.fromkeys(repr(g) for g, _v in rows))
+
+
+SIDE = st.lists(
+    st.tuples(
+        st.text(alphabet="ab", min_size=1, max_size=2),  # name
+        st.integers(-3, 3),                              # join key
+        st.one_of(st.none(), st.integers(-5, 5)),        # nullable value
+    ),
+    max_size=12,
+)
+
+
+@given(left=SIDE, right=SIDE, lo=st.integers(-5, 5), hi=st.integers(-5, 5))
+@settings(max_examples=40, deadline=None)
+def test_join_where_matches_python_reference(left, right, lo, hi):
+    """WHERE conjuncts on the left input, the right input and both, above a
+    hash join the optimizer rewrites: rows and their order match a nested
+    loop that filters the joined pairs."""
+    session = CrowdSQLSession()
+    session.execute(
+        "CREATE TABLE l (k STRING, v INTEGER, w INTEGER);"
+        "CREATE TABLE r (j STRING, x INTEGER, y INTEGER)"
+    )
+    for name, rows, cols in (("l", left, "kvw"), ("r", right, "jxy")):
+        table = session.database.table(name)
+        for row in rows:
+            table.insert(dict(zip(cols, row, strict=True)))
+    result = session.query(
+        f"SELECT k, w, j, y FROM l JOIN r ON v = x WHERE w > {lo} AND y < {hi} AND w <= y"
+    )
+    expected = [
+        (k, w, j, y)
+        for k, v, w in left
+        for j, x, y in right
+        if v == x and w is not None and y is not None and w > lo and y < hi and w <= y
+    ]
+    assert [(r["k"], r["w"], r["j"], r["y"]) for r in result.rows] == expected

@@ -8,6 +8,7 @@ from repro.lang.ast_nodes import AggregateSpec
 from repro.lang.executor import CrowdOracle
 from repro.lang.interpreter import CrowdSQLSession
 from repro.lang.parser import parse_one
+from repro.platform.batch import BatchConfig
 from repro.platform.platform import SimulatedPlatform
 from repro.workers.pool import WorkerPool
 
@@ -138,6 +139,68 @@ class TestExecution:
     def test_explain_shows_aggregate(self, session):
         text = session.explain("SELECT region, COUNT(*) FROM sales GROUP BY region")
         assert "Aggregate(count GROUP BY region)" in text
+
+
+@pytest.fixture
+def readings():
+    """FLOAT keys with two distinct NaN objects, a NULL and a repeat."""
+    s = CrowdSQLSession()
+    s.execute("CREATE TABLE readings (g FLOAT, v INTEGER)")
+    table = s.database.table("readings")
+    for g, v in ((float("nan"), 1), (1.5, 2), (float("nan"), 3), (None, 4), (1.5, 5)):
+        table.insert({"g": g, "v": v})
+    return s
+
+
+class TestNanKeys:
+    """NaN != NaN, yet GROUP BY and DISTINCT treat every NaN as one value."""
+
+    def test_group_by_nan_keys_form_one_group(self, readings):
+        result = readings.query("SELECT g, COUNT(*), SUM(v) FROM readings GROUP BY g")
+        got = [(repr(r["g"]), r["count"], r["sum_v"]) for r in result.rows]
+        assert got == [("1.5", 2, 7), ("None", 1, 4), ("nan", 2, 4)]
+
+    def test_group_by_nan_keys_over_a_join(self, readings):
+        # A join's output is grouped from its rows, not from column arrays;
+        # NaNs must still form one group.
+        readings.execute(
+            "CREATE TABLE tags (t INTEGER, tag STRING);"
+            "INSERT INTO tags VALUES (1, 'a'), (2, 'b'), (3, 'c'), (4, 'd'), (5, 'e')"
+        )
+        result = readings.query(
+            "SELECT g, COUNT(*) FROM readings JOIN tags ON v = t GROUP BY g"
+        )
+        assert [(repr(r["g"]), r["count"]) for r in result.rows] == [
+            ("1.5", 2), ("None", 1), ("nan", 2),
+        ]
+
+    def test_distinct_nan_appears_once(self, readings):
+        result = readings.query("SELECT DISTINCT g FROM readings")
+        assert [repr(r["g"]) for r in result.rows] == ["nan", "1.5", "None"]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT DISTINCT g FROM readings WHERE CROWDFILTER(v, 'keep?')",
+            "SELECT DISTINCT g FROM readings WHERE CROWDFILTER(v, 'keep?') ORDER BY v",
+        ],
+        ids=["emit", "drain"],
+    )
+    def test_streaming_distinct_nan_appears_once(self, readings, sql):
+        platform = SimulatedPlatform(
+            WorkerPool.uniform(6, 1.0, seed=1),
+            seed=2,
+            batch=BatchConfig(batch_size=4, max_parallel=2, seed=3),
+        )
+        session = CrowdSQLSession(
+            database=readings.database,
+            platform=platform,
+            oracle=CrowdOracle(filter_fn=lambda value, question: True),
+            redundancy=1,
+            pipeline=True,
+        )
+        result = session.query(sql)
+        assert [repr(r["g"]) for r in result.rows] == ["nan", "1.5", "None"]
 
 
 class TestAggregatesOverCrowdPredicates:

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.data.schema import CNULL
-from repro.errors import ExecutionError, KeyViolationError, ParseError
+from repro.errors import (
+    ExecutionError,
+    ExpressionError,
+    KeyViolationError,
+    ParseError,
+    TypeMismatchError,
+)
 from repro.lang.executor import CrowdOracle
 from repro.lang.interpreter import CrowdSQLSession
 from repro.lang.parser import parse_one
@@ -20,6 +26,12 @@ def session():
         "INSERT INTO inv VALUES ('a', 10.0, 5), ('b', 20.0, 0), ('c', 30.0, 2)"
     )
     return s
+
+
+def _inventory(session):
+    return [
+        (r["sku"], r["price"], r["stock"]) for r in session.query("SELECT * FROM inv")
+    ]
 
 
 class TestParsing:
@@ -63,14 +75,25 @@ class TestUpdate:
     def test_update_unknown_column(self, session):
         with pytest.raises(Exception):
             session.execute("UPDATE inv SET ghost = 1")
+        # An unknown WHERE column keeps the row loop's error and message.
+        with pytest.raises(ExpressionError, match="row has no column 'ghost'"):
+            session.execute("UPDATE inv SET stock = 1 WHERE ghost = 1")
 
     def test_update_pk_rejected(self, session):
         with pytest.raises(KeyViolationError):
             session.execute("UPDATE inv SET sku = 'z'")
+        before = _inventory(session)
+        with pytest.raises(KeyViolationError):
+            session.execute("UPDATE inv SET price = 7.0, sku = 'z'")
+        assert _inventory(session) == before  # table unchanged
 
     def test_update_type_checked(self, session):
         with pytest.raises(Exception):
             session.execute("UPDATE inv SET stock = 'many'")
+        before = _inventory(session)
+        with pytest.raises(TypeMismatchError):
+            session.execute("UPDATE inv SET price = 9.0, stock = 'many'")
+        assert _inventory(session) == before  # table unchanged
 
     def test_update_with_null(self, session):
         session.execute("UPDATE inv SET price = NULL WHERE sku = 'a'")
@@ -102,10 +125,41 @@ class TestDelete:
         result = session.execute("DELETE FROM inv WHERE stock > 99")[0]
         assert result.row_count == 0
 
+    def test_delete_unknown_column(self, session):
+        with pytest.raises(ExpressionError, match="row has no column 'ghost'"):
+            session.execute("DELETE FROM inv WHERE ghost = 1")
+        assert len(_inventory(session)) == 3
+
+    def test_short_circuit_matches_row_loop(self, session):
+        # Row at a time, AND stops at a False left arm and never compares a
+        # string with an integer; the vector path evaluates both arms, so
+        # it must hand the decision back to the row loop, not raise.
+        result = session.execute("DELETE FROM inv WHERE stock > 99 AND sku > 1")[0]
+        assert result.row_count == 0
+        with pytest.raises(ExpressionError):
+            session.execute("DELETE FROM inv WHERE stock >= 0 AND sku > 1")
+        assert len(_inventory(session)) == 3
+
     def test_pk_reusable_after_delete(self, session):
         session.execute("DELETE FROM inv WHERE sku = 'a'")
         session.execute("INSERT INTO inv VALUES ('a', 1.0, 1)")
         assert len(session.query("SELECT * FROM inv")) == 3
+
+
+class TestInsertAtomicity:
+    def test_duplicate_key_stores_no_row(self, session):
+        with pytest.raises(KeyViolationError, match="duplicate primary key"):
+            session.execute(
+                "INSERT INTO inv VALUES ('d', 1.0, 1), ('e', 2.0, 2), ('d', 3.0, 3)"
+            )
+        assert [sku for sku, _p, _s in _inventory(session)] == ["a", "b", "c"]
+        session.execute("INSERT INTO inv VALUES ('d', 1.0, 1), ('e', 2.0, 2)")
+        assert [sku for sku, _p, _s in _inventory(session)] == ["a", "b", "c", "d", "e"]
+
+    def test_ill_typed_later_row_stores_no_row(self, session):
+        with pytest.raises(TypeMismatchError):
+            session.execute("INSERT INTO inv VALUES ('d', 1.0, 1), ('e', 'cheap', 2)")
+        assert len(_inventory(session)) == 3
 
 
 class TestCrowdDml:

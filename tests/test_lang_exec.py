@@ -3,17 +3,21 @@
 import pytest
 
 from repro.data.database import Database
+from repro.data.expressions import Comparison, CrowdPredicate, col, lit
 from repro.data.schema import CNULL, SchemaBuilder
-from repro.errors import ExecutionError, PlanError
-from repro.lang.executor import CrowdOracle
+from repro.errors import ExecutionError, ExpressionError, PlanError
+from repro.lang.executor import CrowdOracle, Executor
 from repro.lang.interpreter import CrowdSQLSession, StatementResult
 from repro.lang.optimizer import CostModel, Optimizer, estimate_plan_cost
 from repro.lang.parser import parse_one
 from repro.lang.planner import (
     CrowdFilterNode,
+    CrowdJoinNode,
     FillNode,
     FilterNode,
+    JoinNode,
     LimitNode,
+    LogicalPlan,
     ProjectNode,
     ScanNode,
     build_plan,
@@ -153,6 +157,123 @@ class TestOptimizer:
         twice = Optimizer(db).optimize(once)
         assert once.root.describe() == twice.root.describe()
         assert len(list(once.root.walk())) == len(list(twice.root.walk()))
+
+
+@pytest.fixture
+def shop_db():
+    """Two machine-only tables (no crowd columns) for join pushdown."""
+    database = Database()
+    database.create_table(
+        "stock",
+        SchemaBuilder().string("item").integer("shop").integer("qty").build(),
+        rows=[
+            {"item": f"item {i}", "shop": i % 4, "qty": (i * 7) % 10} for i in range(24)
+        ],
+    )
+    database.create_table(
+        "shops",
+        SchemaBuilder().integer("sid").string("city").build(),
+        rows=[{"sid": s, "city": c} for s, c in enumerate(("rome", "oslo", "rome", "lima"))],
+    )
+    return database
+
+
+def _run_plan(database, plan):
+    platform = SimulatedPlatform(WorkerPool.uniform(12, 0.9, seed=1), seed=2)
+    oracle = CrowdOracle(
+        filter_fn=lambda value, q: "1" in str(value),
+        equal_fn=lambda a, b: str(a).endswith(str(b)[-1]),
+    )
+    result = Executor(database, platform, redundancy=3, oracle=oracle).execute(plan)
+    return result.rows, platform.stats.cost_spent
+
+
+class TestJoinPushdown:
+    SQL = (
+        "SELECT item, city FROM stock JOIN shops ON shop = sid "
+        "WHERE qty > 2 AND city = 'rome' AND qty < sid"
+    )
+
+    def test_conjuncts_sink_onto_their_input(self, shop_db):
+        plan = Optimizer(shop_db).optimize(build_plan(parse_one(self.SQL), shop_db))
+        join = next(n for n in plan.root.walk() if isinstance(n, JoinNode))
+        assert isinstance(join.left, FilterNode) and repr(join.left.predicate) == "(qty > 2)"
+        assert isinstance(join.right, FilterNode)
+        assert repr(join.right.predicate) == "(city = 'rome')"
+        # The conjunct spanning both inputs stays above the join.
+        above = [n for n in plan.root.walk() if isinstance(n, FilterNode)]
+        assert [repr(n.predicate) for n in above] == ["(qty < sid)", "(qty > 2)", "(city = 'rome')"]
+
+    def test_explain_shows_filter_under_join(self, shop_db):
+        text = CrowdSQLSession(database=shop_db).explain(self.SQL)
+        lines = text.splitlines()
+        join_at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("Join("))
+        assert any(
+            line.lstrip().startswith("Filter((qty > 2))") for line in lines[join_at + 1:]
+        )
+
+    def test_rows_equal_unoptimized_plan(self, shop_db):
+        raw = build_plan(parse_one(self.SQL), shop_db)
+        optimized = Optimizer(shop_db).optimize(raw)
+        assert _run_plan(shop_db, optimized) == _run_plan(shop_db, raw)
+
+    def test_unknown_column_stays_above(self, shop_db):
+        stmt = parse_one("SELECT * FROM stock JOIN shops ON shop = sid WHERE ghost > 1")
+        plan = Optimizer(shop_db).optimize(build_plan(stmt, shop_db))
+        assert isinstance(plan.root, FilterNode)
+        join = plan.root.child
+        assert isinstance(join, JoinNode)
+        assert (join.left, join.right) == (ScanNode("stock"), ScanNode("shops"))
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            # The join matches rows; the conjunct kept above it empties the set.
+            "shop <> sid AND item > 1",
+            # A pushed conjunct empties the right input; the join matches nothing.
+            "city = 'paris' AND item > 1",
+        ],
+    )
+    def test_pushed_ill_typed_conjunct_raises_on_any_input_row(self, shop_db, where):
+        stmt = parse_one(f"SELECT * FROM stock JOIN shops ON shop = sid WHERE {where}")
+        raw = build_plan(stmt, shop_db)
+        # As written, no row ever reaches the ill-typed `item > 1`.
+        assert _run_plan(shop_db, raw) == ([], 0)
+        # Pushed onto the left input, it meets every stock row first.
+        with pytest.raises(ExpressionError, match="cannot compare"):
+            _run_plan(shop_db, Optimizer(shop_db).optimize(raw))
+
+    def test_not_pushed_below_crowd_join(self, shop_db):
+        stmt = parse_one(
+            "SELECT item, city FROM stock CROWDJOIN shops ON CROWDEQUAL(item, city) "
+            "WHERE qty > 5"
+        )
+        raw = build_plan(stmt, shop_db)
+        optimized = Optimizer(shop_db).optimize(raw)
+        crowd_join = next(n for n in optimized.root.walk() if isinstance(n, CrowdJoinNode))
+        assert not any(isinstance(n, FilterNode) for n in crowd_join.walk())
+        rows, spent = _run_plan(shop_db, optimized)
+        assert spent > 0
+        assert (rows, spent) == _run_plan(shop_db, raw)
+
+    def test_not_pushed_into_input_with_crowd_filter(self, shop_db):
+        crowd_left = CrowdFilterNode(
+            ScanNode("stock"), CrowdPredicate("filter", (col("item"),), question="q?")
+        )
+        raw = LogicalPlan(
+            FilterNode(
+                JoinNode(crowd_left, ScanNode("shops"), Comparison("=", col("shop"), col("sid"))),
+                Comparison(">", col("qty"), lit(5)),
+            )
+        )
+        optimized = Optimizer(shop_db).optimize(raw)
+        assert isinstance(optimized.root, FilterNode)
+        assert isinstance(optimized.root.child, JoinNode)
+        left = optimized.root.child.left
+        assert isinstance(left, CrowdFilterNode) and left.child == ScanNode("stock")
+        rows, spent = _run_plan(shop_db, optimized)
+        assert spent > 0
+        assert (rows, spent) == _run_plan(shop_db, raw)
 
 
 class TestExecution:
@@ -307,6 +428,10 @@ class TestSessionStatements:
     def test_insert_arity_checked(self, session):
         with pytest.raises(ExecutionError, match="values for"):
             session.execute("CREATE TABLE y (a STRING, b STRING); INSERT INTO y (a) VALUES ('v', 'w')")
+        # A short second row fails the statement before the first is stored.
+        with pytest.raises(ExecutionError, match="values for"):
+            session.execute("INSERT INTO y VALUES ('v', 'w'), ('x')")
+        assert len(session.database.table("y")) == 0
 
     def test_query_requires_select_last(self, session):
         with pytest.raises(ExecutionError):
