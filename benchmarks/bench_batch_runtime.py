@@ -4,7 +4,7 @@ A 500-task filter workload is dispatched through the BatchScheduler at
 increasing lane counts. Expected shape: simulated throughput (assignments
 per simulated second) scales with ``max_parallel`` because independent
 assignments overlap on separate lanes, while ``max_parallel=1`` reproduces
-the pre-batch sequential ``platform.collect`` path answer-for-answer. A
+a plain sequential sampling-and-answering loop answer-for-answer. A
 fault-injected row shows the retry machinery delivering full redundancy
 despite abandonment and timeouts.
 """
@@ -63,14 +63,24 @@ def _normalized(platform: SimulatedPlatform, tasks: list, answers: dict) -> list
     ]
 
 
+def _sequential_answers(platform: SimulatedPlatform, tasks: list) -> dict:
+    """Reference outside the scheduler: for each task in order, sample the
+    workers, then let each answer from the platform RNG."""
+    return {
+        task.task_id: [
+            worker.submit(task, platform.rng)
+            for worker in platform.pool.sample(REDUNDANCY)
+        ]
+        for task in tasks
+    }
+
+
 def _trial(seed: int) -> dict[str, float]:
     values: dict[str, float] = {}
 
-    # Reference: the pre-batch sequential collect() path.
     ref = _platform(seed)
     ref_tasks = _tasks(N_TASKS)
-    ref_answers = ref.collect(ref_tasks, redundancy=REDUNDANCY)
-    ref_stream = _normalized(ref, ref_tasks, ref_answers)
+    ref_stream = _normalized(ref, ref_tasks, _sequential_answers(ref, ref_tasks))
 
     for lanes in LANES:
         cfg = BatchConfig(batch_size=50, max_parallel=lanes, seed=seed + 2)

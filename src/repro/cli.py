@@ -280,7 +280,6 @@ def _checkpoint_session(
 
     Checkpoint.capture(
         session.platform,
-        scheduler=session.platform.scheduler,
         inference=session.inference,
         extra={"statements_done": statements_done},
     ).save(directory)
@@ -295,11 +294,7 @@ def _restore_session(session: CrowdSQLSession, directory: str) -> int:
     from repro.recovery.checkpoint import Checkpoint
 
     checkpoint = Checkpoint.load(directory)
-    checkpoint.restore(
-        session.platform,
-        scheduler=session.platform.scheduler,
-        inference=session.inference,
-    )
+    checkpoint.restore(session.platform, inference=session.inference)
     session.database = load_database(Path(directory) / "db")
     return int(checkpoint.extra.get("statements_done", 0))
 
@@ -343,9 +338,7 @@ def _serve_run_status(state: dict, iterations: int) -> dict:
         answers_collected=stats.answers_collected,
         hits_published=stats.tasks_published,
         batches_dispatched=stats.batches_dispatched,
-        simulated_clock=(
-            scheduler.simulated_clock if scheduler is not None else 0.0
-        ),
+        simulated_clock=scheduler.simulated_clock,
         cache={
             "enabled": session.platform.cache is not None,
             "hits": hits,
@@ -353,11 +346,9 @@ def _serve_run_status(state: dict, iterations: int) -> dict:
             "hit_ratio": (hits / requests) if requests else 0.0,
             "answers_reused": stats.cache_answers_reused,
         },
-        breakers=(
-            [{"name": b.name, "tripped": b.tripped} for b in scheduler.breakers]
-            if scheduler is not None
-            else []
-        ),
+        breakers=[
+            {"name": b.name, "tripped": b.tripped} for b in scheduler.breakers
+        ],
     )
     return payload
 
@@ -366,7 +357,9 @@ def _run_serve_metrics(args) -> int:
     """``python -m repro serve-metrics``: script loop + live /metrics server.
 
     One enabled registry is shared by every per-iteration session, so the
-    counters a scraper sees only ever move forward.
+    counters a scraper sees only ever move forward. The server starts
+    answering once the first iteration's script has run, so the first
+    scrape already holds that iteration's series.
     """
     import time
 
@@ -388,11 +381,9 @@ def _run_serve_metrics(args) -> int:
             run_status=lambda: _serve_run_status(state, args.iterations),
             port=args.port,
         )
-        server.start()
     except CrowdDMError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"-- serving {server.url}/metrics /healthz /run", flush=True)
     code = 0
     try:
         for iteration in range(args.iterations):
@@ -415,7 +406,15 @@ def _run_serve_metrics(args) -> int:
             code = run_script(session, sql)
             if code != 0:
                 break
-        if args.hold > 0:
+            if not server.running:
+                try:
+                    server.start()
+                except CrowdDMError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    code = 2
+                    break
+                print(f"-- serving {server.url}/metrics /healthz /run", flush=True)
+        if args.hold > 0 and server.running:
             time.sleep(args.hold)
     except KeyboardInterrupt:
         pass

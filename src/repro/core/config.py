@@ -28,9 +28,10 @@ class EngineConfig:
             heterogeneous pool.
         batch_size: Tasks grouped per dispatch wave of the batch runtime.
         max_parallel: Simulated-clock lanes the batch runtime overlaps
-            assignments on (draws run on the caller's thread); 1 (the
-            default) is the sequential path, bit-identical to
-            pre-batch-runtime behaviour.
+            assignments on (draws run on the caller's thread). Every
+            batch collection runs through that runtime. 1 (the default) draws
+            each assignment from the platform RNG in dispatch order; more
+            lanes give each assignment its own random stream.
         retry_limit: Retries per assignment after the first attempt.
         assignment_timeout: Simulated seconds before an in-flight
             assignment is reclaimed and retried; None disables timeouts.

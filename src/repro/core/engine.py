@@ -98,26 +98,25 @@ class CrowdEngine:
         plan = self.config.make_fault_plan()
         if plan is not None:
             self.platform.attach_faults(plan)
-        if self.platform.scheduler is not None:
-            from repro.recovery.breakers import (
-                AdaptiveDeadlineBreaker,
-                BudgetBreaker,
-                DeadlineBreaker,
-            )
+        from repro.recovery.breakers import (
+            AdaptiveDeadlineBreaker,
+            BudgetBreaker,
+            DeadlineBreaker,
+        )
 
-            if self.config.budget_reserve > 0:
-                self.platform.scheduler.breakers.append(
-                    BudgetBreaker(reserve=self.config.budget_reserve)
-                )
-            if self.config.deadline is not None:
-                breaker_cls = (
-                    AdaptiveDeadlineBreaker
-                    if self.config.adaptive_deadline
-                    else DeadlineBreaker
-                )
-                self.platform.scheduler.breakers.append(
-                    breaker_cls(deadline=self.config.deadline)
-                )
+        if self.config.budget_reserve > 0:
+            self.platform.scheduler.breakers.append(
+                BudgetBreaker(reserve=self.config.budget_reserve)
+            )
+        if self.config.deadline is not None:
+            breaker_cls = (
+                AdaptiveDeadlineBreaker
+                if self.config.adaptive_deadline
+                else DeadlineBreaker
+            )
+            self.platform.scheduler.breakers.append(
+                breaker_cls(deadline=self.config.deadline)
+            )
         # `is None` check: an empty Database is falsy (it defines __len__).
         self.database = Database() if database is None else database
         self.oracle = oracle or CrowdOracle()
@@ -434,16 +433,13 @@ class CrowdEngine:
         answers, failure records, per-tuple confidences (via the engine's
         inference method), and a coverage report. Under the default
         ``failure_policy="fail"`` this raises on the first unrecoverable
-        task, exactly like :meth:`SimulatedPlatform.collect_batch`.
+        task, exactly like :meth:`SimulatedPlatform.collect`.
         """
         from repro.recovery.degrade import DegradedResult
 
         redundancy = redundancy or self.config.redundancy
         run = self.platform.scheduler.run(list(tasks), redundancy=redundancy)
-        inferred = None
-        evidence = {t: a for t, a in run.answers.items() if a}
-        if evidence:
-            inferred = self._inference().infer(evidence)
+        inferred = self._inference().infer_answered(run.answers)
         return DegradedResult.from_answers(
             tasks, run.answers, run.failures, redundancy, inference=inferred
         )
@@ -453,9 +449,7 @@ class CrowdEngine:
         from repro.recovery.checkpoint import Checkpoint
 
         Checkpoint.capture(
-            self.platform,
-            scheduler=self.platform.scheduler,
-            inference=self._session.inference,
+            self.platform, inference=self._session.inference
         ).save(directory)
 
     def restore_checkpoint(self, directory: str) -> None:
@@ -470,9 +464,7 @@ class CrowdEngine:
         from repro.recovery.checkpoint import Checkpoint
 
         Checkpoint.load(directory).restore(
-            self.platform,
-            scheduler=self.platform.scheduler,
-            inference=self._session.inference,
+            self.platform, inference=self._session.inference
         )
 
     # ------------------------------------------------------------------ #
@@ -497,13 +489,7 @@ class CrowdEngine:
         hits = stats.cache_hits
         misses = stats.cache_misses
         requests = hits + misses
-        breakers = []
         scheduler = self.platform.scheduler
-        if scheduler is not None:
-            breakers = [
-                {"name": b.name, "tripped": b.tripped}
-                for b in scheduler.breakers
-            ]
         return {
             "current_statement": self._session.current_statement,
             "budget": {
@@ -517,9 +503,7 @@ class CrowdEngine:
             "open_batches": stats.assignments_dispatched
             - stats.assignments_timed_out
             - stats.assignments_abandoned,
-            "simulated_clock": (
-                scheduler.simulated_clock if scheduler is not None else 0.0
-            ),
+            "simulated_clock": scheduler.simulated_clock,
             "cache": {
                 "enabled": self.platform.cache is not None,
                 "hits": hits,
@@ -528,16 +512,16 @@ class CrowdEngine:
                 "answers_reused": stats.cache_answers_reused,
             },
             "hedges": {
-                "enabled": (
-                    scheduler is not None and scheduler.hedge_state is not None
-                ),
+                "enabled": scheduler.hedge_state is not None,
                 "launched": stats.hedges_launched,
                 "won": stats.hedges_won,
                 "lost": stats.hedges_lost,
                 "cancelled": stats.hedges_cancelled,
                 "refunded": stats.hedge_cost_refunded,
             },
-            "breakers": breakers,
+            "breakers": [
+                {"name": b.name, "tripped": b.tripped} for b in scheduler.breakers
+            ],
             "profiled_statements": (
                 len(self.profiler.statements) if self.profiler is not None else 0
             ),

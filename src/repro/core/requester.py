@@ -78,7 +78,7 @@ class Requester:
                 answers[answer.task_id].append(answer)
         else:
             answers = self.platform.collect(tasks, redundancy=redundancy)
-        result = method.infer(answers)
+        result = method.infer_answered(answers)
         report = JobReport(
             name=name,
             tasks=len(tasks),

@@ -34,7 +34,7 @@ class ActiveLearningResult:
     """Outcome of a crowd-in-the-loop labeling run."""
 
     crowd_labels: dict[int, Any]             # item index -> inferred label
-    final_labels: list[Any]                  # full dataset (crowd or model)
+    final_labels: list[Any]                  # full dataset (crowd, model, or None)
     model: NaiveBayesText
     crowd_questions: int
     cost: float
@@ -103,7 +103,8 @@ class ActiveLearner:
             tasks.append(task)
             index_of_task[task.task_id] = i
         collected = self.platform.collect(tasks, redundancy=self.redundancy)
-        inferred = self.inference.infer(collected)
+        # Items whose tasks got no answers stay unlabelled.
+        inferred = self.inference.infer_answered(collected)
         return {index_of_task[t]: label for t, label in inferred.truths.items()}
 
     def _pick_batch(
@@ -146,16 +147,21 @@ class ActiveLearner:
             new_labels = self._crowd_label(items, batch)
             questions += len(batch) * self.redundancy
             crowd_labels.update(new_labels)
-            unlabeled = [i for i in unlabeled if i not in crowd_labels]
+            asked = set(batch)
+            unlabeled = [i for i in unlabeled if i not in asked]
             for i, label in new_labels.items():
                 model.partial_fit(items[i], label)
-            if heldout is not None:
+            if heldout is not None and model.n_documents:
                 trajectory.append(
                     (len(crowd_labels), model.accuracy(heldout[0], heldout[1]))
                 )
 
+        # With no crowd label at all (every answer failed) the model is
+        # untrained and the items stay unlabelled (None).
         final = [
-            crowd_labels[i] if i in crowd_labels else model.predict(items[i])
+            crowd_labels[i] if i in crowd_labels
+            else model.predict(items[i]) if model.n_documents
+            else None
             for i in range(len(items))
         ]
         return ActiveLearningResult(

@@ -977,7 +977,7 @@ class Executor:
             return False
 
         before = self.platform.stats.cost_spent
-        collected = self.platform.collect_batch([task], redundancy=self.redundancy)
+        collected = self.platform.collect([task], redundancy=self.redundancy)
         answers = collected.get(task.task_id, [])
         verdict = self._verdict_from(task, answers)
         stats.crowd_questions += 1

@@ -106,8 +106,6 @@ class StreamingExecutor(Executor):
 
     def execute(self, plan: LogicalPlan) -> QueryResult:
         """Run *plan*, streaming when compilable, barrier otherwise."""
-        if self.platform.scheduler is None:
-            return super().execute(plan)
         try:
             pipe = self._compile(plan.root)
         except _Unsupported:

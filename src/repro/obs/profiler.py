@@ -109,7 +109,8 @@ class QueryProfiler:
     Args:
         registry: The (enabled) metrics registry statements are measured
             through.
-        platform: Supplies the simulated clock (scheduler) when available.
+        platform: Supplies the simulated clock (its scheduler's); without
+            one, simulated time reads 0.
     """
 
     def __init__(
@@ -122,9 +123,9 @@ class QueryProfiler:
         self.statements: list[dict[str, Any]] = []
 
     def _sim_clock(self) -> float:
-        if self.platform is not None and self.platform.scheduler is not None:
-            return self.platform.scheduler.simulated_clock
-        return 0.0
+        if self.platform is None:
+            return 0.0
+        return self.platform.scheduler.simulated_clock
 
     def statement(self, index: int, label: str) -> _StatementCapture:
         """Bracket one statement execution; use as a context manager."""

@@ -100,12 +100,14 @@ class CrowdCategorize:
                     )
                 )
             collected = self.platform.collect(tasks, redundancy=self.redundancy)
-            inferred = self.inference.infer(collected)
+            inferred = self.inference.infer_answered(collected)
 
             labels: dict[int, Any] = {}
             confidences: dict[int, float] = {}
             groups: dict[Any, list[int]] = defaultdict(list)
             for i, task in enumerate(tasks):
+                if task.task_id not in inferred.truths:
+                    continue  # no answers landed: the item stays unlabelled
                 label = inferred.truths[task.task_id]
                 labels[i] = label
                 confidences[i] = inferred.confidences.get(task.task_id, 0.0)

@@ -182,7 +182,7 @@ class CrowdCollect:
                     Task(TaskType.COLLECT, question=self.question)
                     for _ in range(min(wave_size, max_queries - q))
                 ]
-                collected = self.platform.collect_batch(wave, redundancy=1)
+                collected = self.platform.collect(wave, redundancy=1)
                 for task in wave:
                     delivered = collected.get(task.task_id, [])
                     q += 1

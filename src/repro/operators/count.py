@@ -9,6 +9,7 @@ selectivity-estimation narrative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -94,9 +95,15 @@ class CrowdCount:
                 )
             )
         collected = self.platform.collect(tasks, redundancy=self.redundancy)
-        inferred = self.inference.infer(collected)
-        labels = [inferred.truths[t.task_id] == YES for t in tasks]
-        estimate = estimate_count(labels, len(items), confidence)
+        truths = self.inference.infer_answered(collected).truths
+        # Only sampled items that got answers count towards the estimate.
+        labels = [truths[t.task_id] == YES for t in tasks if t.task_id in truths]
+        if labels:
+            estimate = estimate_count(labels, len(items), confidence)
+        else:
+            estimate = Estimate(
+                value=math.nan, stderr=math.inf, confidence=confidence, sample_size=0
+            )
         return CountResult(
             estimate=estimate,
             sample_indices=chosen,

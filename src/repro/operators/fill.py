@@ -97,7 +97,7 @@ class CrowdFill:
             task_list.append(task)
 
         collected = self.platform.collect(task_list, redundancy=self.redundancy)
-        inferred = self.inference.infer(collected)
+        inferred = self.inference.infer_answered(collected)
 
         result = FillResult(
             filled_cells=0,
@@ -105,6 +105,8 @@ class CrowdFill:
             cost=0.0,
         )
         for task in task_list:
+            if task.task_id not in inferred.truths:
+                continue  # no answers landed: the cell stays CNULL
             rowid, column = tasks[task.task_id]
             value = inferred.truths[task.task_id]
             table.update_cell(rowid, column, value)

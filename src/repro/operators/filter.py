@@ -126,7 +126,7 @@ class FixedKFilter(CrowdFilter):
         ) as span:
             before = self.platform.stats.cost_spent
             tasks = [self._task_for(item, i) for i, item in enumerate(items)]
-            collected = self.platform.collect_batch(tasks, redundancy=self.redundancy)
+            collected = self.platform.collect(tasks, redundancy=self.redundancy)
             decisions: dict[int, bool] = {}
             answers_by_item: dict[int, list[Answer]] = {}
             questions = 0
@@ -234,7 +234,7 @@ class AdaptiveFilter(CrowdFilter):
         questions = 0
         while open_items:
             wave = [tasks[i] for i in open_items]
-            collected = self.platform.collect_batch(wave, redundancy=1, complete=False)
+            collected = self.platform.collect(wave, redundancy=1, complete=False)
             still_open: list[int] = []
             for i in open_items:
                 delivered = collected.get(tasks[i].task_id, [])

@@ -122,7 +122,9 @@ class FindFixVerify:
         )
         answers = self.platform.collect([task], redundancy=self.find_redundancy)
         result.find_questions += self.find_redundancy
-        counts = Counter(a.value for a in answers[task.task_id])
+        counts = Counter(a.value for a in answers.get(task.task_id, []))
+        if not counts:  # no answers landed: treat the text as clean
+            return None
         winner, votes = counts.most_common(1)[0]
         # Independent agreement: a strict majority must point at the same span.
         if votes * 2 <= self.find_redundancy or winner == NO_ERROR:
@@ -142,7 +144,7 @@ class FindFixVerify:
         answers = self.platform.collect([task], redundancy=self.fix_candidates)
         result.fix_questions += self.fix_candidates
         candidates = []
-        for answer in answers[task.task_id]:
+        for answer in answers.get(task.task_id, []):
             if answer.value and answer.value not in candidates:
                 candidates.append(answer.value)
         return candidates
@@ -170,8 +172,9 @@ class FindFixVerify:
         )
         answers = self.platform.collect([task], redundancy=self.verify_redundancy)
         result.verify_questions += self.verify_redundancy
-        inferred = self.inference.infer(answers)
-        return inferred.truths[task.task_id]
+        inferred = self.inference.infer_answered(answers)
+        # No answers landed: keep the original word.
+        return inferred.truths.get(task.task_id, words[position])
 
     # ------------------------------------------------------------------ #
 

@@ -125,7 +125,7 @@ class CrowdJoin:
     ) -> list[bool]:
         """Buy *redundancy* votes on each pair as one batch and aggregate."""
         tasks = [self._pair_task(records, i, j) for i, j in pairs]
-        collected = self.platform.collect_batch(tasks, redundancy=self.redundancy)
+        collected = self.platform.collect(tasks, redundancy=self.redundancy)
         verdicts: list[bool] = []
         for task in tasks:
             answers = collected.get(task.task_id, [])
@@ -285,7 +285,7 @@ def _crossing_join(
                 truth=YES if truth_fn(a, b) else NO,
             )
         )
-    collected = platform.collect_batch(tasks, redundancy=redundancy) if tasks else {}
+    collected = platform.collect(tasks, redundancy=redundancy) if tasks else {}
     for pair, task in zip(pairs, tasks):
         questions += 1
         verdict = inference.infer({task.task_id: collected[task.task_id]})

@@ -119,8 +119,11 @@ class CrowdPlanner:
 
     # ------------------------------------------------------------------ #
 
-    def _vote(self, question: str, candidates: list[tuple[str, float]]) -> str:
-        """One expansion vote; candidates are (option key, hidden score)."""
+    def _vote(self, question: str, candidates: list[tuple[str, float]]) -> str | None:
+        """One expansion vote; candidates are (option key, hidden score).
+
+        None when no answers landed (``skip``/``degrade`` failure policy).
+        """
         options = tuple(key for key, _score in candidates)
         truth = max(candidates, key=lambda pair: pair[1])[0]
         task = Task(
@@ -130,7 +133,7 @@ class CrowdPlanner:
             truth=truth,
         )
         answers = self.platform.collect([task], redundancy=self.redundancy)
-        return self.inference.infer(answers).truths[task.task_id]
+        return self.inference.infer_answered(answers).truths.get(task.task_id)
 
     def greedy(self, start: Node, steps: int) -> PlanResult:
         """Myopic crowd walk: vote among the current node's successors."""
@@ -155,6 +158,8 @@ class CrowdPlanner:
                 f"Best next stop after {self.describe(path[-1])}?", candidates
             )
             questions += 1
+            if winner is None:  # no verdict: the plan stops at this step
+                break
             chosen = successors[
                 [self.describe(s) for s in successors].index(winner)
             ]
@@ -201,6 +206,8 @@ class CrowdPlanner:
                 ]
                 winner = self._vote("Which partial plan looks best?", candidates)
                 questions += 1
+                if winner is None:  # no verdict: the plan stops at this step
+                    break
                 keys = [key for key, _ in candidates]
                 champion = extensions[keys.index(winner)]
             else:

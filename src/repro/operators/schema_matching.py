@@ -132,7 +132,8 @@ class CrowdSchemaMatcher:
             )
             collected = self.platform.collect([task], redundancy=self.redundancy)
             questions += 1
-            if self.inference.infer(collected).truths[task.task_id] == YES:
+            # A pair whose question got no answers is not confirmed.
+            if self.inference.infer_answered(collected).truths.get(task.task_id) == YES:
                 confirmed.append((source, target, score))
 
         # Greedy 1:1 extraction, best machine similarity first.

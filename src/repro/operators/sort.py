@@ -153,7 +153,7 @@ class CrowdComparator:
         if not todo:
             return 0
         tasks = {key: self._pair_task(key) for key in todo}
-        collected = self.platform.collect_batch(list(tasks.values()), redundancy=self.redundancy)
+        collected = self.platform.collect(list(tasks.values()), redundancy=self.redundancy)
         bought = 0
         for key, task in tasks.items():
             answers = collected.get(task.task_id, [])
@@ -184,7 +184,7 @@ class CrowdComparator:
                 self._cache[key] = deduced if i == key[0] else not deduced
                 return deduced
         task = self._pair_task(key)
-        collected = self.platform.collect_batch([task], redundancy=self.redundancy)
+        collected = self.platform.collect([task], redundancy=self.redundancy)
         answers = collected.get(task.task_id, [])
         self.comparisons_asked += 1
         self.answers_bought += len(answers)
@@ -294,7 +294,7 @@ def rating_sort(
                     truth=scaled,
                 )
             )
-        collected = platform.collect_batch(tasks, redundancy=redundancy)
+        collected = platform.collect(tasks, redundancy=redundancy)
         ratings = {
             i: float(np.mean([a.value for a in collected[t.task_id]]))
             for i, t in enumerate(tasks)

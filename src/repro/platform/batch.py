@@ -16,15 +16,20 @@ a retry limit is hit (the Reprowd / human-powered-sorts-and-joins regime).
   retry-with-exponential-backoff on a fresh worker, and exhausting the
   retry budget raises :class:`~repro.errors.RetryExhaustedError`.
 
+Every platform has a scheduler, and :meth:`SimulatedPlatform.collect` is
+a thin call to :meth:`BatchScheduler.run`, so every batch collection
+passes through this module.
+
 Determinism: planning (worker sampling) happens in task order, so the
 pool's RNG stream is consumed identically at any lane count. With
-``max_parallel=1`` attempts also draw from the platform RNG in the legacy
-order, making the single-lane path bit-identical to
-:meth:`SimulatedPlatform.collect`. With ``max_parallel>1`` every
-assignment gets its own RNG derived from ``(seed, assignment index)`` — a
-different (equally valid) random stream than the single-lane one. The two
-rules stay split because a shared stream at every lane count measurably
-changes the hedging benchmark's outcome (see DESIGN.md).
+``max_parallel=1`` each assignment then draws its service time and its
+answer from the platform RNG in dispatch order — the same draws as a
+plain sequential loop of ``worker.submit(task, platform.rng)`` over the
+sampled workers. With ``max_parallel>1`` every assignment gets its own
+RNG derived from ``(seed, assignment index)`` — a different (equally
+valid) random stream than the single-lane one. The two rules stay split
+because a shared stream at every lane count measurably changes the
+hedging benchmark's outcome (see DESIGN.md).
 
 Tail-latency control (``hedge_enabled``): the scheduler fits per-task-type
 lognormal completion-time models online (:class:`HedgeState`, built on
@@ -41,7 +46,6 @@ every code path and RNG draw is bit-identical to the pre-hedging runtime.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -89,7 +93,7 @@ class BatchConfig:
         batch_size: Tasks grouped into one dispatch wave.
         max_parallel: Simulated-clock lanes: how many assignments the
             simulated clock overlaps. Draws always run on the caller's
-            thread. 1 reproduces the sequential path bit-for-bit.
+            thread. 1 draws from the platform RNG in dispatch order.
         retry_limit: Retries per assignment after the first attempt.
         assignment_timeout: Simulated seconds after which an in-flight
             assignment is reclaimed and retried; None disables timeouts.
@@ -158,11 +162,6 @@ class BatchConfig:
         return self.abandon_rate > 0.0 or self.assignment_timeout is not None
 
 
-# Process-unique batch ids: PlatformStats folds each batch exactly once,
-# keyed by this id, even when a record is handed back twice (re-dispatch).
-_BATCH_IDS = itertools.count()
-
-
 @dataclass
 class BatchRecord:
     """Counters for one dispatched batch."""
@@ -181,7 +180,6 @@ class BatchRecord:
     hedges_lost: int = 0      # primary answered first (hedge copy cancelled)
     hedges_cancelled: int = 0  # hedge copy faulted in flight; primary kept
     hedge_refund: float = 0.0  # cost refunded by cancelling losing copies
-    batch_id: int = field(default_factory=_BATCH_IDS.__next__)
 
 
 @dataclass
@@ -422,8 +420,9 @@ class BatchScheduler:
     ) -> BatchRunResult:
         """Gather *redundancy* answers per task, batch by batch.
 
-        Returns a :class:`BatchRunResult` whose ``answers`` mapping has the
-        same shape as :meth:`SimulatedPlatform.collect`. Tasks are completed
+        Returns a :class:`BatchRunResult` whose ``answers`` mapping
+        ({task_id: [answers]}) is what :meth:`SimulatedPlatform.collect`
+        returns. Tasks are completed
         afterwards unless *complete* is False (round-structured callers keep
         them open for further answers).
 
@@ -517,7 +516,6 @@ class BatchScheduler:
                 "batch",
                 sim_start=self._clock,
                 index=record.index,
-                batch_id=record.batch_id,
                 tasks=len(batch),
             ) as span:
                 self._run_batch(batch, eff_redundancy, record, result, complete, policy)
@@ -641,9 +639,9 @@ class BatchScheduler:
                     )
 
         # Plan the whole wave first: the pool RNG stream is consumed in
-        # task order exactly as the sequential path would. Workers who have
-        # already answered a task (round-structured callers) are excluded,
-        # which is a no-op — hence still bit-identical — for fresh tasks.
+        # task order at any lane count. Workers who have already answered a
+        # task (round-structured callers) are excluded, which is a no-op for
+        # fresh tasks.
         wave: list[_Assignment] = []
         order = 0
         for task in batch:
@@ -932,9 +930,8 @@ class BatchScheduler:
 
         Runs on the caller's thread in wave order; lanes exist only on the
         simulated clock. One lane draws from the platform RNG in dispatch
-        order — with faults off this is the legacy collect() stream
-        exactly. More lanes give each assignment its own generator seeded
-        by ``(seed, stream)``.
+        order. More lanes give each assignment its own generator seeded by
+        ``(seed, stream)``.
         """
         if not self.parallel:
             rng = self.platform.rng
@@ -984,7 +981,7 @@ class BatchScheduler:
             task_id=task.task_id,
             worker_id=worker.worker_id,
             value=a.value,
-            submitted_at=a.duration,  # matches the sequential collect() stamp
+            submitted_at=a.duration,  # the Worker.submit stamp at now=0
             duration=a.duration,
             reward_paid=task.reward,
         )

@@ -17,10 +17,10 @@ answer. :class:`AnswerCache` brings that regime to the simulated platform:
   The batch runtime executes only the canonical misses; duplicates get the
   canonical's answers fanned back out without a second publish.
 
-* **Cross-call reuse.** Answers stored from one ``collect``/``collect_batch``
-  call (one operator, one CrowdSQL statement, one trial) are replayed for
-  any later call that asks an identical question — at $0 cost and zero
-  latency, with ``reward_paid=0.0`` on the replayed answers.
+* **Cross-call reuse.** Answers stored from one scheduler run (one
+  ``collect`` call: one operator, one CrowdSQL statement, one trial) are
+  replayed for any later call that asks an identical question — at $0
+  cost and zero latency, with ``reward_paid=0.0`` on the replayed answers.
 
 * **Persistence.** :meth:`save`/:meth:`load` spill the cache to JSONL (one
   entry per line) through the checkpoint value codec, so repeated
@@ -35,7 +35,7 @@ savings and remain per-seed deterministic.
 
 Cache-served answers are returned to the caller but are *not* entered in
 the platform answer log, worker histories, or ``answers_collected`` — they
-represent no new crowd work. Only ``complete=True`` collection paths
+represent no new crowd work. Only ``complete=True`` scheduler runs
 participate; round-structured callers (adaptive filter waves) buying
 incremental evidence for a still-open task bypass the cache entirely, as
 do HIT-grouped ``collect_batched`` (positional fatigue) and online

@@ -11,7 +11,11 @@ crowd answer in the library flows. It owns:
 Two usage modes mirror how real requesters interact with platforms:
 
 * **batch** — :meth:`collect`: publish tasks with redundancy *k*; the
-  platform gathers *k* answers per task from distinct workers.
+  platform's :class:`~repro.platform.batch.BatchScheduler` gathers *k*
+  answers per task from distinct workers. Every platform has a scheduler
+  (one lane, fault-free, unless configured otherwise), so every batch
+  collection passes through the same cost, latency, fault and
+  failure-policy machinery.
 * **online** — :meth:`worker_stream` + :meth:`ask`: workers "arrive" one at
   a time and an assignment strategy decides which task each gets (the
   QASCA/CDAS regime in :mod:`repro.quality.assignment`).
@@ -38,7 +42,7 @@ from repro.platform.task import Answer, Task
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle with workers
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
-    from repro.platform.batch import BatchConfig, BatchScheduler
+    from repro.platform.batch import BatchConfig, BatchRecord, BatchScheduler
     from repro.platform.cache import AnswerCache, CacheResolution
     from repro.platform.task import HIT
     from repro.workers.pool import WorkerPool
@@ -86,20 +90,10 @@ class PlatformStats:
     def __init__(self, metrics: MetricsRegistry | None = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self.answers_by_worker: dict[str, int] = defaultdict(int)
-        self._folded_batches: set[int] = set()
 
-    def record_batch(self, record) -> None:
-        """Fold one :class:`~repro.platform.batch.BatchRecord` into the totals.
-
-        Idempotent per batch: a record that was already folded (a round
-        scheduler re-dispatching after timeout retries hands the same
-        record back) is skipped, keyed by ``record.batch_id``.
-        """
-        batch_id = getattr(record, "batch_id", None)
-        if batch_id is not None:
-            if batch_id in self._folded_batches:
-                return
-            self._folded_batches.add(batch_id)
+    def record_batch(self, record: "BatchRecord") -> None:
+        """Fold one dispatched batch into the totals (called once per batch
+        by :meth:`~repro.platform.batch.BatchScheduler.run`)."""
         self.batches_dispatched += 1
         self.assignments_dispatched += record.dispatched
         self.assignments_retried += record.retried
@@ -107,12 +101,12 @@ class PlatformStats:
         self.assignments_abandoned += record.abandoned
         self.batch_makespan += record.makespan
         self.batch_wall_clock += record.wall_clock
-        self.batch_outage_wait += getattr(record, "outage_wait", 0.0)
-        self.hedges_launched += getattr(record, "hedged", 0)
-        self.hedges_won += getattr(record, "hedges_won", 0)
-        self.hedges_lost += getattr(record, "hedges_lost", 0)
-        self.hedges_cancelled += getattr(record, "hedges_cancelled", 0)
-        self.hedge_cost_refunded += getattr(record, "hedge_refund", 0.0)
+        self.batch_outage_wait += record.outage_wait
+        self.hedges_launched += record.hedged
+        self.hedges_won += record.hedges_won
+        self.hedges_lost += record.hedges_lost
+        self.hedges_cancelled += record.hedges_cancelled
+        self.hedge_cost_refunded += record.hedge_refund
 
     def batch_summary(self) -> str:
         """One-line human-readable batch accounting (empty if unused)."""
@@ -195,6 +189,9 @@ class SimulatedPlatform:
         seed: Seed for the platform's own RNG (assignment sampling and the
             workers' answer randomness both derive from it, so a seeded
             platform is fully reproducible).
+        batch: Configuration of the platform's batch scheduler; the
+            one-lane, fault-free :class:`~repro.platform.batch.BatchConfig`
+            default when omitted.
         tracer: Span tracer threaded through operators, the batch runtime,
             and the event timeline; the no-op tracer when omitted.
         metrics: Registry backing :class:`PlatformStats` and the extra
@@ -225,7 +222,6 @@ class SimulatedPlatform:
         self.answers: list[Answer] = []
         self._answers_by_task: dict[str, list[Answer]] = defaultdict(list)
         self._tasks: dict[str, Task] = {}
-        self.scheduler: "BatchScheduler | None" = None
         self.faults: "FaultInjector | None" = None
         self.cache: "AnswerCache | None" = None
         # Multi-tenant service seam: when a tenant account is active, every
@@ -234,11 +230,11 @@ class SimulatedPlatform:
         # unable to jointly overspend a shared platform).
         self._charge_lock = threading.Lock()
         self._active_account: "object | None" = None
-        if batch is not None:
-            self.attach_scheduler(batch)
+        self.attach_scheduler(batch)  # sets self.scheduler; never None
 
-    def attach_scheduler(self, config: "BatchConfig") -> "BatchScheduler":
-        """Install (or replace) the batch execution runtime on this platform."""
+    def attach_scheduler(self, config: "BatchConfig | None") -> "BatchScheduler":
+        """Install (or replace) the batch execution runtime on this platform;
+        None installs the one-lane, fault-free default."""
         from repro.platform.batch import BatchScheduler
 
         self.scheduler = BatchScheduler(self, config)
@@ -247,8 +243,9 @@ class SimulatedPlatform:
     def attach_faults(self, plan: "FaultPlan | None") -> "FaultInjector | None":
         """Install (or clear, with None) a fault-injection plan.
 
-        Faults only act on the batch runtime seams, so a plan without an
-        attached scheduler is inert by construction.
+        Faults act on the batch scheduler's seams, which every batch
+        collection passes through; HIT batches (:meth:`collect_batched`),
+        online :meth:`ask` and :meth:`simulate_timeline` never see them.
         """
         from repro.faults.injector import FaultInjector
 
@@ -260,8 +257,8 @@ class SimulatedPlatform:
 
         The cache's counters are rebound onto this platform's registry so
         the ``cache_*`` views on :class:`PlatformStats` and the cache object
-        always agree. Only ask-and-close collection paths (``collect`` and
-        ``scheduler.run`` with ``complete=True``) consult the cache;
+        always agree. Only ask-and-close collection (``scheduler.run``, and
+        so :meth:`collect`, with ``complete=True``) consults the cache;
         round-structured callers keeping tasks open for more evidence, HIT
         batches, and online :meth:`ask` assignment never do.
         """
@@ -272,9 +269,9 @@ class SimulatedPlatform:
 
     @property
     def parallel_batching(self) -> bool:
-        """True when an attached scheduler overlaps assignments on more than
-        one simulated-clock lane (draws always run on the caller's thread)."""
-        return self.scheduler is not None and self.scheduler.parallel
+        """True when the scheduler overlaps assignments on more than one
+        simulated-clock lane (draws always run on the caller's thread)."""
+        return self.scheduler.parallel
 
     # ------------------------------------------------------------------ #
     # Publishing & bookkeeping
@@ -342,7 +339,7 @@ class SimulatedPlatform:
                 self.stats.cost_spent += amount
 
     # ------------------------------------------------------------------ #
-    # Answer cache seam (shared by collect() and the batch scheduler)
+    # Answer cache seam (consulted by the batch scheduler)
     # ------------------------------------------------------------------ #
 
     def cache_resolve(
@@ -424,45 +421,18 @@ class SimulatedPlatform:
         self,
         tasks: Sequence[Task],
         redundancy: int = 3,
+        complete: bool = True,
     ) -> dict[str, list[Answer]]:
         """Batch mode: gather *redundancy* answers per task from distinct workers.
 
-        Returns {task_id: [answers]}. Tasks are completed afterwards.
+        Runs :meth:`~repro.platform.batch.BatchScheduler.run` and returns
+        its {task_id: [answers]}. Tasks are completed afterwards unless
+        *complete* is False. A task that cannot be completed follows the
+        scheduler's failure policy: ``fail`` raises, ``degrade`` returns
+        its partial (possibly empty) list, ``skip`` leaves it out.
         """
         if redundancy < 1:
             raise PlatformError(f"redundancy must be >= 1, got {redundancy}")
-        if redundancy > len(self.pool.active_workers):
-            raise NoWorkersAvailableError(
-                f"redundancy {redundancy} exceeds pool of {len(self.pool.active_workers)}"
-            )
-        resolution = self.cache_resolve(tasks, redundancy)
-        run_tasks = tasks if resolution is None else resolution.misses
-        self.publish([t for t in run_tasks if t.task_id not in self._tasks])
-        result: dict[str, list[Answer]] = {}
-        for task in run_tasks:
-            workers = self.pool.sample(redundancy)
-            result[task.task_id] = [self.ask(task, worker) for worker in workers]
-            task.complete()
-        if resolution is not None:
-            self.cache_finish(resolution, result, complete=True)
-        return result
-
-    def collect_batch(
-        self,
-        tasks: Sequence[Task],
-        redundancy: int = 3,
-        complete: bool = True,
-    ) -> dict[str, list[Answer]]:
-        """Like :meth:`collect`, routed through the batch runtime when attached.
-
-        Without a scheduler this is exactly :meth:`collect`; with one, tasks
-        are dispatched in batches with the configured simulated lanes and
-        fault model (bit-identical to :meth:`collect` at ``max_parallel=1``
-        with fault injection off). Operators call this so a single engine
-        knob flips the whole stack between one lane and many.
-        """
-        if self.scheduler is None:
-            return self.collect(tasks, redundancy=redundancy)
         return self.scheduler.run(tasks, redundancy=redundancy, complete=complete).answers
 
     def collect_batched(

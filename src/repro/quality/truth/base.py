@@ -102,6 +102,21 @@ class TruthInference:
         """Infer truths from the evidence. Subclasses must override."""
         raise NotImplementedError
 
+    def infer_answered(
+        self, answers_by_task: Mapping[str, Sequence[Answer]]
+    ) -> InferenceResult:
+        """:meth:`infer` over only the tasks that got at least one answer.
+
+        Under the ``skip``/``degrade`` failure policies a collected task can
+        come back with no answers (no key, or an empty list). Such a task
+        gets no verdict — it is absent from ``truths`` — and a run where
+        nothing landed returns no truths instead of raising.
+        """
+        evidence = {t: a for t, a in answers_by_task.items() if a}
+        if not evidence:
+            return InferenceResult(truths={})
+        return self.infer(evidence)
+
     def export_state(self) -> dict[str, Any]:
         """JSON-serializable warm-start state for checkpointing.
 

@@ -305,13 +305,7 @@ def snapshot_platform(platform: "SimulatedPlatform") -> dict:
 
 
 def restore_platform(platform: "SimulatedPlatform", state: dict) -> None:
-    """Rebuild platform bookkeeping; the pool must already be restored.
-
-    ``PlatformStats._folded_batches`` is deliberately *not* persisted:
-    batch ids come from a process-global counter, so ids from the dead
-    process would collide with (and wrongly suppress) this process's
-    folds.
-    """
+    """Rebuild platform bookkeeping; the pool must already be restored."""
     platform.budget = state["budget"]
     restore_rng(platform.rng, state["rng"])
     platform._tasks = {}
@@ -392,22 +386,20 @@ class Checkpoint:
     def capture(
         cls,
         platform: "SimulatedPlatform",
-        scheduler: "BatchScheduler | None" = None,
         inference: "TruthInference | None" = None,
         extra: dict | None = None,
     ) -> "Checkpoint":
-        """Snapshot the live run. *extra* carries caller progress markers
-        (chunk index, statement index) and must be JSON-serializable."""
+        """Snapshot the live run (platform, pool, scheduler, cache, EM
+        state). *extra* carries caller progress markers (chunk index,
+        statement index) and must be JSON-serializable."""
         state: dict[str, Any] = {
             "version": FORMAT_VERSION,
             "pool": snapshot_pool(platform.pool),
             "platform": snapshot_platform(platform),
+            "scheduler": snapshot_scheduler(platform.scheduler),
         }
         if platform.cache is not None:
             state["cache"] = platform.cache.export_entries()
-        scheduler = scheduler if scheduler is not None else platform.scheduler
-        if scheduler is not None:
-            state["scheduler"] = snapshot_scheduler(scheduler)
         if inference is not None:
             em_state = inference.export_state()
             if em_state:
@@ -456,7 +448,6 @@ class Checkpoint:
     def restore(
         self,
         platform: "SimulatedPlatform",
-        scheduler: "BatchScheduler | None" = None,
         inference: "TruthInference | None" = None,
     ) -> None:
         """Apply the snapshot to freshly constructed live objects.
@@ -469,8 +460,6 @@ class Checkpoint:
         restore_platform(platform, self.state["platform"])
         if platform.cache is not None and "cache" in self.state:
             platform.cache.import_entries(self.state["cache"])
-        scheduler = scheduler if scheduler is not None else platform.scheduler
-        if scheduler is not None and "scheduler" in self.state:
-            restore_scheduler(scheduler, self.state["scheduler"])
+        restore_scheduler(platform.scheduler, self.state["scheduler"])
         if inference is not None and "inference" in self.state:
             inference.warm_start(self.state["inference"])

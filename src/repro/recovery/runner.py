@@ -50,10 +50,7 @@ class RunOutcome:
         inference: "TruthInference | None" = None,
     ) -> DegradedResult:
         """Coverage-accounted view of this outcome (see :class:`DegradedResult`)."""
-        result = None
-        if inference is not None and any(self.answers.values()):
-            evidence = {t: a for t, a in self.answers.items() if a}
-            result = inference.infer(evidence)
+        result = inference.infer_answered(self.answers) if inference is not None else None
         return DegradedResult.from_answers(
             tasks, self.answers, self.failures, redundancy, inference=result
         )
@@ -63,7 +60,7 @@ class CheckpointingRunner:
     """Run tasks through the batch scheduler, checkpointing at chunk boundaries.
 
     Args:
-        platform: Platform with an attached :class:`BatchScheduler`.
+        platform: Platform whose :class:`BatchScheduler` runs the chunks.
         checkpoint_dir: Directory snapshots are written to (one snapshot,
             overwritten atomically as the run advances).
         redundancy: Answers per task.
@@ -80,8 +77,6 @@ class CheckpointingRunner:
         interval: int = 1,
         inference: "TruthInference | None" = None,
     ):
-        if platform.scheduler is None:
-            raise CheckpointError("CheckpointingRunner requires an attached scheduler")
         if interval < 1:
             raise CheckpointError(f"checkpoint interval must be >= 1, got {interval}")
         self.platform = platform
@@ -142,19 +137,12 @@ class CheckpointingRunner:
             },
         }
         Checkpoint.capture(
-            self.platform,
-            scheduler=self.platform.scheduler,
-            inference=self.inference,
-            extra=extra,
+            self.platform, inference=self.inference, extra=extra
         ).save(self.checkpoint_dir)
 
     def _restore(self, tasks: "Sequence[Task]", outcome: RunOutcome) -> int:
         checkpoint = Checkpoint.load(self.checkpoint_dir)
-        checkpoint.restore(
-            self.platform,
-            scheduler=self.platform.scheduler,
-            inference=self.inference,
-        )
+        checkpoint.restore(self.platform, inference=self.inference)
         extra = checkpoint.extra
         if extra.get("redundancy", self.redundancy) != self.redundancy:
             raise CheckpointError(

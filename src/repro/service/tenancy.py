@@ -168,7 +168,7 @@ class TenantPlatform:
         self._service = service
         self._tenant = tenant
         self._stats = _TenantStats(service.platform.stats, tenant.account)
-        self._scheduler = TenantScheduler(service, tenant)
+        self.scheduler = TenantScheduler(service, tenant)
 
     @property
     def tenant(self) -> "Tenant":
@@ -179,12 +179,6 @@ class TenantPlatform:
         return self._stats
 
     @property
-    def scheduler(self) -> "TenantScheduler | None":
-        if self._service.platform.scheduler is None:
-            return None
-        return self._scheduler
-
-    @property
     def budget(self) -> float:
         return self._tenant.account.budget
 
@@ -193,27 +187,16 @@ class TenantPlatform:
         shared = self._service.platform.remaining_budget
         return min(shared, self._tenant.account.remaining)
 
-    def collect_batch(
+    def collect(
         self,
         tasks: "Sequence[Task]",
         redundancy: int = 3,
         complete: bool = True,
     ) -> "dict[str, list[Answer]]":
         """Collect answers for *tasks* via the service dispatcher."""
-        result = self._service.submit(
+        return self._service.submit(
             self._tenant, tasks, redundancy=redundancy, complete=complete
-        )
-        if isinstance(result, dict):  # schedulerless platform: plain collect()
-            return result
-        return result.answers
-
-    def collect(
-        self,
-        tasks: "Sequence[Task]",
-        redundancy: int = 3,
-    ) -> "dict[str, list[Answer]]":
-        """Sequential-API alias for :meth:`collect_batch` (complete runs)."""
-        return self.collect_batch(tasks, redundancy=redundancy, complete=True)
+        ).answers
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._service.platform, name)

@@ -73,16 +73,38 @@ class TestBatchConfig:
         assert BatchConfig(assignment_timeout=10.0).faults_enabled
 
 
+def sequential_answers(platform, tasks, redundancy):
+    """The one-lane contract written out, outside the scheduler: for each
+    task in order, sample its workers from the pool, then let each sampled
+    worker answer from the platform RNG."""
+    return {
+        task.task_id: [
+            worker.submit(task, platform.rng)
+            for worker in platform.pool.sample(redundancy)
+        ]
+        for task in tasks
+    }
+
+
 class TestSequentialEquivalence:
     def test_max_parallel_1_matches_legacy_collect(self):
         ref = make_platform()
         ref_tasks = make_tasks(30)
-        ref_stream = stream(ref, ref_tasks, ref.collect(ref_tasks, redundancy=3))
+        ref_stream = stream(ref, ref_tasks, sequential_answers(ref, ref_tasks, 3))
 
-        batched = make_platform(batch=BatchConfig(batch_size=8, max_parallel=1, seed=99))
+        for batch_size in (8, 1, 7):
+            batched = make_platform(
+                batch=BatchConfig(batch_size=batch_size, max_parallel=1, seed=99)
+            )
+            tasks = make_tasks(30)
+            run = batched.scheduler.run(tasks, redundancy=3)
+            assert stream(batched, tasks, run.answers) == ref_stream, batch_size
+
+        # collect() on a platform built without a batch config: the default
+        # one-lane scheduler.
+        plain = make_platform()
         tasks = make_tasks(30)
-        run = batched.scheduler.run(tasks, redundancy=3)
-        assert stream(batched, tasks, run.answers) == ref_stream
+        assert stream(plain, tasks, plain.collect(tasks, redundancy=3)) == ref_stream
 
     def test_engine_default_config_unchanged_by_batching(self):
         results = []
@@ -256,11 +278,6 @@ class TestEngineIntegration:
 
 
 class TestRoundSchedulerBatched:
-    def test_use_batches_requires_scheduler(self):
-        platform = make_platform()
-        with pytest.raises(ConfigurationError):
-            RoundScheduler(platform, use_batches=True)
-
     def test_batched_rounds_report_makespan(self):
         platform = make_platform(batch=BatchConfig(batch_size=8, max_parallel=4, seed=6))
         scheduler = RoundScheduler(platform, redundancy=2, use_batches=True)

@@ -7,8 +7,10 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import CrowdEngine
 from repro.core.requester import Requester
-from repro.errors import BudgetExceededError, ConfigurationError
+from repro.errors import BudgetExceededError, ConfigurationError, RetryExhaustedError
 from repro.lang.executor import CrowdOracle
+from repro.operators.findfixverify import proofreading_dataset
+from repro.platform.batch import BatchConfig
 from repro.platform.platform import SimulatedPlatform
 from repro.quality.truth import DawidSkene
 from repro.workers.pool import WorkerPool
@@ -284,3 +286,131 @@ class TestEngineRobustness:
         twin.restore_checkpoint(str(tmp_path))
         assert len(twin.platform.answers) == len(engine.platform.answers)
         assert twin.spent == pytest.approx(engine.spent)
+
+
+# Operators that buy answers through SimulatedPlatform.collect, each run
+# through the engine facade on a small input that asks the crowd.
+_COLLECTING_OPERATORS = (
+    "categorize", "count", "fill", "match_schemas", "plan", "find_fix_verify"
+)
+_PLAN_GRAPH = {"s": ["a", "b"], "a": ["t"], "b": ["t"], "t": []}
+
+
+def _run_operator(engine, name):
+    if name == "categorize":
+        return engine.categorize(
+            list(range(12)), ("a", "b", "c"), truth_fn=lambda i: "abc"[i % 3]
+        )
+    if name == "count":
+        return engine.count(list(range(40)), "even?", lambda i: i % 2 == 0, sample_size=10)
+    if name == "fill":
+        engine.sql(
+            "CREATE TABLE c (k STRING, v STRING CROWD);"
+            "INSERT INTO c (k) VALUES ('x'), ('y')"
+        )
+        return engine.fill("c", truth_fn=lambda row, col: row["k"] + "!")
+    if name == "match_schemas":
+        return engine.match_schemas(
+            ("cust_name",), ("customer", "region"), truth={"cust_name": "customer"},
+            prune_below=0.0,
+        )
+    if name == "plan":
+        return engine.plan(_PLAN_GRAPH, lambda u, v: 1.0 if v == "b" else 0.5, "s", steps=2)
+    assert name == "find_fix_verify"
+    return engine.find_fix_verify(proofreading_dataset(2, seed=9))
+
+
+def _assert_no_verdicts(engine, name, result):
+    """What each operator returns when none of its questions got an answer."""
+    if name == "categorize":
+        assert result.labels == {} and result.groups == {}
+    elif name == "count":
+        assert result.estimate.sample_size == 0 and math.isnan(result.value)
+    elif name == "fill":
+        assert result.filled_cells == 0
+        assert len(engine.table("c").cnull_cells()) == 2
+    elif name == "match_schemas":
+        assert result.correspondences == {} and result.confirmed_pairs == []
+    elif name == "plan":
+        assert result.path == ["s"]
+    else:
+        documents = proofreading_dataset(2, seed=9)
+        assert result.corrected == [list(doc.words) for doc in documents]
+
+
+class TestOperatorFailurePolicy:
+    """Every operator collects through the batch scheduler, so its faults,
+    failure policy and breakers apply to all of them."""
+
+    @pytest.mark.parametrize("policy", ["fail", "skip", "degrade"])
+    @pytest.mark.parametrize("operator", _COLLECTING_OPERATORS)
+    def test_abandoning_pool_follows_the_failure_policy(self, operator, policy):
+        engine = CrowdEngine(
+            EngineConfig(seed=3, abandon_rate=1.0, retry_limit=0, failure_policy=policy)
+        )
+        if policy == "fail":
+            with pytest.raises(RetryExhaustedError):
+                _run_operator(engine, operator)
+            return
+        result = _run_operator(engine, operator)
+        assert engine.spent == 0.0
+        assert engine.stats.answers_collected == 0
+        assert engine.stats.assignments_abandoned > 0
+        _assert_no_verdicts(engine, operator, result)
+
+    @pytest.mark.parametrize("policy", ["skip", "degrade"])
+    @pytest.mark.parametrize("operator", _COLLECTING_OPERATORS)
+    def test_partial_answers_keep_the_ledger(self, operator, policy):
+        engine = CrowdEngine(
+            EngineConfig(seed=5, abandon_rate=0.5, retry_limit=0, failure_policy=policy)
+        )
+        _run_operator(engine, operator)
+        answers = engine.platform.answers
+        assert engine.stats.answers_collected == len(answers)
+        assert engine.spent == pytest.approx(sum(a.reward_paid for a in answers))
+
+    def test_tripped_deadline_breaker_stops_categorize(self):
+        engine = CrowdEngine(EngineConfig(seed=3, deadline=1.0, failure_policy="degrade"))
+        engine.filter(list(range(40)), "even?", lambda i: i % 2 == 0, adaptive=False)
+        assert any(b.tripped for b in engine.scheduler.breakers)
+        answers, spent = engine.stats.answers_collected, engine.spent
+        result = engine.categorize(
+            list(range(20)), ("a", "b", "c"), truth_fn=lambda i: "abc"[i % 3]
+        )
+        assert engine.stats.answers_collected == answers
+        assert engine.spent == spent
+        assert result.labels == {}
+
+    def test_sql_fill_runs_on_the_simulated_clock(self, tmp_path):
+        engine = CrowdEngine(
+            EngineConfig(seed=3, profile_path=str(tmp_path / "profile.json")),
+            oracle=CrowdOracle(fill_fn=lambda row, col: row["k"] + "!"),
+        )
+        engine.sql(
+            "CREATE TABLE c (k STRING, v STRING CROWD);"
+            "INSERT INTO c (k) VALUES ('x'), ('y'), ('z')"
+        )
+        batches = engine.stats.batches_dispatched
+        result = engine.query("SELECT k, v FROM c")
+        assert result.rows == [
+            {"k": "x", "v": "x!"}, {"k": "y", "v": "y!"}, {"k": "z", "v": "z!"}
+        ]
+        assert engine.spent == pytest.approx(0.09)  # 3 cells x 3 votes x 0.01
+        assert engine.stats.batches_dispatched == batches + 1
+        assert engine.profiler.statements[-1]["sim_s"] > 0.0
+
+    @pytest.mark.parametrize("abandon_rate", [0.3, 1.0])
+    @pytest.mark.parametrize("policy", ["skip", "degrade"])
+    def test_requester_infers_over_answered_tasks(self, policy, abandon_rate):
+        platform = SimulatedPlatform(
+            WorkerPool.uniform(15, 0.9, seed=7),
+            seed=8,
+            batch=BatchConfig(
+                abandon_rate=abandon_rate, retry_limit=0, failure_policy=policy
+            ),
+        )
+        report = Requester(platform).submit("job", make_choice_tasks(12, seed=1))
+        answered = {task_id for task_id, got in report.answers.items() if got}
+        assert platform.stats.assignments_abandoned > 0
+        assert set(report.truths) == answered
+        assert (abandon_rate == 1.0) == (not answered)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.datasets import text_classification_dataset
 from repro.hybrid import ActiveLearner, NaiveBayesText
+from repro.platform.batch import BatchConfig
 from repro.platform.platform import SimulatedPlatform
 from repro.workers.pool import WorkerPool
 
@@ -155,3 +156,19 @@ class TestActiveLearner:
         ds, learner = self._setup("random", n=30)
         result = learner.run(ds.documents, label_budget=999)
         assert len(result.crowd_labels) == 30
+
+    @pytest.mark.parametrize("policy", ["skip", "degrade"])
+    def test_items_without_answers_stay_unlabelled(self, policy):
+        ds, learner = self._setup("uncertainty", n=40)
+        learner.platform.attach_scheduler(
+            BatchConfig(abandon_rate=1.0, retry_limit=0, failure_policy=policy)
+        )
+        result = learner.run(
+            ds.documents, label_budget=20,
+            heldout=(ds.heldout_documents, ds.heldout_labels),
+        )
+        assert result.crowd_labels == {}
+        assert result.final_labels == [None] * 40
+        assert result.trajectory == []
+        assert result.cost == 0.0
+        assert learner.platform.stats.assignments_abandoned > 0

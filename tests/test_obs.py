@@ -312,8 +312,8 @@ class TestLabeledMetrics:
         platform, _, _ = traced_platform(metrics_enabled=True)
         platform.attach_cache(AnswerCache())
         tasks = make_tasks(4)
-        platform.collect_batch(tasks, redundancy=3)
-        platform.collect_batch(tasks, redundancy=3)
+        platform.collect(tasks, redundancy=3)
+        platform.collect(tasks, redundancy=3)
         metrics = platform.metrics
         hits = metrics.counter("cache.requests", {"outcome": "hit"}).value
         misses = metrics.counter("cache.requests", {"outcome": "miss"}).value
@@ -327,7 +327,7 @@ class TestLabeledMetrics:
     )
     def test_batch_assignment_outcomes_labeled(self, faults):
         platform, _, metrics = traced_platform(metrics_enabled=True, **faults)
-        platform.collect_batch(make_tasks(16), redundancy=3)
+        platform.collect(make_tasks(16), redundancy=3)
         stats = platform.stats
         outcomes = {
             dict(c.labels)["outcome"]: c.value
@@ -412,21 +412,6 @@ class TestEventSimulatorObs:
         assert notes[0]["tags"] == {"worker": "w1"}
 
 
-class TestPlatformStatsDedup:
-    def test_record_batch_folds_each_record_once(self):
-        platform, _, _ = traced_platform()
-        platform.scheduler.run(make_tasks(6), redundancy=2)
-        stats = platform.stats
-        wall, makespan = stats.batch_wall_clock, stats.batch_makespan
-        records = platform.scheduler.records
-        assert records
-        for record in records:  # re-dispatch hands records back: no double count
-            stats.record_batch(record)
-        assert stats.batch_wall_clock == pytest.approx(wall)
-        assert stats.batch_makespan == pytest.approx(makespan)
-        assert stats.batches_dispatched == len(records)
-
-
 class TestPlatformTracing:
     def test_batch_spans_cover_the_run(self):
         platform, tracer, metrics = traced_platform()
@@ -450,9 +435,7 @@ class TestPlatformTracing:
                     s["parent_id"],
                     s["name"],
                     s["kind"],
-                    # batch_id comes from a process-global counter (it keys
-                    # the stats dedup), so it is an identity, not behaviour.
-                    {k: v for k, v in s["tags"].items() if k != "batch_id"},
+                    s["tags"],
                 )
                 for s in tracer.sink.spans
             ]

@@ -217,11 +217,11 @@ class TestCheckpointRoundTrip:
 
         original = make_world()
         original.scheduler.run(first, redundancy=3)
-        Checkpoint.capture(original, scheduler=original.scheduler).save(tmp_path)
+        Checkpoint.capture(original).save(tmp_path)
         tail_a = original.scheduler.run(second, redundancy=3)
 
         restored = make_world()
-        Checkpoint.load(tmp_path).restore(restored, scheduler=restored.scheduler)
+        Checkpoint.load(tmp_path).restore(restored)
         tail_b = restored.scheduler.run(make_tasks(16)[8:], redundancy=3)
 
         assert fingerprint(original, tail_a.answers) == fingerprint(
@@ -231,10 +231,10 @@ class TestCheckpointRoundTrip:
     def test_restore_rebuilds_answer_log_and_spend(self, tmp_path):
         original = make_world(budget=10.0)
         original.scheduler.run(make_tasks(8), redundancy=3)
-        Checkpoint.capture(original, scheduler=original.scheduler).save(tmp_path)
+        Checkpoint.capture(original).save(tmp_path)
 
         restored = make_world(budget=10.0)
-        Checkpoint.load(tmp_path).restore(restored, scheduler=restored.scheduler)
+        Checkpoint.load(tmp_path).restore(restored)
         assert len(restored.answers) == len(original.answers)
         assert restored.stats.cost_spent == pytest.approx(original.stats.cost_spent)
         assert restored.remaining_budget == pytest.approx(original.remaining_budget)
@@ -296,12 +296,6 @@ class TestKillAndResume:
             CheckpointingRunner(fresh, tmp_path, redundancy=4).run(
                 make_tasks(16), resume=True
             )
-
-    def test_runner_requires_scheduler(self, tmp_path):
-        pool = WorkerPool.heterogeneous(4, accuracy_low=0.7, accuracy_high=0.9, seed=0)
-        platform = SimulatedPlatform(pool, seed=1)
-        with pytest.raises(CheckpointError):
-            CheckpointingRunner(platform, tmp_path)
 
     def test_churn_joiners_survive_restore(self, tmp_path):
         plan = FaultPlan(

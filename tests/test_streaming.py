@@ -318,9 +318,7 @@ class TestCheckpointResume:
         interrupted = make_session(pipeline=True, seed=seed)
         head = interrupted.execute(self.SCRIPT_HEAD)
         assert head[0].rows == results[0].rows
-        Checkpoint.capture(
-            interrupted.platform, scheduler=interrupted.platform.scheduler
-        ).save(tmp_path)
+        Checkpoint.capture(interrupted.platform).save(tmp_path)
         save_database(interrupted.database, tmp_path / "db")
 
         resumed_platform = make_platform(seed=seed)
@@ -331,9 +329,7 @@ class TestCheckpointResume:
             redundancy=3,
             pipeline=True,
         )
-        Checkpoint.load(tmp_path).restore(
-            resumed_platform, scheduler=resumed_platform.scheduler
-        )
+        Checkpoint.load(tmp_path).restore(resumed_platform)
         tail = resumed.execute(self.SCRIPT_TAIL)
         assert tail[0].rows == results[1].rows
         assert tail[0].stats == results[1].stats
