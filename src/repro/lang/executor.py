@@ -5,6 +5,18 @@ platform with the configured redundancy and truth-inference method. Ground
 truth for the simulated workers comes from a :class:`CrowdOracle`, which a
 real deployment would simply omit (workers would supply knowledge instead).
 
+A crowd operator posts its questions as one batch of HITs, as CrowdDB and
+Qurk do. A CROWDFILTER, a CROWDJOIN, or the crowd WHERE of UPDATE/DELETE
+renders each row's question in row order, computes its content signature
+once, skips what the statement's verdict memo already decided, and buys
+every new question in one ``platform.collect`` (one scheduler run); each
+verdict is then decided per task. The signature rides on the task, so the
+answer cache never hashes it again. Only conditions where a later question
+depends on an earlier verdict (two or more crowd predicates, or one under
+OR/NOT) keep the per-row short-circuit of :meth:`Executor._eval_crowd`.
+The streaming executor (:mod:`repro.lang.streaming`) plans through the
+same step.
+
 Machine-side work runs on the column store's arrays where the plan shape
 allows it: scan/filter chains over a base table evaluate one fused
 predicate, crowd filters pre-drop rows whose machine-decidable prefix is
@@ -24,8 +36,9 @@ Per-run accounting (questions, answers, spend) is collected in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, product
 from typing import Any
 
 import numpy as np
@@ -362,8 +375,7 @@ class Executor:
         if fast is not None:
             return fast
         schema, rows = self._run(node.child, stats)
-        kept = [r for r in rows if self._eval_crowd(node.predicate, r, stats) is True]
-        return schema, kept
+        return schema, list(compress(rows, self.crowd_mask(node.predicate, rows, stats)))
 
     def _crowd_filter_prepass(
         self, node: CrowdFilterNode, stats: ExecutionStats
@@ -413,10 +425,11 @@ class Executor:
         candidate = true | null | cnull
         satisfied = (true | cnull)[candidate]
         rows = table.store.rows_at(pos[candidate])
+        keep = self.crowd_mask(rest, rows, stats)
         kept = [
             row
-            for row, ok in zip(rows, satisfied.tolist(), strict=True)
-            if self._eval_crowd(rest, row, stats) is True and ok
+            for row, ok, k in zip(rows, satisfied.tolist(), keep, strict=True)
+            if k and ok
         ]
         return table.schema, kept
 
@@ -629,11 +642,16 @@ class Executor:
             with operator_span(
                 self.platform, "crowdjoin", left=len(left_rows), right=len(right_rows)
             ) as span:
-                for lrow in left_rows:
-                    for rrow in right_rows:
-                        merged = {**lrow, **rrow}
-                        if self._eval_crowd(node.condition, merged, stats) is True:
-                            out.append(merged)
+                keep = self.crowd_mask(
+                    node.condition,
+                    ({**lrow, **rrow} for lrow, rrow in product(left_rows, right_rows)),
+                    stats,
+                )
+                out = [
+                    {**lrow, **rrow}
+                    for (lrow, rrow), k in zip(product(left_rows, right_rows), keep)
+                    if k
+                ]
                 span.set_tag("matched", len(out))
         else:
             out = self._machine_join(
@@ -963,25 +981,99 @@ class Executor:
         # treat the predicate as not satisfied rather than crashing.
         return False
 
+    @classmethod
+    def _single_crowd(
+        cls, expr: Expression
+    ) -> tuple[Expression | None, CrowdPredicate] | None:
+        """Split *expr* into (machine prefix or None, its one crowd predicate).
+
+        None when a row's later question depends on an earlier verdict: two
+        or more crowd predicates, or one under OR/NOT.
+        """
+        if isinstance(expr, CrowdPredicate):
+            return None, expr
+        split = cls._machine_prefix(expr)
+        if split is None or not isinstance(split[1], CrowdPredicate):
+            return None
+        return split
+
+    def _plan_questions(
+        self,
+        prefix: Expression | None,
+        predicate: CrowdPredicate,
+        rows: Iterable[dict[str, Any]],
+        stats: ExecutionStats,
+    ) -> tuple[list[tuple[bool, str | None]], list[Task]]:
+        """Plan ``prefix AND predicate`` over *rows*, in row order.
+
+        Returns one ``(ok, signature)`` per row and one task per signature
+        that neither the verdict memo nor an earlier row of this call holds;
+        each task carries its signature. A row whose machine *prefix* is
+        False asks nothing (signature None). A NULL prefix still asks but
+        poisons the row (``ok`` False), exactly as :meth:`_eval_crowd`'s
+        And does. Similarity-pruned questions are decided False here.
+        """
+        planned: list[tuple[bool, str | None]] = []
+        tasks: list[Task] = []
+        new: set[str] = set()
+        verdicts = self._verdicts
+        for row in rows:
+            ok = True
+            if prefix is not None:
+                value = prefix.evaluate(row)
+                if value is False:
+                    planned.append((False, None))
+                    continue
+                ok = value is not None
+            question, values = self._crowd_question(predicate, row)
+            signature = signature_of(TaskType.SINGLE_CHOICE, question, (YES, NO))
+            if signature not in verdicts and signature not in new:
+                task = self._plan_task(predicate, question, values, stats)
+                if task is None:
+                    verdicts[signature] = False
+                else:
+                    task.signature = signature
+                    new.add(signature)
+                    tasks.append(task)
+            planned.append((ok, signature))
+        return planned, tasks
+
+    def _decide(self, task: Task, answers: list[Any], stats: ExecutionStats) -> None:
+        """Record the verdict of one planned *task* from its *answers*."""
+        self._verdicts[task.signature] = self._verdict_from(task, answers)
+        stats.crowd_questions += 1
+        stats.crowd_answers += len(answers)
+
+    def _buy(self, tasks: list[Task], stats: ExecutionStats) -> None:
+        """Buy every planned task in one collect, then decide each."""
+        if not tasks:
+            return
+        before = self.platform.stats.cost_spent
+        collected = self.platform.collect(tasks, redundancy=self.redundancy)
+        for task in tasks:
+            self._decide(task, collected.get(task.task_id, []), stats)
+        stats.crowd_cost += self.platform.stats.cost_spent - before
+
+    def crowd_mask(
+        self, expr: Expression, rows: Iterable[dict[str, Any]], stats: ExecutionStats
+    ) -> list[bool]:
+        """Whether each of *rows* satisfies crowd-dependent *expr*.
+
+        One crowd question per row is planned for all rows and bought in
+        one collect; other shapes evaluate row by row through
+        :meth:`_eval_crowd`, whose short-circuit decides what to ask next.
+        """
+        shape = self._single_crowd(expr)
+        if shape is None:
+            return [self._eval_crowd(expr, row, stats) is True for row in rows]
+        planned, tasks = self._plan_questions(*shape, rows, stats)
+        self._buy(tasks, stats)
+        return [ok and self._verdicts[signature] for ok, signature in planned]
+
     def _resolve_predicate(
         self, predicate: CrowdPredicate, row: dict[str, Any], stats: ExecutionStats
     ) -> bool:
-        question, values = self._crowd_question(predicate, row)
-        signature = signature_of(TaskType.SINGLE_CHOICE, question, (YES, NO))
-        if signature in self._verdicts:
-            return self._verdicts[signature]
-
-        task = self._plan_task(predicate, question, values, stats)
-        if task is None:
-            self._verdicts[signature] = False
-            return False
-
-        before = self.platform.stats.cost_spent
-        collected = self.platform.collect([task], redundancy=self.redundancy)
-        answers = collected.get(task.task_id, [])
-        verdict = self._verdict_from(task, answers)
-        stats.crowd_questions += 1
-        stats.crowd_answers += len(answers)
-        stats.crowd_cost += self.platform.stats.cost_spent - before
-        self._verdicts[signature] = verdict
-        return verdict
+        """Plan one row's question, then buy and decide it if it is new."""
+        ((_ok, signature),), tasks = self._plan_questions(None, predicate, [row], stats)
+        self._buy(tasks, stats)
+        return self._verdicts[signature]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any
 
 from repro.data.database import Database
@@ -26,7 +27,7 @@ from repro.lang.ast_nodes import (
     Statement,
     Update,
 )
-from repro.lang.executor import CrowdOracle, Executor, QueryResult
+from repro.lang.executor import CrowdOracle, ExecutionStats, Executor, QueryResult
 from repro.lang.optimizer import CostModel, Optimizer, estimate_plan_cost
 from repro.lang.parser import parse
 from repro.lang.planner import build_plan
@@ -226,14 +227,8 @@ class CrowdSQLSession:
                 inference=self.inference,
                 oracle=self.oracle,
             )
-            from repro.lang.executor import ExecutionStats
-
-            stats = ExecutionStats()
-            return [
-                row.rowid
-                for row in table
-                if executor._eval_crowd(where, row.as_dict(), stats) is True
-            ]
+            keep = executor.crowd_mask(where, table.to_dicts(), ExecutionStats())
+            return list(compress(table.rowids().tolist(), keep))
         try:
             return table.filter_rowids(where).tolist()
         except (ExpressionError, UnknownColumnError):

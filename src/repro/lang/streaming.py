@@ -1,19 +1,18 @@
 """Streaming pipelined executor: crowd answers flow downstream per wave.
 
-The barrier :class:`~repro.lang.executor.Executor` resolves each crowd
-predicate through its own one-task scheduler run, so a statement's
-simulated makespan is the *sum* of per-row makespans — the lanes of the
-batch runtime sit idle — and an early-terminating consumer (TOP-K, LIMIT)
+The barrier :class:`~repro.lang.executor.Executor` buys each crowd
+operator's questions in one scheduler run but hands its consumer nothing
+until the whole run lands, so an early-terminating consumer (TOP-K, LIMIT)
 keeps paying for upstream answers it will never read.
 
 :class:`StreamingExecutor` compiles supported plan shapes into a pipeline:
 
 * the machine-decidable input (scan/filter chains, the join's hash side)
   is resolved vectorized up front via the columnar fast paths;
-* every crowd question of the statement is planned deterministically on
-  the caller's thread in row order, then handed to the
-  :class:`~repro.platform.batch.BatchScheduler` as *one* run whose batches
-  saturate all lanes;
+* every crowd question of the statement is planned by the barrier
+  executor's planning step (:meth:`Executor._plan_questions`) on the
+  caller's thread in row order, then handed to the
+  :class:`~repro.platform.batch.BatchScheduler` as *one* run;
 * as each batch (a *wave*) lands, verdicts propagate downstream
   immediately — a crowd filter feeds the join's probe side while its
   remaining waves are still pending;
@@ -23,15 +22,14 @@ keeps paying for upstream answers it will never read.
   and the avoided spend is booked in ``ExecutionStats``, platform stats,
   metrics, and the profiler.
 
-Determinism: planning order equals row order, which is exactly the order
-the barrier path consumes the pool/platform RNG streams in, so with no
-early termination the votes, verdicts, rows, and cache entries are
-bit-identical to the barrier executor at the same seed — at any
-``max_parallel``. TOP-K pre-sorts its candidates (stable sort commutes
-with filtering), which reorders question planning; that path trades the
-barrier-identical RNG stream for cancelled HITs, by design. Plan shapes
-the compiler does not cover fall back to the inherited barrier
-implementation unchanged.
+Determinism: both executors plan the same questions in the same order and
+buy them in one run, so with no early termination the votes, verdicts,
+rows, cache entries and simulated clock equal the barrier executor's at
+the same seed — at any ``max_parallel``. TOP-K pre-sorts its candidates
+(stable sort commutes with filtering), which reorders question planning;
+that path trades the barrier-identical RNG stream for cancelled HITs, by
+design. Plan shapes the compiler does not cover fall back to the
+inherited barrier implementation unchanged.
 """
 
 from __future__ import annotations
@@ -44,11 +42,10 @@ from repro.data.expressions import (
     Expression,
     conjoin,
     contains_crowd_predicate,
-    is_crowd_unknown,
 )
 from repro.data.schema import Schema
 from repro.errors import ExecutionError
-from repro.lang.executor import NO, YES, ExecutionStats, Executor, QueryResult, distinct_key
+from repro.lang.executor import ExecutionStats, Executor, QueryResult, distinct_key
 from repro.lang.planner import (
     CrowdFilterNode,
     DistinctNode,
@@ -60,8 +57,10 @@ from repro.lang.planner import (
     ProjectNode,
     machine_only,
 )
-from repro.platform.cache import signature_of
-from repro.platform.task import Task, TaskType
+# Not called here: planning goes through Executor._plan_questions. Kept so
+# perfbench's tracer, which wraps this module's signature_of, still finds it.
+from repro.platform.cache import signature_of  # noqa: F401
+from repro.platform.task import Task
 
 
 class _Unsupported(Exception):
@@ -165,15 +164,12 @@ class StreamingExecutor(Executor):
             raise _Unsupported
         if not machine_only(node.child):
             raise _Unsupported
-        predicate: Expression = node.predicate
-        prefix: Expression | None = None
-        if not isinstance(predicate, CrowdPredicate):
-            split = self._machine_prefix(predicate)
-            if split is None or not isinstance(split[1], CrowdPredicate):
-                # Multi-crowd-conjunct trees (and OR/NOT shapes) keep the
-                # barrier's short-circuit purchase order.
-                raise _Unsupported
-            prefix, predicate = split
+        shape = self._single_crowd(node.predicate)
+        if shape is None:
+            # Multi-crowd-conjunct trees (and OR/NOT shapes) keep the
+            # barrier's short-circuit purchase order.
+            raise _Unsupported
+        prefix, predicate = shape
         return _Pipeline(
             filter_node=node,
             prefix=prefix,
@@ -272,34 +268,9 @@ class StreamingExecutor(Executor):
         # before it can sort: collect, then sort at the end.
         drain = pipe.order is not None and not topk
 
-        # Deterministic planning pass: questions are planned on this thread
-        # in row order — the same pool-RNG consumption order as the barrier
-        # path — and deduplicated by content signature, so concurrently
-        # in-flight rows sharing a question share one task.
-        planned: list[tuple[dict[str, Any], bool, str]] = []
-        sig_task: dict[str, Task] = {}
-        for row in rows:
-            if pipe.prefix is not None:
-                p = pipe.prefix.evaluate(row)
-                if p is False:
-                    continue
-                # NULL prefixes still buy the crowd answer but poison the
-                # row; CROWD_UNKNOWN counts as satisfied (And semantics).
-                ok = p is True or is_crowd_unknown(p)
-            else:
-                ok = True
-            question, values = self._crowd_question(pipe.predicate, row)
-            signature = signature_of(TaskType.SINGLE_CHOICE, question, (YES, NO))
-            if signature not in self._verdicts and signature not in sig_task:
-                task = self._plan_task(pipe.predicate, question, values, stats)
-                if task is None:
-                    self._verdicts[signature] = False  # similarity-pruned
-                else:
-                    sig_task[signature] = task
-            planned.append((row, ok, signature))
-
-        tasks = list(sig_task.values())
-        task_sig = {t.task_id: sig for sig, t in sig_task.items()}
+        # The barrier executor's planning step: questions in row order, one
+        # signature each, one task per new signature.
+        planned, tasks = self._plan_questions(pipe.prefix, pipe.predicate, rows, stats)
         operator = "crowd_join" if pipe.join is not None else "crowd_filter"
         metrics = self.platform.metrics
 
@@ -336,23 +307,20 @@ class StreamingExecutor(Executor):
             # for row 7 waits until rows 0-6 are decided, keeping output
             # deterministic regardless of wave arrival order.
             while state["frontier"] < len(planned) and not state["done"]:
-                row, ok, signature = planned[state["frontier"]]
-                if signature not in self._verdicts:
+                ok, signature = planned[state["frontier"]]
+                if signature is not None and signature not in self._verdicts:
                     return
+                row = rows[state["frontier"]]
                 state["frontier"] += 1
-                if self._verdicts[signature] is True and ok:
+                if ok and self._verdicts[signature]:
                     emit(row)
 
         def on_batch(batch: list[Task], run_result: Any) -> None:
             for task in batch:
-                signature = task_sig.get(task.task_id)
-                if signature is None or task.task_id in resolved_ids:
+                if task.task_id in resolved_ids:
                     continue
                 resolved_ids.add(task.task_id)
-                answers = run_result.answers.get(task.task_id, [])
-                self._verdicts[signature] = self._verdict_from(task, answers)
-                stats.crowd_questions += 1
-                stats.crowd_answers += len(answers)
+                self._decide(task, run_result.answers.get(task.task_id, []), stats)
             advance()
             in_flight = len(tasks) - len(resolved_ids) - len(cancelled_ids)
             metrics.set_gauge(
@@ -389,11 +357,7 @@ class StreamingExecutor(Executor):
             for task in tasks:
                 if task.task_id in resolved_ids or task.task_id in cancelled_ids:
                     continue
-                signature = task_sig[task.task_id]
-                answers = run_result.answers.get(task.task_id, [])
-                self._verdicts[signature] = self._verdict_from(task, answers)
-                stats.crowd_questions += 1
-                stats.crowd_answers += len(answers)
+                self._decide(task, run_result.answers.get(task.task_id, []), stats)
             advance()
             metrics.set_gauge(
                 "operators.in_flight", 0.0, labels={"operator": operator}

@@ -445,7 +445,9 @@ class BatchScheduler:
         requested task id has a key, possibly an empty list) while
         ``skip`` drops failed tasks from the answers mapping entirely.
         Circuit breakers in :attr:`breakers` are consulted at batch
-        boundaries when the policy is not ``"fail"``.
+        boundaries when the policy is not ``"fail"``. A run that raises
+        still stores the answers its cache misses got so far, so a re-run
+        does not buy them again.
         """
         if redundancy < 1:
             raise ConfigurationError(f"redundancy must be >= 1, got {redundancy}")
@@ -469,72 +471,80 @@ class BatchScheduler:
         run_tasks = list(tasks) if resolution is None else resolution.misses
         halted: str | None = None
         pending = deque(run_tasks)
-        while pending:
-            if cancel is not None:
-                kept: list[Task] = []
-                for task in pending:
-                    reason = cancel(task)
-                    if reason is None:
-                        kept.append(task)
-                    else:
-                        self._cancel_task(task, reason, redundancy)
-                pending = deque(kept)
-                if not pending:
-                    break
-            batch = [pending.popleft() for _ in range(min(size, len(pending)))]
-            if halted is None and self._budget_exhausted:
-                halted = "budget_exhausted"
-            if halted is None and policy is not FailurePolicy.FAIL:
-                halted = self._check_breakers()
-            if halted is not None:
-                for task in batch:
-                    self._record_failure(result, FailureInfo(task.task_id, reason=halted))
-                continue
-            # Advisory escalation pass (all policies): adaptive breakers may
-            # tighten hedging or shrink redundancy *before* tripping. Plain
-            # breakers inherit a no-op escalate(), so this is RNG-silent and
-            # bit-identical for legacy configurations.
-            for breaker in self.breakers:
-                stage = breaker.escalate(self.platform, self)
-                if stage is not None:
-                    self.platform.metrics.inc("recovery.deadline_escalations")
-                    if tracer.enabled:
-                        tracer.annotate(
-                            "breaker.escalate", breaker=breaker.name, stage=stage
-                        )
-            eff_redundancy = (
-                max(1, -(-redundancy // 2)) if self._shrink_redundancy else redundancy
-            )
-            if injector is not None:
-                for event in injector.on_batch_start(
-                    self.batches_run, self.platform, eff_redundancy
-                ):
-                    if tracer.enabled:
-                        tracer.annotate("fault.injected", batch=self.batches_run, event=event)
-            record = BatchRecord(index=len(self.records), tasks=len(batch))
-            with tracer.span(
-                "batch",
-                sim_start=self._clock,
-                index=record.index,
-                tasks=len(batch),
-            ) as span:
-                self._run_batch(batch, eff_redundancy, record, result, complete, policy)
-                span.set_tag("dispatched", record.dispatched)
-                span.set_tag("retried", record.retried)
-                span.set_tag("timed_out", record.timed_out)
-                span.set_tag("abandoned", record.abandoned)
-                if record.hedged:
-                    span.set_tag("hedged", record.hedged)
-                span.set_tag("makespan", record.makespan)
-                if record.outage_wait:
-                    span.set_tag("outage_wait", record.outage_wait)
-                span.sim_end = self._clock + record.makespan
-            self.records.append(record)
-            self.batches_run += 1
-            self.platform.stats.record_batch(record)
-            self._clock += record.makespan
-            if on_batch is not None:
-                on_batch(batch, result)
+        try:
+            while pending:
+                if cancel is not None:
+                    kept: list[Task] = []
+                    for task in pending:
+                        reason = cancel(task)
+                        if reason is None:
+                            kept.append(task)
+                        else:
+                            self._cancel_task(task, reason, redundancy)
+                    pending = deque(kept)
+                    if not pending:
+                        break
+                batch = [pending.popleft() for _ in range(min(size, len(pending)))]
+                if halted is None and self._budget_exhausted:
+                    halted = "budget_exhausted"
+                if halted is None and policy is not FailurePolicy.FAIL:
+                    halted = self._check_breakers()
+                if halted is not None:
+                    for task in batch:
+                        self._record_failure(result, FailureInfo(task.task_id, reason=halted))
+                    continue
+                # Advisory escalation pass (all policies): adaptive breakers may
+                # tighten hedging or shrink redundancy *before* tripping. Plain
+                # breakers inherit a no-op escalate(), so this is RNG-silent and
+                # bit-identical for legacy configurations.
+                for breaker in self.breakers:
+                    stage = breaker.escalate(self.platform, self)
+                    if stage is not None:
+                        self.platform.metrics.inc("recovery.deadline_escalations")
+                        if tracer.enabled:
+                            tracer.annotate(
+                                "breaker.escalate", breaker=breaker.name, stage=stage
+                            )
+                eff_redundancy = (
+                    max(1, -(-redundancy // 2)) if self._shrink_redundancy else redundancy
+                )
+                if injector is not None:
+                    for event in injector.on_batch_start(
+                        self.batches_run, self.platform, eff_redundancy
+                    ):
+                        if tracer.enabled:
+                            tracer.annotate("fault.injected", batch=self.batches_run, event=event)
+                record = BatchRecord(index=len(self.records), tasks=len(batch))
+                with tracer.span(
+                    "batch",
+                    sim_start=self._clock,
+                    index=record.index,
+                    tasks=len(batch),
+                ) as span:
+                    self._run_batch(batch, eff_redundancy, record, result, complete, policy)
+                    span.set_tag("dispatched", record.dispatched)
+                    span.set_tag("retried", record.retried)
+                    span.set_tag("timed_out", record.timed_out)
+                    span.set_tag("abandoned", record.abandoned)
+                    if record.hedged:
+                        span.set_tag("hedged", record.hedged)
+                    span.set_tag("makespan", record.makespan)
+                    if record.outage_wait:
+                        span.set_tag("outage_wait", record.outage_wait)
+                    span.sim_end = self._clock + record.makespan
+                self.records.append(record)
+                self.batches_run += 1
+                self.platform.stats.record_batch(record)
+                self._clock += record.makespan
+                if on_batch is not None:
+                    on_batch(batch, result)
+        except BaseException:
+            # A raising run keeps what it paid for: the canonical misses'
+            # answers so far go into the cache, so a re-run buys only the
+            # rest (a partial list is stored but does not serve).
+            if resolution is not None:
+                self.platform.cache.store_fresh(resolution, result.answers)
+            raise
         result.makespan = sum(r.makespan for r in result.records)
         if resolution is not None:
             self.platform.cache_finish(resolution, result.answers, complete=complete)

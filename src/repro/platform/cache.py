@@ -125,9 +125,14 @@ def task_signature(task: Task) -> "str | None":
     workers, so replaying a stored answer would defeat quality control.
     ``truth`` and ``reward`` are deliberately *not* part of the signature —
     neither is shown to workers, and pricing must not fragment the cache.
+    A signature the task's builder already computed (``task.signature``)
+    is returned as is; nothing mutates a task's content after
+    construction, so it cannot go stale.
     """
     if task.is_gold:
         return None
+    if task.signature is not None:
+        return task.signature
     return signature_of(
         task.task_type, task.question, task.options, task.payload, task.difficulty
     )
@@ -363,6 +368,20 @@ class AnswerCache:
                 canonical_by_signature[signature] = task.task_id
         return resolution
 
+    def store_fresh(
+        self, resolution: CacheResolution, answers: "dict[str, list[Answer]]"
+    ) -> None:
+        """Store the answers the canonical misses of *resolution* got.
+
+        :meth:`apply` calls this, and the batch runtime calls it alone when
+        a run raises, so answers already paid for stay reusable. A partial
+        list is stored but does not serve (see :meth:`lookup`).
+        """
+        for task_id, signature in resolution.signatures.items():
+            fresh = answers.get(task_id)
+            if fresh:
+                self.store_signature(signature, resolution.canonical[task_id], fresh)
+
     def apply(
         self,
         resolution: CacheResolution,
@@ -377,10 +396,7 @@ class AnswerCache:
         tasks when *complete*. Returns how many answers were fanned out to
         duplicates (the hit replays were already counted by resolve).
         """
-        for task_id, signature in resolution.signatures.items():
-            fresh = answers.get(task_id)
-            if fresh:
-                self.store_signature(signature, resolution.canonical[task_id], fresh)
+        self.store_fresh(resolution, answers)
         fanned_out = 0
         for canonical_id, dups in resolution.duplicates.items():
             source = answers.get(canonical_id, [])

@@ -1,11 +1,22 @@
 """Property-based correctness tests: the CrowdSQL executor vs a Python
-reference implementation on randomized tables and predicates."""
+reference implementation on randomized tables and predicates, and its crowd
+operators vs a per-row purchase loop."""
+
+import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cost.similarity import jaccard_tokens
+from repro.lang.executor import CrowdOracle
 from repro.lang.interpreter import CrowdSQLSession
+from repro.platform.batch import BatchConfig
+from repro.platform.cache import AnswerCache
+from repro.platform.platform import SimulatedPlatform
+from repro.platform.task import Task, TaskType
+from repro.quality.truth import MajorityVote
+from repro.workers.pool import WorkerPool
 
 ROWS = st.lists(
     st.tuples(
@@ -226,3 +237,134 @@ def test_join_where_matches_python_reference(left, right, lo, hi):
         if v == x and w is not None and y is not None and w > lo and y < hi and w <= y
     ]
     assert [(r["k"], r["w"], r["j"], r["y"]) for r in result.rows] == expected
+
+
+# ---------------------------------------------------------------------- #
+# Crowd operators vs a per-row purchase loop
+# ---------------------------------------------------------------------- #
+
+CROWD_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["ant", "bee", "cat", "cat dog", "dog"]),  # k (repeats)
+        st.one_of(st.none(), st.integers(-2, 2)),                  # w (nullable)
+    ),
+    max_size=10,
+)
+LABELS = st.lists(st.sampled_from(["ant", "cat", "dog cat", "eel"]), max_size=4)
+MAMMAL = "is it a mammal?"
+PRUNE = 0.3
+
+
+def _is_mammal(value, _question):
+    return value in ("cat", "cat dog", "dog")
+
+
+def _crowd_platform(lanes):
+    pool = WorkerPool.heterogeneous(8, accuracy_low=0.6, accuracy_high=0.95, seed=3)
+    platform = SimulatedPlatform(
+        pool, seed=4, batch=BatchConfig(batch_size=4, max_parallel=lanes, seed=5)
+    )
+    platform.attach_cache(AnswerCache())
+    return platform
+
+
+def _per_row_reference(platform, rows, labels, optimize):
+    """The three statements as plain loops over rows in order: each new
+    question is one ``platform.collect([task])`` and a memo answers repeats."""
+
+    def ask(memo, question, truth):
+        if question not in memo:
+            task = Task(
+                TaskType.SINGLE_CHOICE,
+                question=question,
+                options=("yes", "no"),
+                truth="yes" if truth else "no",
+            )
+            answers = platform.collect([task], redundancy=3)[task.task_id]
+            memo[question] = MajorityVote().infer({task.task_id: answers}).truths[
+                task.task_id
+            ] == "yes"
+        return memo[question]
+
+    memo = {}
+    filtered = []
+    for k, w in rows:
+        # The optimizer runs `w > 0` as a machine filter first, dropping NULL
+        # rows; unoptimized, a NULL prefix still asks but never keeps the row.
+        if (w is None and optimize) or (w is not None and w <= 0):
+            continue
+        if ask(memo, f"{MAMMAL} — value: {k}", _is_mammal(k, MAMMAL)) and w is not None:
+            filtered.append((k, w))
+    memo = {}
+    joined = []
+    for k, _w in rows:
+        for label in labels:
+            question = f"Do these refer to the same thing? A: {k} | B: {label}"
+            if jaccard_tokens(k, label) < PRUNE:
+                memo.setdefault(question, False)
+            if ask(memo, question, sorted(k.split()) == sorted(label.split())):
+                joined.append((k, label))
+    memo = {}
+    remaining = [
+        (k, w)
+        for k, w in rows
+        if not ask(memo, f"{MAMMAL} — value: {k}", _is_mammal(k, MAMMAL))
+    ]
+    return filtered, joined, remaining
+
+
+def _run_statements(platform, rows, labels, optimize, pipeline):
+    session = CrowdSQLSession(
+        platform=platform,
+        oracle=CrowdOracle(filter_fn=_is_mammal, equal_similarity_prune=PRUNE),
+        redundancy=3,
+        optimize=optimize,
+        pipeline=pipeline,
+    )
+    session.execute("CREATE TABLE t (k STRING, w INTEGER); CREATE TABLE l (label STRING)")
+    for k, w in rows:
+        session.database.table("t").insert({"k": k, "w": w})
+    for label in labels:
+        session.database.table("l").insert({"label": label})
+    filtered = session.query(f"SELECT k, w FROM t WHERE w > 0 AND CROWDFILTER(k, '{MAMMAL}')")
+    joined = session.query("SELECT k, label FROM t CROWDJOIN l ON CROWDEQUAL(k, label)")
+    session.execute(f"DELETE FROM t WHERE CROWDFILTER(k, '{MAMMAL}')")
+    remaining = session.query("SELECT k, w FROM t")
+    return (
+        [(r["k"], r["w"]) for r in filtered.rows],
+        [(r["k"], r["label"]) for r in joined.rows],
+        [(r["k"], r["w"]) for r in remaining.rows],
+    )
+
+
+def _purchases(platform):
+    """Answer log, spend and cache contents, with workers as pool indexes."""
+    index = {worker.worker_id: i for i, worker in enumerate(platform.pool.workers)}
+    return (
+        [(index[a.worker_id], a.value) for a in platform.answers],
+        platform.stats.cost_spent,
+        {
+            entry["signature"]: [(index[a["worker_id"]], a["value"]) for a in entry["answers"]]
+            for entry in platform.cache.export_entries()
+        },
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 8])
+@given(rows=CROWD_ROWS, labels=LABELS, optimize=st.booleans(), pipeline=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_crowd_operators_buy_what_a_per_row_loop_buys(lanes, rows, labels, optimize, pipeline):
+    """One collect per crowd operator buys the answers, spend and cache
+    entries of one collect per row, and returns the same rows."""
+    platform = _crowd_platform(lanes)
+    got = _run_statements(platform, rows, labels, optimize, pipeline)
+    reference = _crowd_platform(lanes)
+    expected = _per_row_reference(reference, rows, labels, optimize)
+    assert got == expected
+    assert _purchases(platform) == _purchases(reference)
+    if lanes == 1:
+        assert math.isclose(
+            platform.scheduler.simulated_clock,
+            reference.scheduler.simulated_clock,
+            rel_tol=1e-9,
+        )

@@ -487,3 +487,150 @@ class TestMultiKeyOrder:
     def test_unknown_second_key_rejected(self, session):
         with pytest.raises(ExecutionError, match="unknown column"):
             session.query("SELECT name FROM people ORDER BY name, ghost")
+
+
+def _batch_db(n: int = 12) -> Database:
+    """*n* items whose names repeat every 8 rows, plus a 4-row label table."""
+    database = Database()
+    database.create_table(
+        "items",
+        SchemaBuilder().integer("id").string("name").integer("price").build(),
+        rows=[{"id": i, "name": f"item {i % 8}", "price": i % 5} for i in range(n)],
+    )
+    database.create_table(
+        "refs",
+        SchemaBuilder().string("label").build(),
+        rows=[{"label": f"item {i}"} for i in (0, 3, 6, 9)],
+    )
+    return database
+
+
+def _batch_session(pipeline: bool = False, cache: bool = False, budget=None):
+    from repro.platform.cache import AnswerCache
+
+    kwargs = {} if budget is None else {"budget": budget}
+    platform = SimulatedPlatform(WorkerPool.uniform(6, 1.0, seed=1), seed=2, **kwargs)
+    if cache:
+        platform.attach_cache(AnswerCache())
+    return CrowdSQLSession(
+        database=_batch_db(),
+        platform=platform,
+        oracle=CrowdOracle(filter_fn=lambda value, _q: int(value.split()[-1]) % 2 == 0),
+        redundancy=3,
+        pipeline=pipeline,
+    )
+
+
+def _count_runs(monkeypatch) -> list[int]:
+    """Patch BatchScheduler.run to record each run's task count."""
+    from repro.platform.batch import BatchScheduler
+
+    sizes: list[int] = []
+    original = BatchScheduler.run
+
+    def run(self, tasks, *args, **kwargs):
+        sizes.append(len(tasks))
+        return original(self, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(BatchScheduler, "run", run)
+    return sizes
+
+
+PREFIX_FILTER_SQL = "SELECT id FROM items WHERE price > 0 AND CROWDFILTER(name, 'even?')"
+
+
+class TestOneRunPerOperator:
+    """A crowd operator buys all its questions in one scheduler run, and each
+    planned row's signature is computed once."""
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_crowdfilter_select_is_one_run(self, monkeypatch, pipeline):
+        session = _batch_session(pipeline)
+        sizes = _count_runs(monkeypatch)
+        result = session.query(PREFIX_FILTER_SQL)
+        # 12 rows, 9 with price > 0, over 7 distinct names: one run of 7.
+        assert sizes == [7]
+        assert result.stats.crowd_questions == 7
+        assert [r["id"] for r in result.rows] == [2, 4, 6, 8]
+
+    def test_crowdjoin_is_one_run(self, monkeypatch):
+        session = _batch_session()
+        sizes = _count_runs(monkeypatch)
+        result = session.query(
+            "SELECT id, label FROM items CROWDJOIN refs ON CROWDEQUAL(name, label)"
+        )
+        # 12 x 4 pairs over 8 x 4 distinct value pairs.
+        assert sizes == [32]
+        assert [(r["id"], r["label"]) for r in result.rows] == [
+            (0, "item 0"), (3, "item 3"), (6, "item 6"), (8, "item 0"), (11, "item 3"),
+        ]
+
+    def test_crowd_delete_where_is_one_run(self, monkeypatch):
+        session = _batch_session()
+        sizes = _count_runs(monkeypatch)
+        session.execute("DELETE FROM items WHERE CROWDFILTER(name, 'even?')")
+        assert sizes == [8]
+        left = session.query("SELECT id FROM items")
+        assert [r["id"] for r in left.rows] == [1, 3, 5, 7, 9, 11]
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_signature_once_per_planned_row(self, monkeypatch, pipeline):
+        import repro.lang.executor as executor_mod
+        import repro.lang.streaming as streaming_mod
+        import repro.platform.cache as cache_mod
+
+        session = _batch_session(pipeline, cache=True)
+        calls: list[str] = []
+        for module in (cache_mod, executor_mod, streaming_mod):
+
+            def counted(*args, _original=module.signature_of, **kwargs):
+                calls.append("call")
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "signature_of", counted)
+        session.query(PREFIX_FILTER_SQL)
+        assert len(calls) == 9  # rows with price > 0; the cache hashes nothing
+        warm = session.query(PREFIX_FILTER_SQL)
+        assert len(calls) == 18
+        assert warm.stats.crowd_answers == 21  # 7 questions, all served by the cache
+        assert session.platform.stats.tasks_published == 7
+
+
+class TestRaisingRunKeepsPaidAnswers:
+    """A statement that runs out of budget keeps the answers it paid for in
+    the cache, so re-running it after the budget is lifted buys the rest
+    only."""
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_rerun_after_budget_error_buys_only_the_rest(self, pipeline):
+        from repro.errors import BudgetExceededError
+        from repro.platform.cache import AnswerCache
+
+        database = Database()
+        database.create_table(
+            "items",
+            SchemaBuilder().integer("id").string("name").build(),
+            rows=[{"id": i, "name": f"item {i}"} for i in range(100)],
+        )
+        platform = SimulatedPlatform(
+            WorkerPool.uniform(6, 1.0, seed=1), seed=2, budget=1.5
+        )
+        platform.attach_cache(AnswerCache())
+        session = CrowdSQLSession(
+            database=database,
+            platform=platform,
+            oracle=CrowdOracle(filter_fn=lambda value, _q: True),
+            redundancy=3,
+            pipeline=pipeline,
+        )
+        sql = "SELECT id FROM items WHERE CROWDFILTER(name, 'keep?')"
+        with pytest.raises(BudgetExceededError):
+            session.query(sql)
+        assert platform.stats.cost_spent == pytest.approx(1.5)
+        assert len(platform.cache) == 50
+        platform.budget = float("inf")
+        result = session.query(sql)
+        assert len(result.rows) == 100
+        # 50 questions were paid before the error and are served, not rebought.
+        assert platform.stats.cost_spent == pytest.approx(3.0)
+        assert platform.cache.hits == 50
