@@ -13,9 +13,10 @@ keeps paying for upstream answers it will never read.
   executor's planning step (:meth:`Executor._plan_questions`) on the
   caller's thread in row order, then handed to the
   :class:`~repro.platform.batch.BatchScheduler` as *one* run;
-* as each batch (a *wave*) lands, verdicts propagate downstream
-  immediately — a crowd filter feeds the join's probe side while its
-  remaining waves are still pending;
+* cache hits are decided before the first wave, and as each batch (a
+  *wave*) lands, verdicts propagate downstream immediately — a crowd
+  filter feeds the join's probe side while its remaining waves are still
+  pending;
 * early termination propagates *upstream*: once TOP-K/LIMIT has emitted
   enough rows, still-pending HITs are cancelled through the scheduler's
   cancel seam (the one hedging refunds ride through), never published,
@@ -351,8 +352,8 @@ class StreamingExecutor(Executor):
                 cancel=cancel,
                 on_batch=on_batch,
             )
-            # Final drain: cache hits materialize only when the run ends,
-            # and halted (breaker/budget) batches never reach on_batch —
+            # Final drain: cache hits and landed waves were decided in
+            # on_batch, but halted (breaker/budget) batches never reach it —
             # resolve what is still undecided, barrier-style.
             for task in tasks:
                 if task.task_id in resolved_ids or task.task_id in cancelled_ids:

@@ -430,11 +430,13 @@ class BatchScheduler:
         boundary, returns a reason string to drop the task before it is
         ever published (its would-be spend is refunded and counted in
         ``stats.tasks_cancelled`` / ``stats.cancel_cost_refunded``) or
-        None to keep it queued. *on_batch* is invoked after each
-        successfully dispatched batch with the batch's tasks and the
-        running result, letting streaming callers consume answers
-        wave-by-wave. Neither hook fires when left as None, keeping the
-        default path bit-identical to the hook-free runtime.
+        None to keep it queued. *on_batch* is invoked with a list of tasks
+        and the running result, whose ``answers`` already hold theirs:
+        first once with the cache hits, before the first wave, then after
+        each successfully dispatched batch with the batch's tasks, letting
+        streaming callers consume answers wave-by-wave. Neither hook fires
+        when left as None, keeping the default path bit-identical to the
+        hook-free runtime.
 
         Failure behaviour follows ``config.failure_policy``: under
         ``"fail"`` an assignment that cannot be completed raises
@@ -469,6 +471,11 @@ class BatchScheduler:
         # attached, or a complete=False round-structured caller).
         resolution = self.platform.cache_resolve(tasks, redundancy, complete=complete)
         run_tasks = list(tasks) if resolution is None else resolution.misses
+        if on_batch is not None and resolution is not None and resolution.hit_tasks:
+            # Hits reach a streaming caller before the first wave, so its
+            # cancel hook can drop the misses they make unnecessary.
+            result.answers.update(resolution.hits)
+            on_batch(list(resolution.hit_tasks), result)
         halted: str | None = None
         pending = deque(run_tasks)
         try:

@@ -243,6 +243,65 @@ class TestEarlyTermination:
         assert "HITs cancelled" in summary
 
 
+class TestCachedHitsFirst:
+    """Cache hits reach the streaming executor before the first wave, so a
+    LIMIT its cached candidates already satisfy cancels every miss."""
+
+    SQL = "SELECT k, price FROM t WHERE CROWDFILTER(k, 'q?') ORDER BY price LIMIT 10"
+
+    @staticmethod
+    def _session(pipeline: bool, cache: AnswerCache) -> CrowdSQLSession:
+        database = Database()
+        database.create_table(
+            "t",
+            SchemaBuilder().string("k").integer("price").build(),
+            rows=[{"k": f"key {i}", "price": i} for i in range(200)],
+        )
+        platform = make_platform(accuracy=1.0)
+        platform.attach_cache(cache)
+        return CrowdSQLSession(
+            database=database,
+            platform=platform,
+            oracle=CrowdOracle(filter_fn=lambda value, _q: int(value.split()[-1]) % 2 == 0),
+            redundancy=3,
+            pipeline=pipeline,
+        )
+
+    def test_cached_cheapest_rows_cancel_every_miss(self):
+        cache = AnswerCache()
+        warm = self._session(pipeline=False, cache=cache)
+        warm.query("SELECT k FROM t WHERE price < 20 AND CROWDFILTER(k, 'q?')")
+        assert len(cache) == 20
+        expected = self._session(pipeline=False, cache=AnswerCache()).query(self.SQL)
+        piped = self._session(pipeline=True, cache=cache)
+        got = piped.query(self.SQL)
+        assert got.rows == expected.rows
+        assert [r["price"] for r in got.rows] == list(range(0, 20, 2))
+        # The 20 cached candidates decide the LIMIT: nothing is bought.
+        assert piped.platform.stats.cost_spent == 0.0
+        assert piped.platform.stats.tasks_published == 0
+        assert got.stats.tasks_cancelled == 180
+        assert got.stats.crowd_questions == 20
+
+    def test_hits_are_delivered_before_the_first_wave(self):
+        cache = AnswerCache()
+        platform = make_platform(accuracy=1.0)
+        platform.attach_cache(cache)
+        tasks = TestSchedulerCancelSeam._tasks(3)
+        platform.scheduler.run(tasks[:2], redundancy=3)
+        fresh = TestSchedulerCancelSeam._tasks(3)
+        delivered = []
+
+        def on_batch(batch, run):
+            delivered.append([(t.task_id, len(run.answers[t.task_id])) for t in batch])
+
+        platform.scheduler.run(fresh, redundancy=3, on_batch=on_batch)
+        assert delivered == [
+            [("seam-t0", 3), ("seam-t1", 3)],
+            [("seam-t2", 3)],
+        ]
+
+
 class TestCancellationAccounting:
     """Cancelled tasks leave no trace in the cache and zero the gauge."""
 
