@@ -96,10 +96,10 @@ class EngineConfig:
             ``metrics_enabled``.
         pipeline: Execute SELECTs through the streaming pipelined
             executor (:class:`~repro.lang.streaming.StreamingExecutor`):
-            crowd waves saturate the batch lanes, answers flow downstream
-            as they land, and TOP-K/LIMIT cancels still-pending upstream
-            HITs. Off by default — the barrier path is bit-identical to
-            previous releases.
+            answers flow downstream as each wave lands, and TOP-K/LIMIT
+            cancels still-pending upstream HITs. Off by default. Both
+            executors buy each crowd operator's questions in one scheduler
+            run, so without early termination they buy the same answers.
     """
 
     redundancy: int = 3

@@ -1044,16 +1044,6 @@ class Executor:
         stats.crowd_questions += 1
         stats.crowd_answers += len(answers)
 
-    def _buy(self, tasks: list[Task], stats: ExecutionStats) -> None:
-        """Buy every planned task in one collect, then decide each."""
-        if not tasks:
-            return
-        before = self.platform.stats.cost_spent
-        collected = self.platform.collect(tasks, redundancy=self.redundancy)
-        for task in tasks:
-            self._decide(task, collected.get(task.task_id, []), stats)
-        stats.crowd_cost += self.platform.stats.cost_spent - before
-
     def crowd_mask(
         self, expr: Expression, rows: Iterable[dict[str, Any]], stats: ExecutionStats
     ) -> list[bool]:
@@ -1067,13 +1057,16 @@ class Executor:
         if shape is None:
             return [self._eval_crowd(expr, row, stats) is True for row in rows]
         planned, tasks = self._plan_questions(*shape, rows, stats)
-        self._buy(tasks, stats)
+        if tasks:
+            before = self.platform.stats.cost_spent
+            collected = self.platform.collect(tasks, redundancy=self.redundancy)
+            for task in tasks:
+                self._decide(task, collected.get(task.task_id, []), stats)
+            stats.crowd_cost += self.platform.stats.cost_spent - before
         return [ok and self._verdicts[signature] for ok, signature in planned]
 
     def _resolve_predicate(
         self, predicate: CrowdPredicate, row: dict[str, Any], stats: ExecutionStats
     ) -> bool:
         """Plan one row's question, then buy and decide it if it is new."""
-        ((_ok, signature),), tasks = self._plan_questions(None, predicate, [row], stats)
-        self._buy(tasks, stats)
-        return self._verdicts[signature]
+        return self.crowd_mask(predicate, [row], stats)[0]

@@ -91,9 +91,10 @@ class CrowdSQLSession:
             when set, every executed statement is bracketed and lands in
             the profile document.
         pipeline: Stream SELECTs through the
-            :class:`~repro.lang.streaming.StreamingExecutor` (pipelined
-            waves + upstream cancellation). Off by default — the barrier
-            path stays bit-identical to previous releases.
+            :class:`~repro.lang.streaming.StreamingExecutor` (answers flow
+            downstream per wave; TOP-K/LIMIT cancels pending upstream
+            HITs). Off by default; without early termination both
+            executors buy the same answers.
     """
 
     def __init__(
