@@ -505,11 +505,10 @@ def _batch_db(n: int = 12) -> Database:
     return database
 
 
-def _batch_session(pipeline: bool = False, cache: bool = False, budget=None):
+def _batch_session(pipeline: bool = False, cache: bool = False):
     from repro.platform.cache import AnswerCache
 
-    kwargs = {} if budget is None else {"budget": budget}
-    platform = SimulatedPlatform(WorkerPool.uniform(6, 1.0, seed=1), seed=2, **kwargs)
+    platform = SimulatedPlatform(WorkerPool.uniform(6, 1.0, seed=1), seed=2)
     if cache:
         platform.attach_cache(AnswerCache())
     return CrowdSQLSession(
