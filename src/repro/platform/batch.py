@@ -25,11 +25,16 @@ pool's RNG stream is consumed identically at any lane count. With
 ``max_parallel=1`` each assignment then draws its service time and its
 answer from the platform RNG in dispatch order — the same draws as a
 plain sequential loop of ``worker.submit(task, platform.rng)`` over the
-sampled workers. With ``max_parallel>1`` every assignment gets its own
-RNG derived from ``(seed, assignment index)`` — a different (equally
-valid) random stream than the single-lane one. The two rules stay split
-because a shared stream at every lane count measurably changes the
-hedging benchmark's outcome (see DESIGN.md).
+sampled workers. With ``max_parallel>1`` every assignment draws from its
+own stream: the one a generator seeded with ``[seed, stream]`` starts
+(``Generator(PCG64(SeedSequence([seed, stream])))``, for its global stream
+id) — a different (equally valid) random stream than the single-lane one.
+No generator is built per assignment: each wave's stream ids are seeded in
+one vectorized pass and one reusable generator is re-positioned onto each
+in turn (:mod:`repro.platform.streams`), with the same draws as a freshly
+seeded generator. The two rules stay split because a shared stream at
+every lane count measurably changes the hedging benchmark's outcome (see
+DESIGN.md).
 
 Tail-latency control (``hedge_enabled``): the scheduler fits per-task-type
 lognormal completion-time models online (:class:`HedgeState`, built on
@@ -61,6 +66,7 @@ from repro.errors import (
     NoWorkersAvailableError,
     RetryExhaustedError,
 )
+from repro.platform.streams import StreamGenerator
 from repro.platform.task import Answer, Task
 from repro.recovery.degrade import FailureInfo, FailurePolicy
 
@@ -102,8 +108,8 @@ class BatchConfig:
         retry_backoff: Base simulated delay before retry r, growing as
             ``retry_backoff * 2**(r-1)``.
         seed: Entropy for the per-assignment RNG streams used when
-            ``max_parallel > 1``: None or a non-negative int. None derives
-            nothing extra (stream 0).
+            ``max_parallel > 1``: None or a non-negative int. A stream's
+            entropy is ``[seed, stream]``, or ``[stream]`` when None.
         failure_policy: What happens when a task cannot be completed
             (retries exhausted, budget gone, breaker open): ``"fail"``
             raises, ``"skip"`` drops the task from the answers,
@@ -362,6 +368,7 @@ class BatchScheduler:
         self._clock = 0.0     # simulated time already consumed by past batches
         self._run_base = 0.0  # clock value when the current run() started
         self._streams = 0     # per-assignment RNG stream counter
+        self._stream_rng = StreamGenerator()  # positioned per assignment above one lane
         self._budget_exhausted = False
         self.hedge_state: HedgeState | None = (
             HedgeState(
@@ -947,18 +954,19 @@ class BatchScheduler:
 
         Runs on the caller's thread in wave order; lanes exist only on the
         simulated clock. One lane draws from the platform RNG in dispatch
-        order. More lanes give each assignment its own generator seeded by
-        ``(seed, stream)``.
+        order. More lanes seed the wave's stream ids in one pass, then move
+        the scheduler's one reusable generator to each assignment's stream
+        before its attempt; its draws equal those of a generator freshly
+        seeded with ``[seed, stream]`` (``[stream]`` when the seed is None).
         """
         if not self.parallel:
             rng = self.platform.rng
             for a in wave:
                 self._attempt(a, rng)
             return
-        seed = self.config.seed
-        for a in wave:
-            entropy = [seed, a.stream] if seed is not None else [a.stream]
-            self._attempt(a, np.random.default_rng(entropy))
+        streams = self._stream_rng.walk(self.config.seed, [a.stream for a in wave])
+        for a, rng in zip(wave, streams):
+            self._attempt(a, rng)
 
     def _attempt(self, a: _Assignment, rng: np.random.Generator) -> None:
         cfg = self.config
