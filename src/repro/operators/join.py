@@ -288,8 +288,10 @@ def _crossing_join(
     collected = platform.collect(tasks, redundancy=redundancy) if tasks else {}
     for pair, task in zip(pairs, tasks):
         questions += 1
-        verdict = inference.infer({task.task_id: collected[task.task_id]})
-        if verdict.truths[task.task_id] == YES:
+        # Skip/degrade failure policy: an unanswered pair gets no verdict
+        # and is not matched.
+        verdict = inference.infer_answered({task.task_id: collected.get(task.task_id, [])})
+        if verdict.truths.get(task.task_id) == YES:
             matched.add((pair.left_index, len(left) + pair.right_index))
     clusters_resolver = TransitiveResolver(strict=False)
     for i, j in matched:

@@ -274,7 +274,9 @@ def rating_sort(
     """One RATE task per item; sort by mean rating (descending).
 
     Ground-truth scores are mapped linearly onto the scale so simulated
-    raters produce calibrated noisy ratings.
+    raters produce calibrated noisy ratings. Under the ``skip``/``degrade``
+    failure policies an item whose task got no answer has no entry in
+    ``ratings`` and ranks after every rated item, in input order.
     """
     if redundancy < 1:
         raise ConfigurationError("redundancy must be >= 1")
@@ -295,15 +297,16 @@ def rating_sort(
                 )
             )
         collected = platform.collect(tasks, redundancy=redundancy)
+        answers = [collected.get(t.task_id, []) for t in tasks]
         ratings = {
-            i: float(np.mean([a.value for a in collected[t.task_id]]))
-            for i, t in enumerate(tasks)
+            i: float(np.mean([a.value for a in got])) for i, got in enumerate(answers) if got
         }
-        order = sorted(range(len(items)), key=lambda i: (-ratings[i], i))
+        order = sorted(ratings, key=lambda i: (-ratings[i], i))
+        order += [i for i in range(len(items)) if i not in ratings]
         return SortResult(
             order=order,
             comparisons_asked=0,
-            answers_bought=len(items) * redundancy,
+            answers_bought=sum(len(got) for got in answers),
             cost=platform.stats.cost_spent - before,
             ratings=ratings,
         )
@@ -322,28 +325,36 @@ def hybrid_sort(
 
     After the rating sort, any adjacent pair whose mean ratings differ by
     less than *close_threshold* is re-decided with a pairwise comparison
-    (one local bubble pass) — Qurk's cost/quality compromise.
+    (one local bubble pass) — Qurk's cost/quality compromise. Only rated
+    neighbours are compared; unrated items keep their place at the end.
     """
     with operator_span(platform, "sort", strategy="hybrid", items=len(items)) as span:
         before = platform.stats.cost_spent
         base = rating_sort(platform, items, score_fn, redundancy, scale)
+        ratings = base.ratings
         comparator = CrowdComparator(
             platform, items, score_fn, redundancy=redundancy, inference=inference
         )
         order = list(base.order)
+
+        def close(i: int, j: int) -> bool:
+            return (
+                i in ratings and j in ratings
+                and abs(ratings[i] - ratings[j]) < close_threshold
+            )
+
         # The close adjacent pairs are known after the rating pass; buy their
         # comparisons as one batch before the (order-dependent) bubble pass.
         comparator.prefetch(
             [
                 (order[p], order[p + 1])
                 for p in range(len(order) - 1)
-                if abs(base.ratings[order[p]] - base.ratings[order[p + 1]])
-                < close_threshold
+                if close(order[p], order[p + 1])
             ]
         )
         for position in range(len(order) - 1):
             i, j = order[position], order[position + 1]
-            if abs(base.ratings[i] - base.ratings[j]) < close_threshold:
+            if close(i, j):
                 if not comparator.above(i, j):
                     order[position], order[position + 1] = j, i
         span.set_tag("comparisons", comparator.comparisons_asked)

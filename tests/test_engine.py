@@ -10,6 +10,7 @@ from repro.core.requester import Requester
 from repro.errors import BudgetExceededError, ConfigurationError, RetryExhaustedError
 from repro.lang.executor import CrowdOracle
 from repro.operators.findfixverify import proofreading_dataset
+from repro.operators.join import crossing_join
 from repro.platform.batch import BatchConfig
 from repro.platform.platform import SimulatedPlatform
 from repro.quality.truth import DawidSkene
@@ -288,10 +289,11 @@ class TestEngineRobustness:
         assert twin.spent == pytest.approx(engine.spent)
 
 
-# Operators that buy answers through SimulatedPlatform.collect, each run
-# through the engine facade on a small input that asks the crowd.
+# Operators that buy answers through SimulatedPlatform.collect, each run on
+# a small input that asks the crowd, through the engine facade where one exists.
 _COLLECTING_OPERATORS = (
-    "categorize", "count", "fill", "match_schemas", "plan", "find_fix_verify"
+    "categorize", "count", "fill", "match_schemas", "plan", "find_fix_verify",
+    "rating_sort", "crossing_join",
 )
 _PLAN_GRAPH = {"s": ["a", "b"], "a": ["t"], "b": ["t"], "t": []}
 
@@ -316,6 +318,12 @@ def _run_operator(engine, name):
         )
     if name == "plan":
         return engine.plan(_PLAN_GRAPH, lambda u, v: 1.0 if v == "b" else 0.5, "s", steps=2)
+    if name == "rating_sort":
+        return engine.sort(list(range(8)), score_fn=float, strategy="rating")
+    if name == "crossing_join":
+        return crossing_join(
+            engine.platform, ["ab x", "cd y"], ["ab x", "ef z"], truth_fn=lambda a, b: a == b
+        )
     assert name == "find_fix_verify"
     return engine.find_fix_verify(proofreading_dataset(2, seed=9))
 
@@ -333,6 +341,13 @@ def _assert_no_verdicts(engine, name, result):
         assert result.correspondences == {} and result.confirmed_pairs == []
     elif name == "plan":
         assert result.path == ["s"]
+    elif name == "rating_sort":
+        # Unrated items rank after every rated one, in input order.
+        assert result.ratings == {} and result.order == list(range(8))
+        assert result.answers_bought == 0
+    elif name == "crossing_join":
+        assert result.matched_pairs == set() and result.questions_asked == 4
+        assert result.answers_bought == 0
     else:
         documents = proofreading_dataset(2, seed=9)
         assert result.corrected == [list(doc.words) for doc in documents]
@@ -368,6 +383,31 @@ class TestOperatorFailurePolicy:
         answers = engine.platform.answers
         assert engine.stats.answers_collected == len(answers)
         assert engine.spent == pytest.approx(sum(a.reward_paid for a in answers))
+
+    @pytest.mark.parametrize("strategy", ["rating", "hybrid"])
+    @pytest.mark.parametrize("policy", ["skip", "degrade"])
+    def test_unrated_items_rank_last_in_input_order(self, policy, strategy):
+        engine = CrowdEngine(
+            EngineConfig(seed=5, abandon_rate=0.5, retry_limit=0, failure_policy=policy)
+        )
+        # A threshold above the scale's width marks every rated pair close.
+        kwargs = {"close_threshold": 100.0} if strategy == "hybrid" else {}
+        result = engine.sort(list(range(12)), score_fn=float, strategy=strategy, **kwargs)
+        ratings = result.ratings
+        rated = [i for i in result.order if i in ratings]
+        unrated = [i for i in range(12) if i not in ratings]
+        assert rated and unrated
+        assert result.order == rated + unrated
+        # Answers received: skip also drops a failed task's partial answers.
+        if policy == "degrade":
+            assert result.answers_bought == engine.stats.answers_collected
+        else:
+            assert result.answers_bought <= engine.stats.answers_collected
+        if strategy == "rating":
+            assert rated == sorted(ratings, key=lambda i: (-ratings[i], i))
+        else:
+            # Only rated neighbours are compared.
+            assert 0 < result.comparisons_asked <= len(rated) - 1
 
     def test_tripped_deadline_breaker_stops_categorize(self):
         engine = CrowdEngine(EngineConfig(seed=3, deadline=1.0, failure_policy="degrade"))
