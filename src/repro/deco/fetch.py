@@ -10,7 +10,10 @@ Two forms matter in practice (and are what Deco's paper exercises):
   known anchor — implemented as FILL tasks with per-fetch redundancy 1
   (resolution happens later, on the raw values, per Deco's design).
 
-Every fetch charges the platform budget like any other crowd work.
+Both buy through :meth:`SimulatedPlatform.collect`, one scheduler run per
+call, so every fetch charges the budget and sees faults, the failure
+policy and breakers like any other crowd work. A fetch that gets no answer
+(``skip``/``degrade``) adds nothing.
 """
 
 from __future__ import annotations
@@ -51,23 +54,20 @@ class AnchorFetchRule:
             raise ConfigurationError(
                 "multi-anchor relations need an explicit parse function"
             )
+        tasks = [Task(TaskType.COLLECT, question=self.question) for _ in range(attempts)]
+        collected = platform.collect(tasks, redundancy=1)
         added = 0
-        for _ in range(attempts):
-            task = Task(TaskType.COLLECT, question=self.question)
-            answer = platform.ask(task)
-            task.complete()
-            if answer.value is None:
+        for task in tasks:
+            delivered = collected.get(task.task_id)
+            value = delivered[0].value if delivered else None
+            if value is None:
                 continue
             if self.parse is not None:
-                anchor_values = self.parse(answer.value)
+                anchor_values = self.parse(value)
                 if anchor_values is None:
                     continue
             else:
-                if len(relation.anchors) != 1:
-                    raise ConfigurationError(
-                        "multi-anchor relations need an explicit parse function"
-                    )
-                anchor_values = {relation.anchors[0]: answer.value}
+                anchor_values = {relation.anchors[0]: value}
             if relation.add_anchor(**anchor_values):
                 added += 1
         return added
@@ -94,38 +94,44 @@ class DependentFetchRule:
         anchor_values: dict[str, Any],
         times: int = 1,
     ) -> int:
-        """Issue *times* FILL fetches for this anchor+group; returns count."""
+        """Issue *times* FILL fetches for this anchor+group; returns count.
+
+        All fetches go out in one ``collect`` with the tasks kept open, so
+        the answer cache never replays one fetch's raw value as another's.
+        A fetch adds its raw value only when every column got an answer.
+        """
         if times < 1:
             raise ConfigurationError("times must be >= 1")
         group = relation.group(self.group)
+        fetches = [
+            [self._task(anchor_values, column) for column in group.columns]
+            for _ in range(times)
+        ]
+        collected = platform.collect(
+            [task for tasks in fetches for task in tasks], redundancy=1, complete=False
+        )
         fetched = 0
-        for _ in range(times):
-            raw: dict[str, Any] = {}
-            for column in group.columns:
-                question = (
-                    self.question_fn(anchor_values)
-                    if self.question_fn is not None
-                    else f"Provide {column!r} for {anchor_values!r}."
-                )
-                truth = (
-                    self.truth_fn(anchor_values, column)
-                    if self.truth_fn is not None
-                    else None
-                )
-                # Numeric facts go out as NUMERIC estimation tasks (workers
-                # produce noisy numbers); everything else as free-text FILL.
-                numeric = isinstance(truth, (int, float)) and not isinstance(truth, bool)
-                task = Task(
-                    TaskType.NUMERIC if numeric else TaskType.FILL,
-                    question=question,
-                    truth=truth,
-                )
-                answer = platform.ask(task)
+        for tasks in fetches:
+            answers = [collected.get(task.task_id, []) for task in tasks]
+            for task in tasks:
                 task.complete()
-                raw[column] = answer.value
-            relation.add_raw_value(anchor_values, self.group, **raw)
-            fetched += 1
+            if all(answers):
+                raw = {c: got[0].value for c, got in zip(group.columns, answers)}
+                relation.add_raw_value(anchor_values, self.group, **raw)
+                fetched += 1
         return fetched
+
+    def _task(self, anchor_values: dict[str, Any], column: str) -> Task:
+        question = (
+            self.question_fn(anchor_values)
+            if self.question_fn is not None
+            else f"Provide {column!r} for {anchor_values!r}."
+        )
+        truth = self.truth_fn(anchor_values, column) if self.truth_fn is not None else None
+        # Numeric facts go out as NUMERIC estimation tasks (workers
+        # produce noisy numbers); everything else as free-text FILL.
+        numeric = isinstance(truth, (int, float)) and not isinstance(truth, bool)
+        return Task(TaskType.NUMERIC if numeric else TaskType.FILL, question=question, truth=truth)
 
 
 @dataclass

@@ -4,7 +4,7 @@ Many crowd algorithms are inherently staged: answers from round i decide
 what to ask in round i+1 (tournaments, iterative sorts, adaptive filters).
 Under the round model, latency is measured in *rounds*, with each round's
 wall-clock duration set by its slowest task. :class:`RoundScheduler` runs a
-staged computation against the platform's event timeline and accounts for
+staged computation through the platform's batch scheduler and accounts for
 both views.
 """
 
@@ -55,37 +55,24 @@ class RoundOutcome:
 class RoundScheduler:
     """Execute rounds of tasks, each gated on the previous round's answers.
 
+    Each round is one :meth:`~repro.platform.batch.BatchScheduler.run`, so
+    it sees faults, the failure policy, breakers and the answer cache like
+    any operator; its duration is the run's makespan on the scheduler's
+    simulated lanes. Under ``skip``/``degrade`` a task that got no answer
+    contributes none to the round.
+
     Args:
-        platform: Supplies workers, answers, and the event clock.
+        platform: Supplies workers, answers, and the simulated clock.
         redundancy: Answers per task per round.
-        use_batches: Run each round through the platform's batch runtime
-            (:class:`~repro.platform.batch.BatchScheduler`) instead of the
-            arrival-event timeline; the round's duration is then the batch
-            makespan under ``max_parallel`` concurrent assignment lanes.
-            None (default) auto-enables this when the platform's scheduler
-            runs more than one lane.
     """
 
-    def __init__(
-        self,
-        platform: SimulatedPlatform,
-        redundancy: int = 1,
-        use_batches: bool | None = None,
-    ):
+    def __init__(self, platform: SimulatedPlatform, redundancy: int = 1):
         if redundancy < 1:
             raise ConfigurationError("redundancy must be >= 1")
         self.platform = platform
         self.redundancy = redundancy
-        self.use_batches = use_batches
-
-    def _batched(self) -> bool:
-        if self.use_batches is None:
-            return self.platform.parallel_batching
-        return self.use_batches
 
     def _run_round(self, tasks: Sequence[Task]) -> TimelineResult:
-        if not self._batched():
-            return self.platform.simulate_timeline(tasks, redundancy=self.redundancy)
         run = self.platform.scheduler.run(tasks, redundancy=self.redundancy)
         answers = [a for t in tasks for a in run.answers.get(t.task_id, [])]
         return TimelineResult(

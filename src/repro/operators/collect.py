@@ -152,12 +152,15 @@ class CrowdCollect:
         max_queries: int,
         stop_at_coverage: float | None = None,
     ) -> CollectResult:
-        """Issue up to *max_queries* COLLECT tasks.
+        """Issue up to *max_queries* COLLECT tasks, in waves of the
+        scheduler's ``batch_size`` at every lane count.
 
         Args:
             max_queries: Budget in contribution requests.
             stop_at_coverage: Optional early stop when Good–Turing coverage
-                reaches this value — "pay until the crowd runs dry".
+                reaches this value — "pay until the crowd runs dry". It is
+                checked once per wave, so a run may overshoot the point of
+                reaching it by up to one wave.
         """
         if max_queries < 1:
             raise ConfigurationError("max_queries must be >= 1")
@@ -167,15 +170,11 @@ class CrowdCollect:
             before = self.platform.stats.cost_spent
             result = CollectResult(items=[])
             seen: set[Any] = set()
-            # Under a parallel batch runtime, contribution requests go out in
-            # waves of batch_size; a posted wave is paid for in full, so the
-            # coverage early-stop is only evaluated between waves (the real
-            # platform semantics: you cannot unpost a HIT batch).
-            wave_size = (
-                self.platform.scheduler.config.batch_size
-                if self.platform.parallel_batching
-                else 1
-            )
+            # Contribution requests go out in waves of batch_size; a posted
+            # wave is paid for in full, so the coverage early-stop is only
+            # evaluated between waves (the real platform semantics: you
+            # cannot unpost a HIT batch).
+            wave_size = self.platform.scheduler.config.batch_size
             q = 0
             while q < max_queries:
                 wave = [

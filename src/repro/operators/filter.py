@@ -151,7 +151,9 @@ class FixedKFilter(CrowdFilter):
 class AdaptiveFilter(CrowdFilter):
     """Sequential filter: stop once |yes - no| reaches *margin* (or at cap).
 
-    With margin=2 and honest workers this terminates most items after two
+    Each item follows that rule on its own, and the open items advance
+    together in waves of one answer each, at every lane count. With
+    margin=2 and honest workers this terminates most items after two
     agreeing answers — the cost profile that makes adaptive strategies
     dominate fixed-k at equal accuracy.
     """
@@ -174,10 +176,12 @@ class AdaptiveFilter(CrowdFilter):
     def run(self, items: Sequence[Any]) -> FilterResult:
         """Filter *items* with sequential early-stopping vote collection.
 
-        With a parallel batch runtime attached to the platform, undecided
-        items are advanced breadth-first: each wave buys one more answer for
-        *every* open item as a single batch, so a wave costs one round of
-        simulated latency instead of one per answer.
+        Undecided items advance breadth-first: each wave buys one more
+        answer for *every* open item in one ``collect`` (tasks kept open,
+        so the answer cache never replays an item's own evidence), and each
+        item keeps its own stopping rule. An item whose task gets no answer
+        in a wave (``skip``/``degrade`` failure policy) closes on the votes
+        it has.
         """
         with operator_span(
             self.platform,
@@ -187,76 +191,36 @@ class AdaptiveFilter(CrowdFilter):
             margin=self.margin,
             max_answers=self.max_answers,
         ) as span:
-            if self.platform.parallel_batching:
-                result = self._run_waves(items)
-            else:
-                result = self._run_sequential(items)
+            before = self.platform.stats.cost_spent
+            tasks = [self._task_for(item, i) for i, item in enumerate(items)]
+            answers_by_item: dict[int, list[Answer]] = {i: [] for i in range(len(tasks))}
+            votes = {i: [0, 0] for i in range(len(tasks))}  # [yes, no]
+            open_items = list(range(len(tasks)))
+            questions = 0
+            while open_items:
+                wave = [tasks[i] for i in open_items]
+                collected = self.platform.collect(wave, redundancy=1, complete=False)
+                still_open: list[int] = []
+                for i in open_items:
+                    delivered = collected.get(tasks[i].task_id, [])
+                    if not delivered:
+                        continue
+                    answer = delivered[0]
+                    answers_by_item[i].append(answer)
+                    questions += 1
+                    votes[i][0 if answer.value == YES else 1] += 1
+                    yes_votes, no_votes = votes[i]
+                    undecided = abs(yes_votes - no_votes) < self.margin
+                    if undecided and len(answers_by_item[i]) < self.max_answers:
+                        still_open.append(i)
+                open_items = still_open
+            for task in tasks:
+                task.complete()
+            result = FilterResult(
+                decisions={i: votes[i][0] > votes[i][1] for i in range(len(tasks))},
+                questions_asked=questions,
+                cost=self.platform.stats.cost_spent - before,
+                answers_by_item=answers_by_item,
+            )
             self._stamp(span, items, result)
             return result
-
-    def _run_sequential(self, items: Sequence[Any]) -> FilterResult:
-        """One item at a time, buying answers until the margin is reached."""
-        before = self.platform.stats.cost_spent
-        decisions: dict[int, bool] = {}
-        answers_by_item: dict[int, list[Answer]] = {}
-        questions = 0
-        for i, item in enumerate(items):
-            task = self._task_for(item, i)
-            self.platform.publish([task])
-            yes_votes = 0
-            no_votes = 0
-            answers: list[Answer] = []
-            while abs(yes_votes - no_votes) < self.margin and len(answers) < self.max_answers:
-                answer = self.platform.ask(task)
-                answers.append(answer)
-                questions += 1
-                if answer.value == YES:
-                    yes_votes += 1
-                else:
-                    no_votes += 1
-            decisions[i] = yes_votes > no_votes
-            answers_by_item[i] = answers
-            task.complete()
-        return FilterResult(
-            decisions=decisions,
-            questions_asked=questions,
-            cost=self.platform.stats.cost_spent - before,
-            answers_by_item=answers_by_item,
-        )
-
-    def _run_waves(self, items: Sequence[Any]) -> FilterResult:
-        """Breadth-first adaptive filtering over the batch runtime."""
-        before = self.platform.stats.cost_spent
-        tasks = [self._task_for(item, i) for i, item in enumerate(items)]
-        answers_by_item: dict[int, list[Answer]] = {i: [] for i in range(len(tasks))}
-        votes = {i: [0, 0] for i in range(len(tasks))}  # [yes, no]
-        open_items = list(range(len(tasks)))
-        questions = 0
-        while open_items:
-            wave = [tasks[i] for i in open_items]
-            collected = self.platform.collect(wave, redundancy=1, complete=False)
-            still_open: list[int] = []
-            for i in open_items:
-                delivered = collected.get(tasks[i].task_id, [])
-                if not delivered:
-                    # Skip/degrade failure policy: no answer this wave means
-                    # the task is unservable — close the item on current votes.
-                    continue
-                answer = delivered[0]
-                answers_by_item[i].append(answer)
-                questions += 1
-                votes[i][0 if answer.value == YES else 1] += 1
-                yes_votes, no_votes = votes[i]
-                undecided = abs(yes_votes - no_votes) < self.margin
-                if undecided and len(answers_by_item[i]) < self.max_answers:
-                    still_open.append(i)
-            open_items = still_open
-        for task in tasks:
-            task.complete()
-        decisions = {i: votes[i][0] > votes[i][1] for i in range(len(tasks))}
-        return FilterResult(
-            decisions=decisions,
-            questions_asked=questions,
-            cost=self.platform.stats.cost_spent - before,
-            answers_by_item=answers_by_item,
-        )

@@ -165,15 +165,10 @@ class CrowdJoin:
         questions = 0
         deduced = 0
         # Pairs go to the crowd in chunks (descending similarity when
-        # pruned). Sequentially the chunk is a single pair, so every verdict
-        # can deduce the next; under a parallel runtime a whole batch is
-        # posted at once — deduction then only sees verdicts from earlier
-        # chunks, trading a few extra questions for round-parallelism.
-        chunk_size = (
-            self.platform.scheduler.config.batch_size
-            if self.platform.parallel_batching
-            else 1
-        )
+        # pruned). With transitivity each chunk is a single pair, so every
+        # verdict can deduce the next; without it no verdict saves a
+        # question, so all pairs go in one collect.
+        chunk_size = 1 if self.use_transitivity else max(1, len(pairs))
         for start in range(0, len(pairs), chunk_size):
             chunk = pairs[start : start + chunk_size]
             unresolved: list[tuple[int, int]] = []

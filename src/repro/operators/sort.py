@@ -127,16 +127,13 @@ class CrowdComparator:
                 self.deducer.record(key[1], key[0])
 
     def prefetch(self, pairs: Sequence[tuple[int, int]]) -> int:
-        """Batch-buy verdicts for *pairs* that are not yet known.
+        """Buy verdicts for *pairs* that are not yet known, in one collect.
 
-        A no-op unless the platform runs a parallel batch runtime — the
-        sequential path keeps its lazy one-comparison-at-a-time behaviour.
         Returns the number of comparisons purchased. Callers that know a
-        round of comparisons up front (all-pairs sort, tournament rounds)
-        use this so one round costs one batch of simulated latency.
+        round of comparisons up front, and read every one of them (all-pairs
+        sort, tournament rounds), use this so one round costs one batch of
+        simulated latency, at every lane count.
         """
-        if not self.platform.parallel_batching:
-            return 0
         todo: list[tuple[int, int]] = []
         queued: set[tuple[int, int]] = set()
         for i, j in pairs:
@@ -207,7 +204,7 @@ def all_pairs_sort(comparator: CrowdComparator) -> SortResult:
         before = comparator.platform.stats.cost_spent
         n = len(comparator.items)
         # All comparisons are known up front — one prefetch makes the whole
-        # sort a single batched dispatch under a parallel runtime.
+        # sort a single scheduler run.
         comparator.prefetch([(i, j) for i in range(n) for j in range(i + 1, n)])
         wins = [0] * n
         for i in range(n):
@@ -327,6 +324,9 @@ def hybrid_sort(
     less than *close_threshold* is re-decided with a pairwise comparison
     (one local bubble pass) — Qurk's cost/quality compromise. Only rated
     neighbours are compared; unrated items keep their place at the end.
+    Each comparison is bought when the pass reaches it: after a swap the
+    pass compares shifted pairs, so buying the close pairs up front would
+    pay for pairs it never reads.
     """
     with operator_span(platform, "sort", strategy="hybrid", items=len(items)) as span:
         before = platform.stats.cost_spent
@@ -343,15 +343,6 @@ def hybrid_sort(
                 and abs(ratings[i] - ratings[j]) < close_threshold
             )
 
-        # The close adjacent pairs are known after the rating pass; buy their
-        # comparisons as one batch before the (order-dependent) bubble pass.
-        comparator.prefetch(
-            [
-                (order[p], order[p + 1])
-                for p in range(len(order) - 1)
-                if close(order[p], order[p + 1])
-            ]
-        )
         for position in range(len(order) - 1):
             i, j = order[position], order[position + 1]
             if close(i, j):

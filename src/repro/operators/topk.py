@@ -70,8 +70,8 @@ def tournament_max(
         rounds = 0
         while len(remaining) > 1:
             groups = [remaining[s : s + fan_in] for s in range(0, len(remaining), fan_in)]
-            # One tournament round = one batch: all intra-group games of the
-            # round are independent, so a parallel runtime plays them at once.
+            # One tournament round = one scheduler run: all intra-group games
+            # of the round are independent, so they are bought together.
             comparator.prefetch(
                 [
                     (group[x], group[y])

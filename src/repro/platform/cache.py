@@ -36,10 +36,11 @@ savings and remain per-seed deterministic.
 Cache-served answers are returned to the caller but are *not* entered in
 the platform answer log, worker histories, or ``answers_collected`` — they
 represent no new crowd work. Only ``complete=True`` scheduler runs
-participate; round-structured callers (adaptive filter waves) buying
-incremental evidence for a still-open task bypass the cache entirely, as
-do HIT-grouped ``collect_batched`` (positional fatigue) and online
-``ask`` assignment.
+participate; callers buying incremental evidence for still-open tasks
+(adaptive filter waves, Deco's dependent fetches) bypass the cache
+entirely, as do HIT-grouped ``collect_batched`` (positional fatigue) and
+online ``ask`` assignment. An entry keeps each worker's first answer, so
+a duplicated delivery never replays as a second worker's vote.
 """
 
 from __future__ import annotations
@@ -144,10 +145,6 @@ class CachedAnswer:
 
     worker_id: str
     value: Any
-
-    @classmethod
-    def from_answer(cls, answer: Answer) -> "CachedAnswer":
-        return cls(worker_id=answer.worker_id, value=answer.value)
 
     def replay(self, task_id: str) -> Answer:
         """Materialize as an answer for *task_id*: $0 paid, zero latency."""
@@ -285,8 +282,9 @@ class AnswerCache:
     def store(self, task: Task, answers: Sequence[Answer]) -> None:
         """File *answers* under the task's signature (no-op if uncacheable).
 
-        An existing entry is only replaced when the new answer list is
-        longer (a degraded partial collection never clobbers a full one).
+        An existing entry is only replaced when the new answers come from
+        more distinct workers (a degraded partial collection never clobbers
+        a full one).
         """
         signature = task_signature(task)
         if signature is None or not answers:
@@ -296,20 +294,30 @@ class AnswerCache:
     def store_signature(
         self, signature: str, task: Task, answers: Sequence[Answer]
     ) -> None:
-        """Like :meth:`store` with the signature already computed."""
+        """Like :meth:`store` with the signature already computed.
+
+        Keeps each worker's first answer: a duplicated delivery is one
+        worker's vote twice, and a replay must not let it stand in for a
+        distinct worker's vote.
+        """
         if not answers:
             return
+        by_worker: dict[str, CachedAnswer] = {}
+        for a in answers:
+            if a.worker_id not in by_worker:
+                by_worker[a.worker_id] = CachedAnswer(a.worker_id, a.value)
+        stored = list(by_worker.values())
         existing = self._entries.get(signature)
         if existing is not None:
-            if len(answers) > len(existing.answers):
-                existing.answers = [CachedAnswer.from_answer(a) for a in answers]
+            if len(stored) > len(existing.answers):
+                existing.answers = stored
             self._entries.move_to_end(signature)
             return
         self._entries[signature] = CacheEntry(
             signature=signature,
             task_type=task.task_type.value,
             question=task.question,
-            answers=[CachedAnswer.from_answer(a) for a in answers],
+            answers=stored,
         )
         while self.max_entries is not None and len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

@@ -18,7 +18,9 @@ Two usage modes mirror how real requesters interact with platforms:
   failure-policy machinery.
 * **online** — :meth:`worker_stream` + :meth:`ask`: workers "arrive" one at
   a time and an assignment strategy decides which task each gets (the
-  QASCA/CDAS regime in :mod:`repro.quality.assignment`).
+  QASCA/CDAS regime in :mod:`repro.quality.assignment`). :meth:`ask`
+  serves only that regime and the arrival timeline
+  (:meth:`simulate_timeline`); every operator buys through :meth:`collect`.
 """
 
 from __future__ import annotations
@@ -243,9 +245,10 @@ class SimulatedPlatform:
     def attach_faults(self, plan: "FaultPlan | None") -> "FaultInjector | None":
         """Install (or clear, with None) a fault-injection plan.
 
-        Faults act on the batch scheduler's seams, which every batch
+        Faults act on the batch scheduler's seams, which every operator's
         collection passes through; HIT batches (:meth:`collect_batched`),
-        online :meth:`ask` and :meth:`simulate_timeline` never see them.
+        online assignment (:meth:`ask`) and :meth:`simulate_timeline`
+        never see them.
         """
         from repro.faults.injector import FaultInjector
 
@@ -259,19 +262,14 @@ class SimulatedPlatform:
         the ``cache_*`` views on :class:`PlatformStats` and the cache object
         always agree. Only ask-and-close collection (``scheduler.run``, and
         so :meth:`collect`, with ``complete=True``) consults the cache;
-        round-structured callers keeping tasks open for more evidence, HIT
-        batches, and online :meth:`ask` assignment never do.
+        callers keeping tasks open for more evidence (the adaptive filter's
+        waves, Deco's dependent fetches), HIT batches, and online
+        assignment (:meth:`ask`) never do.
         """
         if cache is not None:
             cache.rebind_metrics(self.metrics)
         self.cache = cache
         return cache
-
-    @property
-    def parallel_batching(self) -> bool:
-        """True when the scheduler overlaps assignments on more than one
-        simulated-clock lane (draws always run on the caller's thread)."""
-        return self.scheduler.parallel
 
     # ------------------------------------------------------------------ #
     # Publishing & bookkeeping
@@ -400,7 +398,10 @@ class SimulatedPlatform:
         """Obtain one answer for *task*, charging its reward.
 
         When *worker* is None, a uniformly random active worker who has not
-        yet answered this task is chosen.
+        yet answered this task is chosen. Online assignment
+        (:mod:`repro.quality.assignment`) and :meth:`simulate_timeline` use
+        this; it bypasses the scheduler, so no fault, retry, failure policy,
+        breaker or cache applies.
         """
         if task.task_id not in self._tasks:
             self.publish([task])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.data.schema import CNULL, is_cnull
 from repro.errors import CacheError, ConfigurationError
+from repro.faults.plan import DeliveryFaults, FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.batch import BatchConfig
 from repro.platform.cache import (
@@ -258,6 +259,23 @@ class TestPlatformIntegration:
             a.reward_paid > 0
             for a in first.answers[task.task_id] + second.answers[task.task_id]
         )
+
+    def test_duplicated_deliveries_store_one_answer_per_worker(self):
+        platform = make_platform(cache=AnswerCache())
+        platform.attach_faults(FaultPlan(seed=3, delivery=DeliveryFaults(duplicate_rate=1.0)))
+        tasks = make_tasks(6)
+        cold = platform.collect(tasks, redundancy=3)
+        for task in tasks:
+            # Every delivery arrived twice; the entry keeps each worker once.
+            assert len(cold[task.task_id]) == 6
+            entry = platform.cache.entry(task_signature(task))
+            workers = [a.worker_id for a in entry.answers]
+            assert len(workers) == len(set(workers)) == 3
+        warm_tasks = make_tasks(6)
+        warm = platform.collect(warm_tasks, redundancy=3)
+        assert platform.cache.hits == 6
+        for task in warm_tasks:
+            assert len({a.worker_id for a in warm[task.task_id]}) == 3
 
     def test_degraded_duplicates_mirror_the_canonical_failure(self):
         config = BatchConfig(

@@ -258,7 +258,7 @@ class TestEngineIntegration:
     def test_engine_exposes_scheduler(self):
         engine = CrowdEngine(EngineConfig(seed=1, max_parallel=4))
         assert isinstance(engine.scheduler, BatchScheduler)
-        assert engine.platform.parallel_batching
+        assert engine.scheduler.parallel
 
     def test_parallel_operators_deterministic(self):
         def run():
@@ -280,7 +280,7 @@ class TestEngineIntegration:
 class TestRoundSchedulerBatched:
     def test_batched_rounds_report_makespan(self):
         platform = make_platform(batch=BatchConfig(batch_size=8, max_parallel=4, seed=6))
-        scheduler = RoundScheduler(platform, redundancy=2, use_batches=True)
+        scheduler = RoundScheduler(platform, redundancy=2)
         outcome = scheduler.run(
             make_tasks(6), lambda answers, i: make_tasks(3) if i < 3 else []
         )

@@ -127,7 +127,7 @@ class TestBatchFlags:
     def test_build_session_attaches_scheduler(self):
         session = build_session(seed=1, redundancy=3, pool_size=10, max_parallel=4)
         assert session.platform.scheduler is not None
-        assert session.platform.parallel_batching
+        assert session.platform.scheduler.parallel
 
     def test_batch_summary_printed_after_crowd_work(self, capsys):
         assert main(["--seed", "3", "--max-parallel", "4", "demo"]) == 0

@@ -7,8 +7,15 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import CrowdEngine
 from repro.core.requester import Requester
+from repro.deco import (
+    AnchorFetchRule,
+    ConceptualRelation,
+    DependentFetchRule,
+    single_column_group,
+)
 from repro.errors import BudgetExceededError, ConfigurationError, RetryExhaustedError
 from repro.lang.executor import CrowdOracle
+from repro.latency.rounds import RoundScheduler
 from repro.operators.findfixverify import proofreading_dataset
 from repro.operators.join import crossing_join
 from repro.platform.batch import BatchConfig
@@ -289,13 +296,20 @@ class TestEngineRobustness:
         assert twin.spent == pytest.approx(engine.spent)
 
 
-# Operators that buy answers through SimulatedPlatform.collect, each run on
-# a small input that asks the crowd, through the engine facade where one exists.
+# Operators that buy answers through the batch scheduler, each run on a
+# small input that asks the crowd, through the engine facade where one exists.
 _COLLECTING_OPERATORS = (
     "categorize", "count", "fill", "match_schemas", "plan", "find_fix_verify",
-    "rating_sort", "crossing_join",
+    "rating_sort", "crossing_join", "adaptive_filter", "anchor_fetch",
+    "dependent_fetch", "round_scheduler",
 )
 _PLAN_GRAPH = {"s": ["a", "b"], "a": ["t"], "b": ["t"], "t": []}
+
+
+def _relation():
+    relation = ConceptualRelation("r", ("name",), [single_column_group("cuisine")])
+    relation.add_anchor(name="r0")
+    return relation
 
 
 def _run_operator(engine, name):
@@ -324,6 +338,20 @@ def _run_operator(engine, name):
         return crossing_join(
             engine.platform, ["ab x", "cd y"], ["ab x", "ef z"], truth_fn=lambda a, b: a == b
         )
+    if name == "adaptive_filter":
+        return engine.filter(list(range(10)), "even?", lambda i: i % 2 == 0)
+    if name == "anchor_fetch":
+        relation = _relation()
+        return relation, AnchorFetchRule("Name one.").fetch(relation, engine.platform, 4)
+    if name == "dependent_fetch":
+        relation = _relation()
+        rule = DependentFetchRule("cuisine", truth_fn=lambda anchor, col: "thai")
+        return relation, rule.fetch(relation, engine.platform, {"name": "r0"}, times=4)
+    if name == "round_scheduler":
+        return RoundScheduler(engine.platform, redundancy=2).run(
+            make_choice_tasks(4, seed=1),
+            lambda answers, index: make_choice_tasks(2, seed=index) if index < 2 else [],
+        )
     assert name == "find_fix_verify"
     return engine.find_fix_verify(proofreading_dataset(2, seed=9))
 
@@ -348,6 +376,18 @@ def _assert_no_verdicts(engine, name, result):
     elif name == "crossing_join":
         assert result.matched_pairs == set() and result.questions_asked == 4
         assert result.answers_bought == 0
+    elif name == "adaptive_filter":
+        # Every item closes on no votes and is not kept.
+        assert result.kept == [] and result.questions_asked == 0
+        assert all(got == [] for got in result.answers_by_item.values())
+    elif name == "anchor_fetch":
+        relation, added = result
+        assert added == 0 and relation.anchor_keys == [("r0",)]
+    elif name == "dependent_fetch":
+        relation, fetched = result
+        assert fetched == 0 and relation.raw_count({"name": "r0"}, "cuisine") == 0
+    elif name == "round_scheduler":
+        assert result.round_count == 2 and result.total_answers == 0
     else:
         documents = proofreading_dataset(2, seed=9)
         assert result.corrected == [list(doc.words) for doc in documents]
@@ -384,11 +424,18 @@ class TestOperatorFailurePolicy:
         assert engine.stats.answers_collected == len(answers)
         assert engine.spent == pytest.approx(sum(a.reward_paid for a in answers))
 
+    @pytest.mark.parametrize("max_parallel", [1, 2, 8])
     @pytest.mark.parametrize("strategy", ["rating", "hybrid"])
     @pytest.mark.parametrize("policy", ["skip", "degrade"])
-    def test_unrated_items_rank_last_in_input_order(self, policy, strategy):
+    def test_unrated_items_rank_last_in_input_order(self, policy, strategy, max_parallel):
         engine = CrowdEngine(
-            EngineConfig(seed=5, abandon_rate=0.5, retry_limit=0, failure_policy=policy)
+            EngineConfig(
+                seed=5,
+                abandon_rate=0.5,
+                retry_limit=0,
+                failure_policy=policy,
+                max_parallel=max_parallel,
+            )
         )
         # A threshold above the scale's width marks every rated pair close.
         kwargs = {"close_threshold": 100.0} if strategy == "hybrid" else {}
