@@ -2,15 +2,15 @@
 
 Two plans over a listings table (>= 10k rows in full mode):
 
-* **filter -> join**: a crowd filter's survivors probe a machine-built
-  hash join while the filter's own batches are still in flight. The
-  reference is a plain per-row loop written here: one one-task
+* **filter -> join**: a crowd filter's survivors feed a machine hash
+  join. The reference is a plain per-row loop written here: one one-task
   ``platform.collect`` per new question, in row order, so its simulated
-  makespan is the sum of per-row makespans. Both executors plan the
-  statement's questions in row order and buy them in one scheduler run
-  that saturates all 8 lanes, so the barrier and pipelined executors give
-  bit-identical rows, stats and makespan at the same seed, heterogeneous
-  pool included, and the reference loop buys exactly the same answers.
+  makespan is the sum of per-row makespans. The barrier executor plans
+  the statement's questions in row order and buys them in one scheduler
+  run that saturates all 8 lanes. The plan has no LIMIT, so the
+  pipelined executor runs the same barrier path: both give bit-identical
+  rows, stats and makespan at the same seed, heterogeneous pool
+  included, and the reference loop buys exactly the same answers.
 * **filter -> topk**: ORDER BY ... LIMIT K above the crowd filter. The
   pipelined executor streams candidates in final order and, once K rows
   have been emitted, cancels every still-pending HIT upstream through
@@ -109,7 +109,7 @@ def _crowd_filter() -> CrowdPredicate:
 
 def _join_plan() -> LogicalPlan:
     # Machine prefix prunes ~half the rows vectorized; the crowd filter's
-    # survivors stream into the probe side of the machine hash join.
+    # survivors feed the machine hash join.
     predicate = And(Comparison(">", col("price"), lit(499)), _crowd_filter())
     root = JoinNode(
         CrowdFilterNode(ScanNode("listings"), predicate),

@@ -45,10 +45,10 @@ cache is on by default; ``--no-cache`` disables it). ``--cache FILE``
 persists the cache as JSONL across runs, Reprowd-style: a re-run of the
 same script replays every answer and publishes 0 new HITs.
 
-``--pipeline`` streams SELECTs through the pipelined executor: every
-crowd question of a statement is planned up front, waves of answers flow
-downstream as batches land, and TOP-K/LIMIT cancels still-pending
-upstream HITs (the saving shows up in the crowd accounting line).
+``--pipeline`` streams a LIMIT over a CROWDFILTER: once the LIMIT has
+its rows, the HITs it no longer needs are cancelled before they are
+published (the saving shows up in the crowd accounting line). Every
+other statement runs as it does without the flag.
 
 Robustness flags: ``--fault-plan FILE`` injects a declarative fault plan
 (see :mod:`repro.faults`); ``--hedge`` speculatively re-issues in-flight
@@ -132,8 +132,8 @@ def build_session(
     assignments (first answer wins, the losing copy is cancelled and
     refunded) — see :class:`repro.platform.batch.HedgeState`.
 
-    *pipeline* streams SELECTs through the pipelined executor (crowd
-    waves overlap across operators; TOP-K/LIMIT cancels pending HITs) —
+    *pipeline* streams a LIMIT over a CROWDFILTER, cancelling the HITs
+    the LIMIT no longer needs; every other statement runs unchanged —
     see :class:`repro.lang.streaming.StreamingExecutor`.
     """
     if trace_path is not None and not trace_path:
@@ -703,8 +703,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--pipeline",
         action="store_true",
-        help="stream SELECTs through the pipelined executor: crowd waves "
-        "overlap across operators and TOP-K/LIMIT cancels pending HITs",
+        help="stream a LIMIT over a CROWDFILTER, cancelling the HITs the "
+        "LIMIT no longer needs; other statements run unchanged",
     )
     parser.add_argument(
         "--failure-policy",

@@ -95,12 +95,11 @@ class EngineConfig:
             :meth:`~repro.core.engine.CrowdEngine.close` (render it with
             ``python -m repro profile-report FILE``). Implies
             ``metrics_enabled``.
-        pipeline: Execute SELECTs through the streaming pipelined
-            executor (:class:`~repro.lang.streaming.StreamingExecutor`):
-            answers flow downstream as each wave lands, and TOP-K/LIMIT
-            cancels still-pending upstream HITs. Off by default. Both
-            executors buy each crowd operator's questions in one scheduler
-            run, so without early termination they buy the same answers.
+        pipeline: Stream a LIMIT over a CROWDFILTER through
+            :class:`~repro.lang.streaming.StreamingExecutor`, which
+            cancels the HITs the LIMIT no longer needs. Every other
+            statement runs through the barrier executor either way. Off
+            by default.
     """
 
     redundancy: int = 3

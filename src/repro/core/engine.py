@@ -308,8 +308,9 @@ class CrowdEngine:
 
     def collect(self, question: str, max_queries: int, **kwargs: Any) -> CollectResult:
         """Open-world enumeration (requires collector workers in the pool)."""
+        stop_at_coverage = kwargs.pop("stop_at_coverage", None)
         op = CrowdCollect(self.platform, question, **kwargs)
-        return op.run(max_queries=max_queries)
+        return op.run(max_queries=max_queries, stop_at_coverage=stop_at_coverage)
 
     def fill(
         self,

@@ -17,6 +17,10 @@ OR/NOT) keep the per-row short-circuit of :meth:`Executor._eval_crowd`.
 The streaming executor (:mod:`repro.lang.streaming`) plans through the
 same step.
 
+Before any of that, :meth:`Executor.execute` derives every plan node's
+output schema (:meth:`Executor._schema_of`), so a statement that names a
+column its input lacks fails before it buys a crowd answer.
+
 Machine-side work runs on the column store's arrays where the plan shape
 allows it: scan/filter chains over a base table evaluate one fused
 predicate, crowd filters pre-drop rows whose machine-decidable prefix is
@@ -206,8 +210,9 @@ class Executor:
 
     def execute(self, plan: LogicalPlan) -> QueryResult:
         """Run a logical plan; returns rows plus crowd accounting."""
+        schema = self._schema_of(plan.root)  # raises before any purchase
         stats = ExecutionStats()
-        schema, rows = self._run(plan.root, stats)
+        _schema, rows = self._run(plan.root, stats)
         return QueryResult(
             columns=schema.column_names,
             rows=rows,
@@ -218,6 +223,42 @@ class Executor:
     # ------------------------------------------------------------------ #
     # Node dispatch
     # ------------------------------------------------------------------ #
+
+    def _schema_of(self, node: PlanNode) -> Schema:
+        """Output schema of *node*, derived without reading a row.
+
+        Raises the error a run would raise for a column a node's input
+        lacks (projection, ORDER BY, CROWDORDER BY, aggregate, GROUP BY)
+        and for join inputs that share a column name, so a statement that
+        must fail fails before any crowd purchase. :meth:`_run` relies on
+        this check having passed.
+        """
+        if isinstance(node, ScanNode):
+            return self.database.table(node.table).schema
+        if isinstance(node, (JoinNode, CrowdJoinNode)):
+            left, right = self._schema_of(node.left), self._schema_of(node.right)
+            clashes = set(left.column_names) & set(right.column_names)
+            if clashes:
+                raise ExecutionError(
+                    f"join inputs share column name(s) {sorted(clashes)}; "
+                    "rename columns so names are unique"
+                )
+            return left.join(right, "left", "right")
+        children = node.children()
+        if len(children) != 1:
+            raise ExecutionError(f"unknown plan node {type(node).__name__}")
+        schema = self._schema_of(children[0])
+        if isinstance(node, ProjectNode):
+            return schema.project(node.columns)
+        if isinstance(node, AggregateNode):
+            return self._aggregate_schema(node, schema)
+        if isinstance(node, OrderNode):
+            for column, _ascending in node.keys:
+                if column not in schema:
+                    raise ExecutionError(f"ORDER BY unknown column {column!r}")
+        if isinstance(node, CrowdOrderNode) and node.column not in schema:
+            raise ExecutionError(f"CROWDORDER BY unknown column {node.column!r}")
+        return schema
 
     def _run(self, node: PlanNode, stats: ExecutionStats) -> tuple[Schema, list[dict[str, Any]]]:
         if isinstance(node, ScanNode):
@@ -255,9 +296,6 @@ class Executor:
             return schema, unique
         if isinstance(node, OrderNode):
             schema, rows = self._run(node.child, stats)
-            for column, _ascending in node.keys:
-                if column not in schema:
-                    raise ExecutionError(f"ORDER BY unknown column {column!r}")
             return schema, self._apply_order(rows, node.keys)
         if isinstance(node, CrowdOrderNode):
             return self._run_crowd_order(node, stats)
@@ -500,6 +538,28 @@ class Executor:
             return max(values)
         raise ExecutionError(f"unknown aggregate {func!r}")
 
+    @staticmethod
+    def _aggregate_schema(node: AggregateNode, schema: Schema) -> Schema:
+        """Result schema of *node* over input *schema*: the grouping column
+        (if any), then one column per aggregate."""
+        for spec in node.aggregates:
+            if spec.column is not None and spec.column not in schema:
+                raise ExecutionError(f"aggregate over unknown column {spec.column!r}")
+        if node.group_by is not None and node.group_by not in schema:
+            raise ExecutionError(f"GROUP BY unknown column {node.group_by!r}")
+        columns: list[Column] = []
+        if node.group_by is not None:
+            columns.append(Column(node.group_by, schema.column(node.group_by).ctype))
+        for spec in node.aggregates:
+            if spec.func == "COUNT":
+                ctype = ColumnType.INTEGER
+            elif spec.func in ("SUM", "AVG"):
+                ctype = ColumnType.FLOAT
+            else:  # MIN / MAX inherit the source column type
+                ctype = schema.column(spec.column).ctype  # type: ignore[arg-type]
+            columns.append(Column(spec.output_name, ctype))
+        return Schema(columns)
+
     def _run_aggregate(
         self, node: AggregateNode, stats: ExecutionStats
     ) -> tuple[Schema, list[dict[str, Any]]]:
@@ -525,11 +585,6 @@ class Executor:
             def values_of(name: str) -> list[Any]:
                 return [row[name] for row in rows]
 
-        for spec in node.aggregates:
-            if spec.column is not None and spec.column not in schema:
-                raise ExecutionError(f"aggregate over unknown column {spec.column!r}")
-        if node.group_by is not None and node.group_by not in schema:
-            raise ExecutionError(f"GROUP BY unknown column {node.group_by!r}")
         inputs = {
             spec.column: values_of(spec.column)
             for spec in node.aggregates
@@ -558,20 +613,7 @@ class Executor:
                 out[spec.output_name] = self._aggregate_value(spec.func, values)
             return out
 
-        # Result schema: grouping column (if any) + one column per aggregate.
-        columns: list[Column] = []
-        if node.group_by is not None:
-            columns.append(Column(node.group_by, schema.column(node.group_by).ctype))
-        for spec in node.aggregates:
-            if spec.func == "COUNT":
-                ctype = ColumnType.INTEGER
-            elif spec.func in ("SUM", "AVG"):
-                ctype = ColumnType.FLOAT
-            else:  # MIN / MAX inherit the source column type
-                ctype = schema.column(spec.column).ctype  # type: ignore[arg-type]
-            columns.append(Column(spec.output_name, ctype))
-        out_schema = Schema(columns)
-
+        out_schema = self._aggregate_schema(node, schema)
         if node.group_by is None:
             return out_schema, [compute(range(n))]
         buckets: dict[Any, list[int]] = {}
@@ -631,12 +673,6 @@ class Executor:
         left_schema, left_rows = self._run(node.left, stats)
         right_schema, right_rows = self._run(node.right, stats)
         joined_schema = left_schema.join(right_schema, "left", "right")
-        clashes = set(left_schema.column_names) & set(right_schema.column_names)
-        if clashes:
-            raise ExecutionError(
-                f"join inputs share column name(s) {sorted(clashes)}; "
-                "rename columns so names are unique"
-            )
         out = []
         if crowd:
             with operator_span(
@@ -715,12 +751,6 @@ class Executor:
         rtab, rpos = rres
         left_schema, right_schema = ltab.schema, rtab.schema
         joined_schema = left_schema.join(right_schema, "left", "right")
-        clashes = set(left_schema.column_names) & set(right_schema.column_names)
-        if clashes:
-            raise ExecutionError(
-                f"join inputs share column name(s) {sorted(clashes)}; "
-                "rename columns so names are unique"
-            )
         split = self._equi_split(node.condition, left_schema, right_schema)
         if split is None:
             return None
@@ -740,7 +770,7 @@ class Executor:
         # Matched pairs are still built row by row through row_dict, one dict
         # per distinct input row: perfbench's data.materialize_ms wraps only
         # row_dict, so this loop moves to rows_at with the benchmark change
-        # that counts rows_at (ROADMAP item 8).
+        # that counts rows_at (ROADMAP item 9).
         res_expr = conjoin(residual) if residual else None
         lrids = ltab.rowids()[lpos] if lpos.size != len(ltab) else ltab.rowids()
         rrids = rtab.rowids()[rpos] if rpos.size != len(rtab) else rtab.rowids()
@@ -845,8 +875,6 @@ class Executor:
         self, node: CrowdOrderNode, stats: ExecutionStats
     ) -> tuple[Schema, list[dict[str, Any]]]:
         schema, rows = self._run(node.child, stats)
-        if node.column not in schema:
-            raise ExecutionError(f"CROWDORDER BY unknown column {node.column!r}")
         if len(rows) < 2:
             return schema, rows
         values = [row[node.column] for row in rows]

@@ -90,11 +90,11 @@ class CrowdSQLSession:
         profiler: Optional :class:`~repro.obs.profiler.QueryProfiler`;
             when set, every executed statement is bracketed and lands in
             the profile document.
-        pipeline: Stream SELECTs through the
-            :class:`~repro.lang.streaming.StreamingExecutor` (answers flow
-            downstream per wave; TOP-K/LIMIT cancels pending upstream
-            HITs). Off by default; without early termination both
-            executors buy the same answers.
+        pipeline: Run SELECTs through the
+            :class:`~repro.lang.streaming.StreamingExecutor`, which
+            streams a LIMIT over a CROWDFILTER and cancels the HITs the
+            LIMIT no longer needs; every other statement runs through the
+            barrier executor either way. Off by default.
     """
 
     def __init__(

@@ -1,36 +1,35 @@
-"""Streaming pipelined executor: crowd answers flow downstream per wave.
+"""Streaming executor: a LIMIT over a CROWDFILTER cancels HITs it won't read.
 
 The barrier :class:`~repro.lang.executor.Executor` buys each crowd
-operator's questions in one scheduler run but hands its consumer nothing
-until the whole run lands, so an early-terminating consumer (TOP-K, LIMIT)
-keeps paying for upstream answers it will never read.
+operator's questions in one scheduler run and hands its consumer nothing
+until the whole run lands, so a LIMIT above a crowd filter pays for every
+answer below it.
 
-:class:`StreamingExecutor` compiles supported plan shapes into a pipeline:
+:class:`StreamingExecutor` compiles exactly one plan shape: a LIMIT over
+optional DISTINCT, projection and ORDER BY, above a CROWDFILTER with one
+crowd conjunct (behind an optional machine prefix) on a machine-only child.
 
-* the machine-decidable input (scan/filter chains, the join's hash side)
-  is resolved vectorized up front via the columnar fast paths;
-* every crowd question of the statement is planned by the barrier
-  executor's planning step (:meth:`Executor._plan_questions`) on the
-  caller's thread in row order, then handed to the
+* the machine-only child is resolved vectorized up front via the columnar
+  fast paths; under an ORDER BY its rows are pre-sorted, so emission order
+  is final order;
+* every crowd question is planned by the barrier executor's planning step
+  (:meth:`Executor._plan_questions`) in row order, then handed to the
   :class:`~repro.platform.batch.BatchScheduler` as *one* run;
 * cache hits are decided before the first wave, and as each batch (a
-  *wave*) lands, verdicts propagate downstream immediately — a crowd
-  filter feeds the join's probe side while its remaining waves are still
-  pending;
-* early termination propagates *upstream*: once TOP-K/LIMIT has emitted
-  enough rows, still-pending HITs are cancelled through the scheduler's
-  cancel seam (the one hedging refunds ride through), never published,
-  and the avoided spend is booked in ``ExecutionStats``, platform stats,
-  metrics, and the profiler.
+  *wave*) lands its verdicts are emitted in planning order;
+* once the LIMIT has emitted enough rows, still-pending HITs are cancelled
+  through the scheduler's cancel seam (the one hedging refunds ride
+  through), never published, and the avoided spend is booked in
+  ``ExecutionStats``, platform stats, metrics, and the profiler.
 
-Determinism: both executors plan the same questions in the same order and
-buy them in one run, so with no early termination the votes, verdicts,
-rows, cache entries and simulated clock equal the barrier executor's at
-the same seed — at any ``max_parallel``. TOP-K pre-sorts its candidates
-(stable sort commutes with filtering), which reorders question planning;
-that path trades the barrier-identical RNG stream for cancelled HITs, by
-design. Plan shapes the compiler does not cover fall back to the
-inherited barrier implementation unchanged.
+Every other plan runs through the inherited barrier implementation:
+without a LIMIT over a crowd filter nothing can be cancelled, so a stream
+would buy exactly what the barrier buys. Without an ORDER BY the stream
+plans the barrier's questions in the barrier's order, so a LIMIT that is
+never reached leaves votes, rows, stats, cache entries and the simulated
+clock equal to the barrier's at the same seed. The ORDER BY pre-sort
+reorders question planning: that path trades the barrier-identical RNG
+stream for cancelled HITs, by design.
 """
 
 from __future__ import annotations
@@ -38,19 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.data.expressions import (
-    CrowdPredicate,
-    Expression,
-    conjoin,
-    contains_crowd_predicate,
-)
-from repro.data.schema import Schema
-from repro.errors import ExecutionError
+from repro.data.expressions import CrowdPredicate, Expression
 from repro.lang.executor import ExecutionStats, Executor, QueryResult, distinct_key
 from repro.lang.planner import (
     CrowdFilterNode,
     DistinctNode,
-    JoinNode,
     LimitNode,
     LogicalPlan,
     OrderNode,
@@ -70,38 +61,35 @@ class _Unsupported(Exception):
 
 @dataclass
 class _Pipeline:
-    """One compiled streaming statement: a crowd filter stage plus sinks.
+    """One compiled streaming statement: a crowd filter stage under a LIMIT.
 
     Attributes:
         filter_node: The crowd filter whose verdicts drive the stream.
         prefix: Machine-decidable conjunction evaluated per row before any
             crowd question is planned (None when the predicate is bare).
         predicate: The single crowd conjunct the stream resolves.
-        join: Machine join the filter's survivors probe into (or None).
         order: ORDER BY keys above the stream (or None).
         project: Projection columns above the stream (or None).
         distinct: Whether DISTINCT applies to emitted rows.
-        limit: LIMIT above the stream (or None) — the early-termination
-            trigger.
+        limit: The LIMIT whose rows, once emitted, cancel pending HITs.
     """
 
     filter_node: CrowdFilterNode
     prefix: Expression | None
     predicate: CrowdPredicate
-    join: JoinNode | None
     order: tuple[tuple[str, bool], ...] | None
     project: tuple[str, ...] | None
     distinct: bool
-    limit: int | None
+    limit: int
 
 
 class StreamingExecutor(Executor):
-    """Pipelined drop-in for :class:`Executor` (the ``pipeline=on`` path).
+    """Drop-in for :class:`Executor` (the ``pipeline=True`` path).
 
-    Construction matches :class:`Executor`. Statements whose plan compiles
-    to a supported pipeline stream their crowd waves; everything else runs
-    through the inherited barrier implementation, so every statement the
-    barrier executor accepts is accepted here too.
+    Construction matches :class:`Executor`. A LIMIT over a single-crowd-
+    conjunct CROWDFILTER streams its crowd waves and cancels the HITs the
+    LIMIT no longer needs; every other statement runs through the
+    inherited barrier implementation.
     """
 
     def execute(self, plan: LogicalPlan) -> QueryResult:
@@ -110,10 +98,11 @@ class StreamingExecutor(Executor):
             pipe = self._compile(plan.root)
         except _Unsupported:
             return super().execute(plan)
+        columns = self._schema_of(plan.root).column_names  # raises before any purchase
         stats = ExecutionStats()
-        schema, rows = self._run_pipeline(pipe, stats)
+        rows = self._run_pipeline(pipe, columns, stats)
         return QueryResult(
-            columns=schema.column_names,
+            columns=columns,
             rows=rows,
             stats=stats,
             plan_text=plan.explain(),
@@ -124,58 +113,40 @@ class StreamingExecutor(Executor):
     # ------------------------------------------------------------------ #
 
     def _compile(self, node: PlanNode) -> _Pipeline:
-        """Peel sinks off *node* down to one streamable crowd filter stage.
+        """Peel a LIMIT and its sinks off *node* down to one crowd filter.
 
         Raises :class:`_Unsupported` for any other shape; the caller falls
         back to barrier execution.
         """
-        limit: int | None = None
-        distinct = False
+        if not isinstance(node, LimitNode):
+            # Nothing can cancel: the barrier buys the same answers.
+            raise _Unsupported
+        limit = node.limit
+        node = node.child
+        distinct = isinstance(node, DistinctNode)
+        if distinct:
+            node = node.child
         project: tuple[str, ...] | None = None
-        order: tuple[tuple[str, bool], ...] | None = None
-        if isinstance(node, LimitNode):
-            limit = node.limit
-            node = node.child
-        if isinstance(node, DistinctNode):
-            distinct = True
-            node = node.child
         if isinstance(node, ProjectNode):
             project = node.columns
             node = node.child
+        order: tuple[tuple[str, bool], ...] | None = None
         if isinstance(node, OrderNode):
             order = node.keys
             node = node.child
-        join: JoinNode | None = None
-        if isinstance(node, JoinNode):
-            # Crowd filter below a machine join: survivors stream into the
-            # probe side while the hash side builds from machine columns.
-            if contains_crowd_predicate(node.condition):
-                raise _Unsupported
-            if not isinstance(node.left, CrowdFilterNode):
-                raise _Unsupported
-            if not machine_only(node.right):
-                raise _Unsupported
-            join = node
-            node = node.left
-        if not isinstance(node, CrowdFilterNode):
-            raise _Unsupported
-        if not contains_crowd_predicate(node.predicate):
-            # Degenerate crowd filter over a machine predicate: the barrier
-            # path already vectorizes it without any crowd purchase.
-            raise _Unsupported
-        if not machine_only(node.child):
+        if not isinstance(node, CrowdFilterNode) or not machine_only(node.child):
             raise _Unsupported
         shape = self._single_crowd(node.predicate)
         if shape is None:
-            # Multi-crowd-conjunct trees (and OR/NOT shapes) keep the
-            # barrier's short-circuit purchase order.
+            # A machine-only predicate buys nothing; multi-crowd-conjunct
+            # trees (and OR/NOT shapes) keep the barrier's short-circuit
+            # purchase order.
             raise _Unsupported
         prefix, predicate = shape
         return _Pipeline(
             filter_node=node,
             prefix=prefix,
             predicate=predicate,
-            join=join,
             order=order,
             project=project,
             distinct=distinct,
@@ -186,122 +157,39 @@ class StreamingExecutor(Executor):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def _build_probe(
-        self,
-        left_schema: Schema,
-        right_schema: Schema,
-        right_rows: list[dict[str, Any]],
-        condition: Expression,
-    ):
-        """Probe closure for one left row; hash side is built eagerly.
-
-        Match emission order per left row equals the barrier join's (right
-        insertion order), so streamed output is row-identical.
-        """
-        split = self._equi_split(condition, left_schema, right_schema)
-        if split is None:
-
-            def nested(lrow: dict[str, Any]) -> list[dict[str, Any]]:
-                out = []
-                for rrow in right_rows:
-                    merged = {**lrow, **rrow}
-                    if condition.evaluate(merged) is True:
-                        out.append(merged)
-                return out
-
-            return nested
-        keys, residual = split
-        lcols = [a for a, _ in keys]
-        rcols = [b for _, b in keys]
-        index: dict[tuple[Any, ...], list[int]] = {}
-        for i, rrow in enumerate(right_rows):
-            key = self._join_key([rrow[c] for c in rcols])
-            if key is not None:
-                index.setdefault(key, []).append(i)
-        res_expr = conjoin(residual) if residual else None
-
-        def probe(lrow: dict[str, Any]) -> list[dict[str, Any]]:
-            key = self._join_key([lrow[c] for c in lcols])
-            if key is None:
-                return []
-            out = []
-            for i in index.get(key, ()):
-                merged = {**lrow, **right_rows[i]}
-                if res_expr is None or res_expr.evaluate(merged) is True:
-                    out.append(merged)
-            return out
-
-        return probe
-
     def _run_pipeline(
-        self, pipe: _Pipeline, stats: ExecutionStats
-    ) -> tuple[Schema, list[dict[str, Any]]]:
-        """Plan every crowd question, then stream verdict waves into sinks."""
-        child_schema, rows = self._run(pipe.filter_node.child, stats)
-        probe = None
-        schema = child_schema
-        if pipe.join is not None:
-            right_schema, right_rows = self._run(pipe.join.right, stats)
-            clashes = set(child_schema.column_names) & set(right_schema.column_names)
-            if clashes:
-                raise ExecutionError(
-                    f"join inputs share column name(s) {sorted(clashes)}; "
-                    "rename columns so names are unique"
-                )
-            schema = child_schema.join(right_schema, "left", "right")
-            probe = self._build_probe(
-                child_schema, right_schema, right_rows, pipe.join.condition
-            )
+        self, pipe: _Pipeline, columns: tuple[str, ...], stats: ExecutionStats
+    ) -> list[dict[str, Any]]:
+        """Plan every crowd question, then stream verdict waves to the LIMIT."""
+        _schema, rows = self._run(pipe.filter_node.child, stats)
         if pipe.order is not None:
-            for column, _ascending in pipe.order:
-                if column not in schema:
-                    raise ExecutionError(f"ORDER BY unknown column {column!r}")
-        out_schema = schema.project(pipe.project) if pipe.project is not None else schema
-
-        # TOP-K: pre-sort the candidates so emission order is final order
-        # and the limit can cancel everything past the k-th survivor.
-        # Stable sort commutes with filtering, so rows match the barrier's
-        # filter-then-sort exactly.
-        topk = pipe.order is not None and pipe.limit is not None and pipe.join is None
-        if topk:
+            # TOP-K: stable sort commutes with filtering, so rows match the
+            # barrier's filter-then-sort exactly.
             rows = self._apply_order(rows, pipe.order)
-        # ORDER BY without a limit (or above a join) needs every survivor
-        # before it can sort: collect, then sort at the end.
-        drain = pipe.order is not None and not topk
 
         # The barrier executor's planning step: questions in row order, one
         # signature each, one task per new signature.
         planned, tasks = self._plan_questions(pipe.prefix, pipe.predicate, rows, stats)
-        operator = "crowd_join" if pipe.join is not None else "crowd_filter"
         metrics = self.platform.metrics
+        labels = {"operator": "crowd_filter"}
 
         out: list[dict[str, Any]] = []
-        survivors: list[dict[str, Any]] = []
         seen: set[tuple[Any, ...]] = set()
-        state = {"frontier": 0, "done": False}
+        state = {"frontier": 0, "done": pipe.limit <= 0}
         resolved_ids: set[str] = set()
         cancelled_ids: set[str] = set()
 
         def emit(row: dict[str, Any]) -> None:
-            matches = probe(row) if probe is not None else [row]
-            for merged in matches:
-                if drain:
-                    survivors.append(merged)
-                    continue
-                final = (
-                    {c: merged[c] for c in pipe.project}
-                    if pipe.project is not None
-                    else merged
-                )
-                if pipe.distinct:
-                    key = distinct_key(final, out_schema.column_names)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                out.append(final)
-                if pipe.limit is not None and len(out) >= pipe.limit:
-                    state["done"] = True
+            if pipe.project is not None:
+                row = {c: row[c] for c in pipe.project}
+            if pipe.distinct:
+                key = distinct_key(row, columns)
+                if key in seen:
                     return
+                seen.add(key)
+            out.append(row)
+            if len(out) >= pipe.limit:
+                state["done"] = True
 
         def advance() -> None:
             # Emission strictly follows planning order: a resolved verdict
@@ -324,9 +212,7 @@ class StreamingExecutor(Executor):
                 self._decide(task, run_result.answers.get(task.task_id, []), stats)
             advance()
             in_flight = len(tasks) - len(resolved_ids) - len(cancelled_ids)
-            metrics.set_gauge(
-                "operators.in_flight", float(in_flight), labels={"operator": operator}
-            )
+            metrics.set_gauge("operators.in_flight", float(in_flight), labels=labels)
 
         def cancel(task: Task) -> str | None:
             if state["done"]:
@@ -334,8 +220,6 @@ class StreamingExecutor(Executor):
                 return "early_termination"
             return None
 
-        if pipe.limit is not None and pipe.limit <= 0:
-            state["done"] = True
         advance()  # memoized/pruned verdicts may already decide a prefix
 
         pstats = self.platform.stats
@@ -343,9 +227,7 @@ class StreamingExecutor(Executor):
         cancelled0 = pstats.tasks_cancelled
         refund0 = pstats.cancel_cost_refunded
         if tasks:
-            metrics.set_gauge(
-                "operators.in_flight", float(len(tasks)), labels={"operator": operator}
-            )
+            metrics.set_gauge("operators.in_flight", float(len(tasks)), labels=labels)
             run_result = self.platform.scheduler.run(
                 tasks,
                 redundancy=self.redundancy,
@@ -360,26 +242,8 @@ class StreamingExecutor(Executor):
                     continue
                 self._decide(task, run_result.answers.get(task.task_id, []), stats)
             advance()
-            metrics.set_gauge(
-                "operators.in_flight", 0.0, labels={"operator": operator}
-            )
+            metrics.set_gauge("operators.in_flight", 0.0, labels=labels)
         stats.crowd_cost += pstats.cost_spent - cost0
         stats.tasks_cancelled += int(pstats.tasks_cancelled - cancelled0)
         stats.cost_avoided += pstats.cancel_cost_refunded - refund0
-
-        if drain:
-            ordered = self._apply_order(survivors, pipe.order)
-            if pipe.project is not None:
-                ordered = [{c: r[c] for c in pipe.project} for r in ordered]
-            if pipe.distinct:
-                unique = []
-                for row in ordered:
-                    key = distinct_key(row, out_schema.column_names)
-                    if key not in seen:
-                        seen.add(key)
-                        unique.append(row)
-                ordered = unique
-            if pipe.limit is not None:
-                ordered = ordered[: pipe.limit]
-            return out_schema, ordered
-        return out_schema, out
+        return out

@@ -16,12 +16,15 @@ from repro.deco import (
 from repro.errors import BudgetExceededError, ConfigurationError, RetryExhaustedError
 from repro.lang.executor import CrowdOracle
 from repro.latency.rounds import RoundScheduler
+from repro.operators.collect import CrowdCollect, bind_zipf_knowledge
 from repro.operators.findfixverify import proofreading_dataset
 from repro.operators.join import crossing_join
 from repro.platform.batch import BatchConfig
 from repro.platform.platform import SimulatedPlatform
 from repro.quality.truth import DawidSkene
+from repro.workers.models import CollectorModel
 from repro.workers.pool import WorkerPool
+from repro.workers.worker import Worker
 
 from conftest import make_choice_tasks
 
@@ -104,6 +107,22 @@ class TestEngineFacade:
         items = list(range(500))
         result = engine.count(items, "under 100?", lambda i: i < 100, sample_size=100)
         assert 0 <= result.value <= 500
+
+    def test_collect_stops_at_coverage(self):
+        def collector_engine() -> CrowdEngine:
+            pool = WorkerPool([Worker(model=CollectorModel()) for _ in range(10)], seed=2)
+            bind_zipf_knowledge(
+                pool, [f"shop {i}" for i in range(30)], knowledge_size=8, seed=3
+            )
+            return CrowdEngine(EngineConfig(seed=4), pool=pool)
+
+        facade = collector_engine()
+        got = facade.collect("Name a shop.", 400, stop_at_coverage=0.9)
+        direct = collector_engine()
+        want = CrowdCollect(direct.platform, "Name a shop.").run(400, stop_at_coverage=0.9)
+        assert got.queries_issued == want.queries_issued < 400
+        assert got.items == want.items
+        assert facade.spent == direct.spent
 
     def test_fill_via_engine(self, engine):
         engine.sql(

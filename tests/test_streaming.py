@@ -4,7 +4,8 @@ The contract under test (DESIGN.md §12): with ``pipeline=on`` and no early
 termination, rows *and* stats are bit-identical to the barrier executor at
 the same seed; TOP-K/LIMIT cancels still-pending HITs through the
 scheduler's cancel seam without double-counting spend or poisoning the
-answer cache; unsupported plan shapes fall back to the barrier path.
+answer cache; every other plan shape runs the barrier path; a statement
+naming an unknown column fails before any purchase under either executor.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.data.database import Database
 from repro.data.expressions import And, Comparison, CrowdPredicate, col, lit
 from repro.data.persistence import load_database, save_database
 from repro.data.schema import SchemaBuilder
+from repro.errors import ExecutionError, UnknownColumnError
 from repro.lang.executor import CrowdOracle, Executor
 from repro.lang.interpreter import CrowdSQLSession
 from repro.lang.planner import (
@@ -24,7 +26,7 @@ from repro.lang.planner import (
     ScanNode,
 )
 from repro.lang.streaming import StreamingExecutor, _Unsupported
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, normalize_labels, series_key
 from repro.obs.profiler import QueryProfiler
 from repro.obs.prom import render_prometheus
 from repro.platform.batch import BatchConfig
@@ -323,9 +325,12 @@ class TestCancellationAccounting:
     def test_in_flight_gauge_returns_to_zero(self):
         registry = MetricsRegistry(enabled=True)
         piped = make_session(pipeline=True, metrics=registry)
-        piped.query(FILTER_SQL)
-        gauge = registry.gauge("operators.in_flight", labels={"operator": "crowd_filter"})
-        assert gauge.value == 0.0
+        piped.query(TOPK_SQL)
+        # Reading through registry.gauge() would create a missing series at
+        # 0.0, so first check the stream set it.
+        key = series_key("operators.in_flight", normalize_labels({"operator": "crowd_filter"}))
+        assert key in registry.gauges
+        assert registry.gauges[key].value == 0.0
 
     def test_cancellation_counter_labeled_by_reason(self):
         registry = MetricsRegistry(enabled=True)
@@ -431,9 +436,71 @@ class TestFallback:
         machine = CrowdFilterNode(
             ScanNode("items"), Comparison(">", col("price"), lit(10))
         )
-        for root in (crowd_join, two_conjuncts, machine):
+        # Without a LIMIT nothing can cancel, so the barrier buys the same
+        # answers; a join, machine or crowd, is never streamed.
+        bare = CrowdFilterNode(ScanNode("items"), crowd_filter())
+        ordered = OrderNode(
+            CrowdFilterNode(ScanNode("items"), crowd_filter()), (("price", False),)
+        )
+        for root in (
+            LimitNode(crowd_join, 5),
+            LimitNode(two_conjuncts, 5),
+            LimitNode(machine, 5),
+            bare,
+            ordered,
+            join_plan().root,
+            LimitNode(join_plan().root, 5),
+        ):
             with pytest.raises(_Unsupported):
                 executor._compile(root)
+        assert executor._compile(topk_plan().root).limit == 5
+        bare_limit = LimitNode(CrowdFilterNode(ScanNode("items"), crowd_filter()), 5)
+        assert executor._compile(bare_limit).limit == 5
+
+
+class TestUnknownColumnsBeforePurchase:
+    """A statement that names a column its input lacks fails before any
+    crowd question is bought, with the error the run itself would raise."""
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize(
+        "sql, error, message",
+        [
+            (
+                "SELECT name FROM items WHERE CROWDFILTER(name, 'q?') ORDER BY nosuch",
+                ExecutionError,
+                "ORDER BY unknown column 'nosuch'",
+            ),
+            (
+                "SELECT nosuch FROM items WHERE CROWDFILTER(name, 'q?')",
+                UnknownColumnError,
+                "no column 'nosuch'; available: id, name, cat, price",
+            ),
+            (
+                "SELECT COUNT(nosuch) FROM items WHERE CROWDFILTER(name, 'q?')",
+                ExecutionError,
+                "aggregate over unknown column 'nosuch'",
+            ),
+            (
+                "SELECT COUNT(*) FROM items WHERE CROWDFILTER(name, 'q?') GROUP BY nosuch",
+                ExecutionError,
+                "GROUP BY unknown column 'nosuch'",
+            ),
+            (
+                "SELECT name FROM items WHERE CROWDFILTER(name, 'q?') CROWDORDER BY nosuch",
+                ExecutionError,
+                "CROWDORDER BY unknown column 'nosuch'",
+            ),
+        ],
+    )
+    def test_rejected_before_any_purchase(self, sql, error, message, pipeline):
+        session = make_session(pipeline=pipeline)
+        with pytest.raises(error) as raised:
+            session.query(sql)
+        assert raised.type is error
+        assert str(raised.value) == message
+        assert session.platform.stats.cost_spent == 0.0
+        assert session.platform.stats.tasks_published == 0
 
 
 class TestWiring:
