@@ -8,14 +8,15 @@ real deployment would simply omit (workers would supply knowledge instead).
 A crowd operator posts its questions as one batch of HITs, as CrowdDB and
 Qurk do. A CROWDFILTER, a CROWDJOIN, or the crowd WHERE of UPDATE/DELETE
 renders each row's question in row order, computes its content signature
-once, skips what the statement's verdict memo already decided, and buys
-every new question in one ``platform.collect`` (one scheduler run); each
-verdict is then decided per task. The signature rides on the task, so the
-answer cache never hashes it again. Only conditions where a later question
-depends on an earlier verdict (two or more crowd predicates, or one under
-OR/NOT) keep the per-row short-circuit of :meth:`Executor._eval_crowd`.
-The streaming executor (:mod:`repro.lang.streaming`) plans through the
-same step.
+once (one ``question_signer`` per call encodes all but the question, so
+a row costs one hash), skips what the statement's verdict memo already
+decided, and buys every new question in one ``platform.collect`` (one
+scheduler run); each verdict is then decided per task. The signature
+rides on the task, so the answer cache never hashes it again. Only
+conditions where a later question depends on an earlier verdict (two or
+more crowd predicates, or one under OR/NOT) keep the per-row short-circuit
+of :meth:`Executor._eval_crowd`. The streaming executor
+(:mod:`repro.lang.streaming`) plans through the same step.
 
 Before any of that, :meth:`Executor.execute` derives every plan node's
 output schema (:meth:`Executor._schema_of`), so a statement that names a
@@ -86,7 +87,12 @@ from repro.lang.planner import (
 from repro.obs.instrument import operator_span
 from repro.operators.fill import CrowdFill
 from repro.operators.sort import CrowdComparator, merge_sort_crowd
-from repro.platform.cache import signature_of
+# signature_of is not called here: planning signs through question_signer.
+# Kept so perfbench's tracer, which wraps this module's signature_of, finds it.
+from repro.platform.cache import (
+    question_signer,
+    signature_of,  # noqa: F401
+)
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
 from repro.quality.truth import MajorityVote, TruthInference
@@ -1039,12 +1045,14 @@ class Executor:
         each task carries its signature. A row whose machine *prefix* is
         False asks nothing (signature None). A NULL prefix still asks but
         poisons the row (``ok`` False), exactly as :meth:`_eval_crowd`'s
-        And does. Similarity-pruned questions are decided False here.
+        And does. Similarity-pruned questions are decided False here. Every
+        question is a yes/no one, so one signer signs them all.
         """
         planned: list[tuple[bool, str | None]] = []
         tasks: list[Task] = []
         new: set[str] = set()
         verdicts = self._verdicts
+        sign = question_signer(TaskType.SINGLE_CHOICE, (YES, NO))
         for row in rows:
             ok = True
             if prefix is not None:
@@ -1054,7 +1062,7 @@ class Executor:
                     continue
                 ok = value is not None
             question, values = self._crowd_question(predicate, row)
-            signature = signature_of(TaskType.SINGLE_CHOICE, question, (YES, NO))
+            signature = sign(question)
             if signature not in verdicts and signature not in new:
                 task = self._plan_task(predicate, question, values, stats)
                 if task is None:

@@ -489,12 +489,15 @@ class BatchScheduler:
             while pending:
                 if cancel is not None:
                     kept: list[Task] = []
+                    dropped: list[tuple[Task, str]] = []
                     for task in pending:
                         reason = cancel(task)
                         if reason is None:
                             kept.append(task)
                         else:
-                            self._cancel_task(task, reason, redundancy)
+                            dropped.append((task, reason))
+                    if dropped:
+                        self._cancel_tasks(dropped, redundancy)
                     pending = deque(kept)
                     if not pending:
                         break
@@ -612,23 +615,32 @@ class BatchScheduler:
                 "task.failed", task_id=info.task_id, reason=info.reason
             )
 
-    def _cancel_task(self, task: Task, reason: str, redundancy: int) -> None:
-        """Drop a still-pending *task* before publication and book the saving.
+    def _cancel_tasks(self, dropped: list[tuple[Task, str]], redundancy: int) -> None:
+        """Drop still-pending tasks before publication and book the saving.
 
-        The task was never published, priced, or charged, so the "refund" is
-        spend *avoided*: the price the task would have cost at the requested
-        redundancy. Counted in stats/metrics so early termination shows up
-        in batch summaries, the profiler, and Prometheus scrapes.
+        *dropped* holds one cancel pass's ``(task, reason)`` pairs. A task
+        was never published, priced, or charged, so its "refund" is spend
+        *avoided*: the price it would have cost at the requested
+        redundancy, added task by task in pass order. Counted in
+        stats/metrics, once per pass and once per reason, so early
+        termination shows up in batch summaries, the profiler, and
+        Prometheus scrapes.
         """
         platform = self.platform
-        refund = platform.pricing.price(task) * redundancy
-        platform.stats.tasks_cancelled += 1
-        platform.stats.cancel_cost_refunded += refund
-        platform.metrics.inc("batch.cancellations", labels={"reason": reason})
-        if platform.tracer.enabled:
-            platform.tracer.annotate(
-                "batch.cancel", task_id=task.task_id, reason=reason
-            )
+        stats = platform.stats
+        refunded = stats.cancel_cost_refunded
+        reasons: dict[str, int] = {}
+        for task, reason in dropped:
+            refunded += platform.pricing.price(task) * redundancy
+            reasons[reason] = reasons.get(reason, 0) + 1
+            if platform.tracer.enabled:
+                platform.tracer.annotate(
+                    "batch.cancel", task_id=task.task_id, reason=reason
+                )
+        stats.tasks_cancelled += len(dropped)
+        stats.cancel_cost_refunded = refunded
+        for reason, count in reasons.items():
+            platform.metrics.inc("batch.cancellations", count, labels={"reason": reason})
 
     # ------------------------------------------------------------------ #
     # One batch

@@ -48,11 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
-from repro.errors import CacheError, ConfigurationError
+from repro.errors import CacheError, CheckpointError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.task import Answer, Task, TaskType
 
@@ -73,6 +74,73 @@ CACHE_METRICS = (
 )
 
 
+#: Encodes a signature's JSON: sorted keys, compact, non-ASCII kept.
+_SIGNATURE_JSON = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":")
+)
+
+#: Per task type, the JSON after the question: the keys that sort after
+#: "question", as an object's closing part (``{"type":...,"v":1}`` minus "{").
+_SIGNATURE_TAILS = {
+    task_type: ","
+    + _SIGNATURE_JSON.encode({"type": task_type.value, "v": CACHE_FORMAT_VERSION})[1:]
+    for task_type in TaskType
+}
+
+
+def _unsigned(question: str) -> None:
+    """The signer of an uncacheable question: no signature."""
+    return None
+
+
+def question_signer(
+    task_type: TaskType,
+    options: Sequence[Any] = (),
+    payload: "dict[str, Any] | None" = None,
+    difficulty: float = 0.0,
+) -> Callable[[str], "str | None"]:
+    """``sign(question)`` for questions that share every other part.
+
+    A signature is the sha256 of the sorted-key JSON of ``difficulty``,
+    ``options``, ``payload``, ``question``, ``type`` and ``v``. The JSON
+    before and after the question is encoded here, once; ``sign`` only
+    normalizes the question's whitespace, encodes it as a JSON string and
+    hashes the three pieces. The pieces are built from the keys on either
+    side of ``question``, never by splitting on a marker string an option
+    or payload value could contain. An uncacheable question kind
+    (``COLLECT``, an opaque payload value) gets a signer that returns None.
+    """
+    if task_type is TaskType.COLLECT:
+        return _unsigned
+    # Lazy import: recovery.checkpoint imports platform.platform at module
+    # level, and this module must stay importable from the platform package.
+    from repro.recovery.checkpoint import encode_value
+
+    content_payload = {
+        key: value
+        for key, value in (payload or {}).items()
+        if key not in POSITIONAL_PAYLOAD_KEYS
+    }
+    try:
+        encoded_options = [encode_value(option) for option in options]
+        encoded_payload = [
+            [key, encode_value(content_payload[key])] for key in sorted(content_payload)
+        ]
+    except CheckpointError:
+        return _unsigned
+    encode = _SIGNATURE_JSON.encode
+    before = {"difficulty": difficulty, "options": encoded_options, "payload": encoded_payload}
+    head = encode(before)[:-1] + ',"question":'  # the object left open
+    tail = _SIGNATURE_TAILS[task_type]
+    sha256 = hashlib.sha256
+
+    def sign(question: str) -> str:
+        blob = head + encode(" ".join(question.split())) + tail
+        return sha256(blob.encode("utf-8")).hexdigest()
+
+    return sign
+
+
 def signature_of(
     task_type: TaskType,
     question: str,
@@ -82,41 +150,15 @@ def signature_of(
 ) -> "str | None":
     """The canonical content signature for a would-be task, or None.
 
-    Computable without constructing a :class:`Task` (the CrowdSQL executor
-    consults its verdict memo before building one). ``COLLECT`` questions
+    Computable without constructing a :class:`Task`. ``COLLECT`` questions
     return None: open-world enumeration depends on re-asking. Values go
     through the checkpoint codec, so anything checkpointable is hashable
     here; a genuinely opaque payload value also returns None (the task
-    simply does not participate in caching).
+    simply does not participate in caching). Signs one question through
+    :func:`question_signer`; a caller with many questions that share the
+    other parts builds the signer once instead.
     """
-    if task_type is TaskType.COLLECT:
-        return None
-    # Lazy import: recovery.checkpoint imports platform.platform at module
-    # level, and this module must stay importable from the platform package.
-    from repro.errors import CheckpointError
-    from repro.recovery.checkpoint import encode_value
-
-    content_payload = {
-        key: value
-        for key, value in (payload or {}).items()
-        if key not in POSITIONAL_PAYLOAD_KEYS
-    }
-    try:
-        content = {
-            "v": CACHE_FORMAT_VERSION,
-            "type": task_type.value,
-            "question": " ".join(question.split()),
-            "options": [encode_value(option) for option in options],
-            "payload": [
-                [key, encode_value(content_payload[key])]
-                for key in sorted(content_payload)
-            ],
-            "difficulty": difficulty,
-        }
-    except CheckpointError:
-        return None
-    blob = json.dumps(content, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return question_signer(task_type, options, payload, difficulty)(question)
 
 
 def task_signature(task: Task) -> "str | None":
@@ -256,13 +298,18 @@ class AnswerCache:
         return self.metrics.counter("cache.answers_reused").value
 
     def rebind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Move the cache's counters onto *metrics*, carrying their values."""
+        """Move the cache's counters onto *metrics*, carrying their values.
+
+        Every series the cache writes moves, the labeled
+        ``cache.requests{outcome=...}`` ones included, so both views of the
+        same lookups keep agreeing on the new registry.
+        """
         if metrics is self.metrics:
             return
-        for name in CACHE_METRICS:
-            previous = self.metrics.counters.get(name)
-            if previous is not None and previous.value:
-                metrics.counter(name).inc(previous.value)
+        owned = {*CACHE_METRICS, "cache.requests"}
+        for previous in self.metrics.series_snapshot()[0].values():
+            if previous.name in owned and previous.value:
+                metrics.counter(previous.name, dict(previous.labels)).inc(previous.value)
         self.metrics = metrics
 
     # -------------------------------------------------------------- #
@@ -323,21 +370,28 @@ class AnswerCache:
             self._entries.popitem(last=False)
             self._count("cache.evictions")
 
-    def lookup(self, signature: str, redundancy: int) -> "list[CachedAnswer] | None":
-        """Stored answers able to satisfy *redundancy*, counting hit/miss.
+    def _serve(self, signature: str, redundancy: int) -> "list[CachedAnswer] | None":
+        """The first *redundancy* stored answers, or None; counts nothing.
 
-        An entry with fewer answers than requested does not serve (the
-        caller needs more evidence than the cache holds) and counts as a
-        miss; a serving entry is refreshed in LRU order and its first
-        *redundancy* answers are returned.
+        An entry with fewer answers than requested does not serve: the
+        caller needs more evidence than the cache holds. A serving entry
+        is refreshed in LRU order.
         """
         entry = self._entries.get(signature)
         if entry is None or len(entry.answers) < redundancy:
-            self._count("cache.misses")
             return None
         self._entries.move_to_end(signature)
-        self._count("cache.hits")
         return entry.answers[:redundancy]
+
+    def lookup(self, signature: str, redundancy: int) -> "list[CachedAnswer] | None":
+        """Stored answers able to satisfy *redundancy*, counting hit/miss.
+
+        Serves as :meth:`resolve` does: an entry with fewer answers than
+        requested counts as a miss.
+        """
+        cached = self._serve(signature, redundancy)
+        self._count("cache.misses" if cached is None else "cache.hits")
+        return cached
 
     # -------------------------------------------------------------- #
     # Request resolution (the platform/scheduler seam)
@@ -348,10 +402,12 @@ class AnswerCache:
 
         Uncacheable tasks pass straight through as misses without touching
         any counter. Task order within each partition is request order, so
-        downstream RNG consumption for the misses is deterministic.
+        downstream RNG consumption for the misses is deterministic. The
+        outcomes are tallied here and each counter is booked once per call.
         """
         resolution = CacheResolution(redundancy=redundancy)
         canonical_by_signature: dict[str, str] = {}
+        hits = misses = coalesced = reused = 0
         for task in tasks:
             signature = task_signature(task)
             if signature is None:
@@ -360,20 +416,31 @@ class AnswerCache:
             canonical_id = canonical_by_signature.get(signature)
             if canonical_id is not None:
                 resolution.duplicates.setdefault(canonical_id, []).append(task)
-                self._count("cache.coalesced")
+                coalesced += 1
                 continue
-            cached = self.lookup(signature, redundancy)
+            cached = self._serve(signature, redundancy)
             if cached is not None:
                 resolution.hits[task.task_id] = [
                     stored.replay(task.task_id) for stored in cached
                 ]
                 resolution.hit_tasks.append(task)
-                self._count("cache.answers_reused", len(cached))
+                hits += 1
+                reused += len(cached)
             else:
                 resolution.misses.append(task)
                 resolution.signatures[task.task_id] = signature
                 resolution.canonical[task.task_id] = task
                 canonical_by_signature[signature] = task.task_id
+                misses += 1
+        # A counter with no event this call is not touched, so a series
+        # exists exactly when some call had that outcome.
+        if hits:
+            self._count("cache.hits", hits)
+            self._count("cache.answers_reused", reused)
+        if misses:
+            self._count("cache.misses", misses)
+        if coalesced:
+            self._count("cache.coalesced", coalesced)
         return resolution
 
     def store_fresh(

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.errors import BudgetExceededError, NoWorkersAvailableError, PlatformError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.platform.events import EventSimulator
 from repro.platform.pricing import PriceResponseModel, PricingPolicy
@@ -86,12 +86,15 @@ class PlatformStats:
     The scalar counters (``answers_collected``, ``cost_spent``, the batch
     counters, ...) live in a :class:`~repro.obs.metrics.MetricsRegistry`;
     the attributes here are property views onto it, so ``engine.stats``
-    and ``engine.metrics`` can never disagree.
+    and ``engine.metrics`` can never disagree. Each view binds its
+    registry counter on first use (creating the series, as a registry
+    lookup would) and reuses the handle from then on.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self.answers_by_worker: dict[str, int] = defaultdict(int)
+        self._counters: dict[str, Counter] = {}  # metric name -> bound handle
 
     def record_batch(self, record: "BatchRecord") -> None:
         """Fold one dispatched batch into the totals (called once per batch
@@ -150,11 +153,21 @@ class PlatformStats:
 
 
 def _stat_property(metric_name: str) -> property:
+    def bind(stats: PlatformStats) -> Counter:
+        counter = stats._counters[metric_name] = stats.metrics.counter(metric_name)
+        return counter
+
     def fget(self: PlatformStats):
-        return self.metrics.counter(metric_name).value
+        try:
+            return self._counters[metric_name].value
+        except KeyError:
+            return bind(self).value
 
     def fset(self: PlatformStats, value) -> None:
-        self.metrics.counter(metric_name).value = value
+        try:
+            self._counters[metric_name].value = value
+        except KeyError:
+            bind(self).value = value
 
     return property(fget, fset)
 

@@ -1,22 +1,31 @@
 """Tests for the content-addressed answer cache (repro.platform.cache)."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.data.schema import CNULL, is_cnull
-from repro.errors import CacheError, ConfigurationError
+from repro.data.database import Database
+from repro.data.schema import CNULL, SchemaBuilder, is_cnull
+from repro.errors import CacheError, CheckpointError, ConfigurationError
 from repro.faults.plan import DeliveryFaults, FaultPlan
+from repro.lang.executor import CrowdOracle
+from repro.lang.interpreter import CrowdSQLSession
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.batch import BatchConfig
 from repro.platform.cache import (
+    CACHE_FORMAT_VERSION,
+    POSITIONAL_PAYLOAD_KEYS,
     AnswerCache,
+    question_signer,
     signature_of,
     task_signature,
 )
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Answer, Task, TaskType, single_choice
-from repro.recovery.checkpoint import Checkpoint
+from repro.recovery.checkpoint import Checkpoint, encode_value
 from repro.workers.pool import WorkerPool
 
 
@@ -95,6 +104,127 @@ class TestSignature:
     def test_opaque_payload_is_uncacheable(self):
         sig = signature_of(TaskType.FILL, "q?", (), {"blob": object()})
         assert sig is None
+        assert question_signer(TaskType.FILL, (), {"blob": object()})("q?") is None
+        assert question_signer(TaskType.COLLECT)("name a state") is None
+
+    @pytest.mark.parametrize(
+        "task_type, question, options, payload, difficulty, digest",
+        [
+            (
+                TaskType.SINGLE_CHOICE, "Ist das Café geöffnet? — 東京タワー",
+                ("ja", "nein"), None, 0.0,
+                "fa53f5bf5ffe79e9019a0a5988f7d057ca78f933ca95a49fa46d52953d361fcc",
+            ),
+            (
+                TaskType.SINGLE_CHOICE, 'Is "A\\B" the same as \'C\'?',
+                ('"yes"', "no\\"), None, 0.0,
+                "fdf5a51e0bde8f0f399e1d2a548b3598a7d1eae3c4d5e136d926cb0edc6b58ef",
+            ),
+            (
+                TaskType.FILL, "bell\x07 and nul\x00 stay", (), {"column": "name\x1b"}, 0.0,
+                "238555cc8ca1da7f4535528a987592f02e940509fb07c54b4ae4d9f452b0b83f",
+            ),
+            (
+                TaskType.SINGLE_CHOICE, "  runs   of\n\n\twhitespace here  ",
+                ("yes", "no"), None, 0.0,
+                "80de548c12a15b6ff4f013b7c46d34d5e255c4c96caa0cd3cc21c77b0829aea5",
+            ),
+            (
+                TaskType.COMPARE, "A vs B", (),
+                {"left": "x", "right": ("y", 2), "item_index": 4, "left_index": 1,
+                 "right_index": 2},
+                0.0,
+                "a5aa11a658c2083c14c8679c10e85085fc5dd3108e1e3802a93d722f87916429",
+            ),
+            (
+                TaskType.RATE, "Rate this photo", (1, 2, 3),
+                {"tags": frozenset({"b", "a"}), "cell": CNULL}, 0.75,
+                "e8e9e993dbf83f265ab05bd58f80acc7e1cbdead0ccac197ad37bc714c64ac44",
+            ),
+        ],
+    )
+    def test_pinned_digests(self, task_type, question, options, payload, difficulty, digest):
+        # Saved JSONL caches keep serving only while these values hold.
+        assert signature_of(task_type, question, options, payload, difficulty) == digest
+        signer = question_signer(task_type, options, payload, difficulty)
+        assert signer(question) == digest
+
+
+def _reference_signature(task_type, question, options=(), payload=None, difficulty=0.0):
+    """The signature as first defined: one json.dumps of the whole content."""
+    if task_type is TaskType.COLLECT:
+        return None
+    content_payload = {
+        key: value
+        for key, value in (payload or {}).items()
+        if key not in POSITIONAL_PAYLOAD_KEYS
+    }
+    try:
+        content = {
+            "v": CACHE_FORMAT_VERSION,
+            "type": task_type.value,
+            "question": " ".join(question.split()),
+            "options": [encode_value(option) for option in options],
+            "payload": [
+                [key, encode_value(content_payload[key])]
+                for key in sorted(content_payload)
+            ],
+            "difficulty": difficulty,
+        }
+    except CheckpointError:
+        return None
+    blob = json.dumps(content, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# Text that often holds the characters JSON must escape or keep as is.
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\x00\\ \t\n{}:,'), st.characters(exclude_categories=("Cs",))
+    ),
+    max_size=12,
+)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.tuples(children, children),
+        st.frozensets(st.one_of(st.integers(), _TEXT), max_size=3),
+        st.dictionaries(_TEXT, children, max_size=3),
+    ),
+    max_leaves=6,
+)
+_PAYLOADS = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.one_of(_TEXT, st.sampled_from(sorted(POSITIONAL_PAYLOAD_KEYS))), _VALUES, max_size=4
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    task_type=st.sampled_from(list(TaskType)),
+    questions=st.lists(_TEXT, min_size=1, max_size=3),
+    options=st.lists(_VALUES, max_size=3),
+    payload=_PAYLOADS,
+    difficulty=st.one_of(st.floats(), st.integers(-3, 3)),
+)
+@example(
+    task_type=TaskType.SINGLE_CHOICE,
+    questions=['say "\x00"', '"', "\x00 \x00"],
+    options=['"', "\x00", 'a"b\x00'],
+    payload={"note": 'q"\x00', "item_index": 3},
+    difficulty=0.5,
+)
+def test_signer_matches_the_reference_encoding(
+    task_type, questions, options, payload, difficulty
+):
+    sign = question_signer(task_type, options, payload, difficulty)
+    for question in questions:
+        expected = _reference_signature(task_type, question, options, payload, difficulty)
+        assert sign(question) == expected
+        assert signature_of(task_type, question, options, payload, difficulty) == expected
 
 
 class TestCacheStore:
@@ -169,6 +299,22 @@ class TestCacheStore:
         assert cache.hits == 1
         assert cache.misses == 1
         assert registry.counter("cache.hits").value == 1
+
+    def test_rebind_metrics_carries_labeled_series(self):
+        cache = AnswerCache(metrics=MetricsRegistry())
+        task = single_choice("q?", ("yes", "no"))
+        cache.resolve([task], 1)  # one miss
+        cache.store(task, self.answers(task, ["yes"]))
+        cache.resolve([single_choice("q?", ("yes", "no"))], 1)  # one hit
+        registry = MetricsRegistry()
+        cache.rebind_metrics(registry)
+        assert {key: c.value for key, c in registry.counters.items()} == {
+            "cache.hits": 1,
+            "cache.misses": 1,
+            "cache.answers_reused": 1,
+            'cache.requests{outcome="hit"}': 1,
+            'cache.requests{outcome="miss"}': 1,
+        }
 
 
 class TestPlatformIntegration:
@@ -294,6 +440,75 @@ class TestPlatformIntegration:
         )
         # Nothing was answered, so nothing poisoned the cache.
         assert len(platform.cache) == 0
+
+
+class TestCounterTotals:
+    """Cache, cancel and stats totals, booked once per run, equal the totals
+    of booking each task as it happened (values recorded task by task)."""
+
+    def test_resolve_and_cancel_totals(self):
+        pool = WorkerPool.heterogeneous(12, accuracy_low=0.75, accuracy_high=0.97, seed=5)
+        platform = SimulatedPlatform(
+            pool,
+            seed=6,
+            batch=BatchConfig(batch_size=16, max_parallel=8, seed=7),
+            metrics=MetricsRegistry(),
+        )
+        cache = platform.attach_cache(AnswerCache())
+        # Two entries that serve redundancy 3, one with too few answers.
+        for question, n in (("full 0?", 3), ("full 1?", 4), ("short?", 2)):
+            task = single_choice(question, ("yes", "no"))
+            cache.store(
+                task, [Answer(task.task_id, f"w{i}", "yes", reward_paid=0.01) for i in range(n)]
+            )
+        asked = [
+            "full 0?", "short?", "new 0?", "full 1?", "new 0?",
+            "short?", "full 0?", "new 1?", "new 0?",
+        ]
+        platform.collect(
+            [single_choice(q, ("yes", "no"), truth="yes") for q in asked], redundancy=3
+        )
+        assert (cache.hits, cache.misses, cache.coalesced, cache.answers_reused) == (3, 3, 3, 18)
+
+        database = Database()
+        database.create_table(
+            "items",
+            SchemaBuilder().integer("id").string("name").integer("price").build(),
+            rows=[{"id": i, "name": f"item {i}", "price": (i * 37) % 100} for i in range(60)],
+        )
+        session = CrowdSQLSession(
+            database=database,
+            platform=platform,
+            oracle=CrowdOracle(filter_fn=lambda value, _q: int(str(value).split()[-1]) % 3 == 0),
+            redundancy=3,
+            pipeline=True,
+        )
+        result = session.query(
+            "SELECT name, price FROM items WHERE CROWDFILTER(name, 'is it in stock?') "
+            "ORDER BY price DESC LIMIT 5"
+        )
+        assert result.stats.tasks_cancelled == 44
+        counters = {
+            key: counter.value
+            for key, counter in platform.metrics.counters.items()
+            if key.startswith(("cache.", "batch.cancellations"))
+        }
+        assert counters == {
+            "cache.hits": 3,
+            "cache.misses": 63,
+            "cache.coalesced": 3,
+            "cache.answers_reused": 18,
+            "cache.cost_saved": 0.18,
+            'cache.requests{outcome="hit"}': 3,
+            'cache.requests{outcome="miss"}': 63,
+            'cache.requests{outcome="inflight"}': 3,
+            'batch.cancellations{reason="early_termination"}': 44,
+        }
+        requests = sum(v for k, v in counters.items() if k.startswith("cache.requests"))
+        assert requests == cache.hits + cache.misses + cache.coalesced
+        assert platform.stats.tasks_cancelled == 44
+        # Refunds add task by task in pass order, so the float is exact.
+        assert platform.stats.cancel_cost_refunded == 1.320000000000001
 
 
 class TestPersistence:

@@ -575,18 +575,25 @@ class TestOneRunPerOperator:
     @pytest.mark.parametrize("pipeline", [False, True])
     def test_signature_once_per_planned_row(self, monkeypatch, pipeline):
         import repro.lang.executor as executor_mod
-        import repro.lang.streaming as streaming_mod
         import repro.platform.cache as cache_mod
 
         session = _batch_session(pipeline, cache=True)
         calls: list[str] = []
-        for module in (cache_mod, executor_mod, streaming_mod):
 
-            def counted(*args, _original=module.signature_of, **kwargs):
+        def counted(sign):
+            def counting(*args, **kwargs):
                 calls.append("call")
-                return _original(*args, **kwargs)
+                return sign(*args, **kwargs)
 
-            monkeypatch.setattr(module, "signature_of", counted)
+            return counting
+
+        # Every question the planner signs, and every one the cache signs
+        # itself (a task that does not carry its signature).
+        def counted_signer(*args, _original=executor_mod.question_signer, **kwargs):
+            return counted(_original(*args, **kwargs))
+
+        monkeypatch.setattr(executor_mod, "question_signer", counted_signer)
+        monkeypatch.setattr(cache_mod, "signature_of", counted(cache_mod.signature_of))
         session.query(PREFIX_FILTER_SQL)
         assert len(calls) == 9  # rows with price > 0; the cache hashes nothing
         warm = session.query(PREFIX_FILTER_SQL)
