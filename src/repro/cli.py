@@ -47,12 +47,13 @@ per-operator time/cost breakdowns, retry hotspots, and slowest spans.
 FILE`` writes a per-statement query profile (render it with
 ``profile-report``). ``serve-metrics`` runs a script in a loop while a
 live-ops HTTP server exposes ``/metrics`` (Prometheus text exposition),
-``/healthz``, and ``/run`` (JSON run status) — counters advance
-monotonically across iterations because every iteration's engine records
-into one registry. ``serve`` runs the multi-tenant service: concurrent
-tenant sessions (budgets, fair-share weights, per-tenant scripts from a
-JSON spec) share the engine's platform and worker pool, with per-tenant
-labeled metrics and a tenant view on ``/run``.
+``/healthz``, and ``/run`` (JSON run status) — each iteration's engine
+keeps its own registry, whose series are added into the served one when
+the iteration ends, so served counters only move forward. ``serve`` runs
+the multi-tenant service: concurrent tenant sessions (budgets, fair-share
+weights, per-tenant scripts from a JSON spec) share the engine's platform
+and worker pool, with per-tenant labeled metrics and a tenant view on
+``/run``.
 
 Identical crowd questions are answered once per run (an in-memory answer
 cache is on by default; ``--no-cache`` disables it). ``--cache FILE``
@@ -246,11 +247,13 @@ def _run_engine_command(args, config: EngineConfig) -> int:
 def _run_serve_metrics(args, config: EngineConfig) -> int:
     """``python -m repro serve-metrics``: script loop + live /metrics server.
 
-    Iteration *i* runs on a fresh engine seeded ``seed + i``. Every engine
-    records into one enabled registry, so the counters a scraper sees
-    only ever move forward. The server starts answering once the first
-    iteration's script has run, so the first scrape already holds that
-    iteration's series.
+    Iteration *i* runs on a fresh engine seeded ``seed + i``, with its own
+    enabled registry, so its summary lines are its own. When an iteration's
+    engine closes, its series are added into the registry ``/metrics``
+    renders, so the counters a scraper sees only ever move forward; ``/run``
+    reads the running engine live. The server starts answering once the
+    first iteration's script has run, so the first scrape already holds
+    that iteration's series.
     """
     import time
 
@@ -277,7 +280,7 @@ def _run_serve_metrics(args, config: EngineConfig) -> int:
             state["iteration"] = iteration + 1
             try:
                 engine = CrowdEngine(
-                    replace(config, seed=config.seed + iteration), metrics=registry
+                    replace(config, seed=config.seed + iteration, metrics_enabled=True)
                 )
             except CrowdDMError as exc:
                 _fail(exc)
@@ -288,6 +291,7 @@ def _run_serve_metrics(args, config: EngineConfig) -> int:
                 code = run_script(engine, sql)
             finally:
                 code = _close(engine) or code
+                registry.add(engine.metrics)
             if code != 0:
                 break
             if not server.running:
@@ -406,7 +410,7 @@ def _run_serve(args, config: EngineConfig) -> int:
                     name,
                     database=Database(),
                     redundancy=config.redundancy,
-                    inference=config.make_inference(),
+                    inference=engine.make_inference(),
                     pipeline=config.pipeline,
                 )
                 await service.aexecute(session, sql)

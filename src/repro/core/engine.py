@@ -28,7 +28,6 @@ from repro.lang.executor import CrowdOracle, QueryResult
 from repro.lang.interpreter import CrowdSQLSession, StatementResult
 from repro.obs import NULL_TRACER, JsonlSink, MetricsRegistry, Tracer
 from repro.obs.profiler import QueryProfiler
-from repro.obs.runtime import activate, deactivate
 from repro.obs.server import MetricsServer
 from repro.operators.categorize import CategorizeResult, CrowdCategorize
 from repro.operators.collect import CollectResult, CrowdCollect
@@ -47,6 +46,7 @@ from repro.operators.sort import (
 from repro.operators.topk import TopKResult, topk_tournament, tournament_max
 from repro.platform.platform import PlatformStats, SimulatedPlatform
 from repro.platform.pricing import PricingPolicy
+from repro.quality.truth import TruthInference
 from repro.workers.pool import WorkerPool
 
 _SORT_STRATEGIES = ("all_pairs", "merge", "rating", "hybrid")
@@ -60,10 +60,11 @@ class CrowdEngine:
         pool: Worker pool; a heterogeneous pool per the config when omitted.
         database: Catalog to use; a fresh one when omitted.
         oracle: Simulation ground truth for SQL crowd operators.
-        metrics: Registry to record into; a fresh one, enabled per
-            ``config.metrics_enabled``, when omitted. Engines that share
-            one registry add to the same counters, so a scraper of it
-            only ever sees them move forward.
+
+    The engine owns its tracer and metrics registry (enabled per
+    ``config.metrics_enabled``): its platform records into them, and so
+    does every truth-inference method it builds (:meth:`make_inference`).
+    Two engines in one process share no instrument and no ledger.
 
     A fault plan or answer-cache file that cannot be read, or a cache
     path that cannot be written, raises here, before any crowd work.
@@ -75,7 +76,6 @@ class CrowdEngine:
         pool: WorkerPool | None = None,
         database: Database | None = None,
         oracle: CrowdOracle | None = None,
-        metrics: MetricsRegistry | None = None,
     ):
         self.config = config or EngineConfig()
         # Read every input that can be wrong before a trace file opens.
@@ -96,9 +96,7 @@ class CrowdEngine:
             self.tracer = Tracer(JsonlSink(self.config.trace_path))
         else:
             self.tracer = NULL_TRACER
-        if metrics is None:
-            metrics = MetricsRegistry(enabled=self.config.metrics_enabled)
-        self.metrics = metrics
+        self.metrics = MetricsRegistry(enabled=self.config.metrics_enabled)
         self.platform = SimulatedPlatform(
             self.pool,
             budget=self.config.budget,
@@ -142,7 +140,7 @@ class CrowdEngine:
             database=self.database,
             platform=self.platform,
             redundancy=self.config.redundancy,
-            inference=self.config.make_inference(),
+            inference=self.make_inference(),
             oracle=self.oracle,
             profiler=self.profiler,
             pipeline=self.config.pipeline,
@@ -160,10 +158,6 @@ class CrowdEngine:
                 self.tracer.close()  # no engine is returned to close it
                 raise
         self._closed = False
-        # Truth inference has no platform handle; it reaches the tracer and
-        # registry through the process-global obs runtime.
-        if self.tracer.enabled or self.metrics.enabled:
-            activate(self.tracer, self.metrics)
         self._root_span = self.tracer.span(
             "engine", seed=self.config.seed, inference=self.config.inference
         )
@@ -197,8 +191,12 @@ class CrowdEngine:
     # Imperative operators
     # ------------------------------------------------------------------ #
 
-    def _inference(self):
-        return self.config.make_inference()
+    def make_inference(self) -> TruthInference:
+        """A fresh configured inference method, recording on this engine's
+        tracer and registry."""
+        inference = self.config.make_inference()
+        inference.tracer, inference.metrics = self.tracer, self.metrics
+        return inference
 
     def filter(
         self,
@@ -239,7 +237,7 @@ class CrowdEngine:
             pruner=pruner,
             use_transitivity=use_transitivity,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return op.run(records)
@@ -266,7 +264,7 @@ class CrowdEngine:
             items,
             score_fn,
             redundancy=redundancy,
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         if strategy == "all_pairs":
@@ -286,7 +284,7 @@ class CrowdEngine:
             items,
             score_fn,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return tournament_max(comparator, fan_in=fan_in)
@@ -305,7 +303,7 @@ class CrowdEngine:
             items,
             score_fn,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return topk_tournament(comparator, k=k, fan_in=fan_in)
@@ -324,7 +322,7 @@ class CrowdEngine:
             question,
             truth_fn,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             seed=kwargs.pop("seed", self.config.seed),
             **kwargs,
         )
@@ -348,7 +346,7 @@ class CrowdEngine:
             self.platform,
             truth_fn=truth_fn,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return op.run(target)
@@ -366,7 +364,7 @@ class CrowdEngine:
             categories,
             truth_fn=truth_fn,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return op.run(items)
@@ -385,7 +383,7 @@ class CrowdEngine:
             items,
             dimension_scores,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return op.run()
@@ -404,7 +402,7 @@ class CrowdEngine:
             self.platform,
             truth,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return matcher.run(source_attributes, target_attributes)
@@ -429,7 +427,7 @@ class CrowdEngine:
             graph,
             edge_score,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         if strategy == "greedy":
@@ -442,7 +440,7 @@ class CrowdEngine:
 
         workflow = FindFixVerify(
             self.platform,
-            inference=kwargs.pop("inference", self._inference()),
+            inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
         return workflow.run(documents)
@@ -464,7 +462,7 @@ class CrowdEngine:
 
         redundancy = redundancy or self.config.redundancy
         run = self.platform.scheduler.run(list(tasks), redundancy=redundancy)
-        inferred = self._inference().infer_answered(run.answers)
+        inferred = self.make_inference().infer_answered(run.answers)
         return DegradedResult.from_answers(
             tasks, run.answers, run.failures, redundancy, inference=inferred
         )
@@ -541,9 +539,6 @@ class CrowdEngine:
             "answers_collected": stats.answers_collected,
             "hits_published": stats.tasks_published,
             "batches_dispatched": stats.batches_dispatched,
-            "open_batches": stats.assignments_dispatched
-            - stats.assignments_timed_out
-            - stats.assignments_abandoned,
             "simulated_clock": scheduler.simulated_clock,
             "cache": {
                 "enabled": self.platform.cache is not None,
@@ -569,7 +564,7 @@ class CrowdEngine:
         }
 
     def close(self) -> None:
-        """End the root span, flush the trace file, release the obs runtime.
+        """End the root span and flush the trace file.
 
         With a configured ``cache_path``, the answer cache is also spilled
         to disk here so the next run replays this one's answers. Every step
@@ -589,7 +584,6 @@ class CrowdEngine:
         if self.platform.cache is not None and self.config.cache_path:
             steps.append(lambda: self.platform.cache.save(self.config.cache_path))
         steps.append(self.tracer.close)
-        steps.append(lambda: deactivate(self.tracer, self.metrics))
         first: Exception | None = None
         for step in steps:
             try:

@@ -47,7 +47,6 @@ from repro.obs.prom import (
     validate_exposition,
 )
 from repro.obs.report import build_tree, load_spans, render_report, report_from_file
-from repro.obs.runtime import activate, current_metrics, current_tracer, deactivate
 from repro.obs.server import MetricsServer
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink, TraceSink
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
@@ -73,11 +72,7 @@ __all__ = [
     "Span",
     "TraceSink",
     "Tracer",
-    "activate",
     "build_tree",
-    "current_metrics",
-    "current_tracer",
-    "deactivate",
     "load_profile",
     "load_spans",
     "normalize_labels",

@@ -3,10 +3,11 @@
 Every operator wraps its run in :class:`operator_span`, which opens an
 ``operator.<name>`` span on the platform's tracer and, on exit, stamps
 the span with the cost and answer deltas the operator incurred and folds
-the same deltas into ``operator.<name>.cost`` / ``.answers`` counters and
-an ``operator.<name>.wall`` histogram on the platform's registry. With
-both tracer and metrics disabled the context manager degenerates to two
-attribute checks — the null path the overhead benchmark guards.
+the same deltas into the ``operator.runs`` / ``.cost`` / ``.answers`` /
+``.items`` counters and the ``operator.wall`` histogram on the platform's
+registry, each labeled ``{operator=<name>}``. With both tracer and metrics
+disabled the context manager degenerates to two attribute checks — the
+null path the overhead benchmark guards.
 """
 
 from __future__ import annotations
@@ -66,13 +67,6 @@ class operator_span:
         self.span.__exit__(exc_type, exc, tb)
         metrics = self.platform.metrics
         wall = time.perf_counter() - self._wall0
-        # Dotted per-operator names are the documented aliases existing
-        # reports and tests key on; the labeled operator.* families are what
-        # the Prometheus exposition and the query profiler aggregate.
-        metrics.inc(f"operator.{self.operator}.runs")
-        metrics.inc(f"operator.{self.operator}.cost", cost)
-        metrics.inc(f"operator.{self.operator}.answers", answers)
-        metrics.observe(f"operator.{self.operator}.wall", wall)
         labels = {"operator": self.operator}
         metrics.inc("operator.runs", labels=labels)
         metrics.inc("operator.cost", cost, labels=labels)

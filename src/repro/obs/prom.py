@@ -8,13 +8,13 @@ series (with the mandatory ``+Inf`` bucket) for histograms.
 The :data:`DESCRIPTORS` table is the **single naming authority**: it maps
 every internal dotted metric name (``platform.tasks_published``) to its
 exposition name under the one ``subsystem_name_unit`` scheme
-(``platform_hits_published_total``), its type, and its help text. The
-internal dotted names stay what :class:`~repro.platform.platform.
-PlatformStats` views and existing tests key on — they are documented
-aliases of the exposition names. Metrics without a descriptor (dynamic
-families like ``faults.<kind>`` or the per-operator dotted aliases) are
-auto-named by :func:`prom_name_for`, so the renderer is total over any
-registry state.
+(``platform_hits_published_total``), its type, and its help text. Each
+quantity is booked in one series: the dotted name is its registry key,
+which :class:`~repro.platform.platform.PlatformStats` views and the
+profiler read, and the exposition name is what a scraper sees of the same
+series. Metrics without a descriptor (dynamic families like
+``faults.<kind>``) are auto-named by :func:`prom_name_for`, so the
+renderer is total over any registry state.
 
 :func:`parse_exposition` is the minimal conformance parser the format
 tests and the CI smoke job round-trip scrapes through: it checks name and
@@ -42,7 +42,7 @@ class MetricDescriptor:
     """Naming contract for one metric family.
 
     Attributes:
-        name: Internal registry family name (dotted; the documented alias).
+        name: Internal registry family name (dotted).
         prom_name: Exposition name — ``subsystem_name_unit`` (+ ``_total``
             for counters).
         kind: ``counter`` | ``gauge`` | ``histogram``.
@@ -114,10 +114,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "Simulated seconds batches stalled waiting out platform outages.",
     ),
     MetricDescriptor(
-        "batch.hedges", "batch_hedges_total", "counter",
-        "Hedge copies by outcome label (won|lost|cancelled).",
-    ),
-    MetricDescriptor(
         "batch.hedges_launched", "batch_hedges_launched_total", "counter",
         "Speculative hedge copies launched against in-flight stragglers.",
     ),
@@ -136,11 +132,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
     MetricDescriptor(
         "batch.hedge_cost_refunded", "batch_hedge_cost_refunded_dollars_total", "counter",
         "Spend refunded by cancelling the losing copy of a hedge pair.",
-    ),
-    MetricDescriptor(
-        "batch.cancellations", "batch_cancellations_total", "counter",
-        "Pending HITs cancelled at a batch boundary, by reason label "
-        "(early_termination).",
     ),
     MetricDescriptor(
         "batch.tasks_cancelled", "batch_tasks_cancelled_total", "counter",
@@ -165,10 +156,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
     ),
     # answer cache
     MetricDescriptor(
-        "cache.requests", "cache_requests_total", "counter",
-        "Cache lookups by outcome label (hit|miss|inflight).",
-    ),
-    MetricDescriptor(
         "cache.hits", "cache_hits_total", "counter",
         "Tasks served entirely from the answer cache.",
     ),
@@ -192,7 +179,7 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "cache.cost_saved", "cache_cost_saved_dollars_total", "counter",
         "Spend avoided by answer reuse, at the pricing policy's rate.",
     ),
-    # operators (labeled families; dotted operator.<name>.* remain aliases)
+    # operators (labeled by operator)
     MetricDescriptor(
         "operator.runs", "operator_runs_total", "counter",
         "Operator executions, labeled by operator.",

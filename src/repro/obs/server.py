@@ -9,8 +9,8 @@ scraped mid-flight:
   ``text/plain; version=0.0.4`` content type a scraper expects.
 * ``/healthz`` — liveness probe (``ok``).
 * ``/run`` — JSON run status from the ``run_status`` provider: current
-  statement, budget spent/remaining, breaker states, cache hit ratio,
-  open batches — whatever the owner wires in.
+  statement, budget spent/remaining, breaker states, cache hit ratio —
+  whatever the owner wires in.
 
 Reads are cheap snapshots of in-memory state; the GIL makes the scalar
 reads the renderer performs safe against the single-threaded run loop
@@ -149,6 +149,8 @@ class MetricsServer:
         self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            # How often the loop checks for shutdown: stop() waits up to this.
+            kwargs={"poll_interval": 0.02},
             name="repro-metrics-server",
             daemon=True,
         )

@@ -621,26 +621,22 @@ class BatchScheduler:
         *dropped* holds one cancel pass's ``(task, reason)`` pairs. A task
         was never published, priced, or charged, so its "refund" is spend
         *avoided*: the price it would have cost at the requested
-        redundancy, added task by task in pass order. Counted in
-        stats/metrics, once per pass and once per reason, so early
-        termination shows up in batch summaries, the profiler, and
-        Prometheus scrapes.
+        redundancy, added task by task in pass order. Counted in stats
+        once per pass, so early termination shows up in batch summaries,
+        the profiler, and Prometheus scrapes; each task's reason goes on
+        its ``batch.cancel`` trace annotation.
         """
         platform = self.platform
         stats = platform.stats
         refunded = stats.cancel_cost_refunded
-        reasons: dict[str, int] = {}
         for task, reason in dropped:
             refunded += platform.pricing.price(task) * redundancy
-            reasons[reason] = reasons.get(reason, 0) + 1
             if platform.tracer.enabled:
                 platform.tracer.annotate(
                     "batch.cancel", task_id=task.task_id, reason=reason
                 )
         stats.tasks_cancelled += len(dropped)
         stats.cancel_cost_refunded = refunded
-        for reason, count in reasons.items():
-            platform.metrics.inc("batch.cancellations", count, labels={"reason": reason})
 
     # ------------------------------------------------------------------ #
     # One batch
@@ -915,7 +911,6 @@ class BatchScheduler:
         if hedge.straggled:
             metrics.inc("faults.stragglers")
         attempted[a.task.task_id].add(hedge.worker.worker_id)
-        metrics.inc("batch.hedges", labels={"outcome": outcome})
         if self.platform.tracer.enabled:
             self.platform.tracer.annotate(
                 "batch.hedge",

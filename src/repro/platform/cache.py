@@ -263,19 +263,8 @@ class AnswerCache:
     # Counters (always-live handles, like PlatformStats)
     # -------------------------------------------------------------- #
 
-    #: Dotted counter → outcome label on the labeled ``cache.requests``
-    #: family the Prometheus exposition groups lookups under.
-    _OUTCOME_LABELS = {
-        "cache.hits": "hit",
-        "cache.misses": "miss",
-        "cache.coalesced": "inflight",
-    }
-
     def _count(self, name: str, amount: int = 1) -> None:
         self.metrics.counter(name).inc(amount)
-        outcome = self._OUTCOME_LABELS.get(name)
-        if outcome is not None:
-            self.metrics.inc("cache.requests", amount, labels={"outcome": outcome})
 
     @property
     def hits(self) -> int:
@@ -298,18 +287,10 @@ class AnswerCache:
         return self.metrics.counter("cache.answers_reused").value
 
     def rebind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Move the cache's counters onto *metrics*, carrying their values.
-
-        Every series the cache writes moves, the labeled
-        ``cache.requests{outcome=...}`` ones included, so both views of the
-        same lookups keep agreeing on the new registry.
-        """
+        """Move the cache's counters onto *metrics*, carrying their values."""
         if metrics is self.metrics:
             return
-        owned = {*CACHE_METRICS, "cache.requests"}
-        for previous in self.metrics.series_snapshot()[0].values():
-            if previous.name in owned and previous.value:
-                metrics.counter(previous.name, dict(previous.labels)).inc(previous.value)
+        metrics.add(self.metrics, names=CACHE_METRICS)
         self.metrics = metrics
 
     # -------------------------------------------------------------- #

@@ -31,7 +31,8 @@ from typing import Any
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.obs.runtime import current_metrics, current_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.platform.task import Answer, Task
 
 #: EM execution backends. ``kernel`` is the batched numpy implementation
@@ -94,9 +95,18 @@ class InferenceResult:
 
 
 class TruthInference:
-    """Base class for truth-inference algorithms."""
+    """Base class for truth-inference algorithms.
+
+    EM loops record their spans and metrics on :attr:`tracer` and
+    :attr:`metrics`. The engine that builds a method sets its own
+    instruments on it; a method built anywhere else keeps the no-op tracer
+    and a disabled registry.
+    """
 
     name = "base"
+    tracer: Tracer = NULL_TRACER
+    # Shared but inert: a disabled registry's inc/observe record nothing.
+    metrics: MetricsRegistry = MetricsRegistry(enabled=False)
 
     def infer(self, answers_by_task: Mapping[str, Sequence[Answer]]) -> InferenceResult:
         """Infer truths from the evidence. Subclasses must override."""
@@ -135,6 +145,20 @@ class TruthInference:
         may differ — so bit-identity harnesses leave it off.
         """
 
+    def em_span(self, answers_by_task: Mapping[str, Sequence[Answer]]):
+        """A ``truth.<name>`` span on :attr:`tracer` (no-op when off)."""
+        return self.tracer.span(f"truth.{self.name}", tasks=len(answers_by_task))
+
+    def em_iteration(self, iteration: int, delta: float) -> None:
+        """Record one EM iteration: an annotation plus a convergence-delta sample."""
+        if self.tracer.enabled:
+            self.tracer.annotate(
+                "em.iteration", method=self.name, iteration=iteration, delta=delta
+            )
+        labels = {"method": self.name}
+        self.metrics.inc("em.iterations", labels=labels)
+        self.metrics.observe("em.delta", delta, labels=labels)
+
     @staticmethod
     def _validate(answers_by_task: Mapping[str, Sequence[Answer]]) -> None:
         if not answers_by_task:
@@ -147,27 +171,6 @@ class TruthInference:
                     raise InferenceError(
                         f"answer for task {a.task_id!r} filed under {task_id!r}"
                     )
-
-
-def em_span(method: str, answers_by_task: Mapping[str, Sequence[Answer]]):
-    """A ``truth.<method>`` span on the active tracer (no-op when off).
-
-    Truth inference has no platform handle, so EM loops reach the
-    observability layer through :mod:`repro.obs.runtime`.
-    """
-    return current_tracer().span(f"truth.{method}", tasks=len(answers_by_task))
-
-
-def em_iteration(method: str, iteration: int, delta: float) -> None:
-    """Record one EM iteration: an annotation plus a convergence-delta sample."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.annotate("em.iteration", method=method, iteration=iteration, delta=delta)
-    metrics = current_metrics()
-    # Dotted alias plus the labeled families the exposition/profiler read.
-    metrics.observe(f"em.{method}.delta", delta)
-    metrics.inc("em.iterations", labels={"method": method})
-    metrics.observe("em.delta", delta, labels={"method": method})
 
 
 def answers_from_platform(

@@ -33,8 +33,6 @@ from repro.platform.task import Answer
 from repro.quality.truth.base import (
     InferenceResult,
     TruthInference,
-    em_iteration,
-    em_span,
     encode_observations,
     resolve_backend,
 )
@@ -117,7 +115,7 @@ class DawidSkene(TruthInference):
         iterations = 0
         converged = False
 
-        span = em_span(self.name, answers_by_task)
+        span = self.em_span(answers_by_task)
         for iterations in range(1, self.max_iterations + 1):
             # ----- M-step: confusion matrices and class priors. -----
             # Accumulate posterior mass: confusion[w, true, answered] += p(task=true).
@@ -158,7 +156,7 @@ class DawidSkene(TruthInference):
 
             delta = float(np.abs(new_posteriors - posteriors).max())
             posteriors = new_posteriors
-            em_iteration(self.name, iterations, delta)
+            self.em_iteration(iterations, delta)
             if delta < self.tolerance:
                 converged = True
                 break

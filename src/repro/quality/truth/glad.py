@@ -27,8 +27,6 @@ from repro.platform.task import Answer
 from repro.quality.truth.base import (
     InferenceResult,
     TruthInference,
-    em_iteration,
-    em_span,
     encode_observations,
     normalize_log_rows,
     posteriors_to_maps,
@@ -109,7 +107,7 @@ class Glad(TruthInference):
 
     def infer(self, answers_by_task: Mapping[str, Sequence[Answer]]) -> InferenceResult:
         self._validate(answers_by_task)
-        with em_span(self.name, answers_by_task) as span:
+        with self.em_span(answers_by_task) as span:
             if self.backend == "kernel":
                 result = self._infer_kernel(answers_by_task)
             else:
@@ -182,7 +180,7 @@ class Glad(TruthInference):
 
             delta = float(np.abs(new_posteriors - posteriors).max())
             posteriors = new_posteriors
-            em_iteration(self.name, iterations, delta)
+            self.em_iteration(iterations, delta)
             if delta < self.tolerance:
                 converged = True
                 break
@@ -287,7 +285,7 @@ class Glad(TruthInference):
                 for label, p in post.items()
             )
             posteriors = new_posteriors
-            em_iteration(self.name, iterations, delta)
+            self.em_iteration(iterations, delta)
             if delta < self.tolerance:
                 converged = True
                 break

@@ -30,8 +30,6 @@ from repro.platform.task import Answer
 from repro.quality.truth.base import (
     InferenceResult,
     TruthInference,
-    em_iteration,
-    em_span,
     encode_observations,
     label_space,
     normalize_log_rows,
@@ -99,7 +97,7 @@ class Mace(TruthInference):
 
     def infer(self, answers_by_task: Mapping[str, Sequence[Answer]]) -> InferenceResult:
         self._validate(answers_by_task)
-        with em_span(self.name, answers_by_task) as span:
+        with self.em_span(answers_by_task) as span:
             if self.backend == "kernel":
                 result = self._infer_kernel(answers_by_task)
             else:
@@ -175,7 +173,7 @@ class Mace(TruthInference):
 
             delta = float(np.abs(new_posteriors - posteriors).max())
             posteriors = new_posteriors
-            em_iteration(self.name, iterations, delta)
+            self.em_iteration(iterations, delta)
             if delta < self.tolerance:
                 converged = True
                 break
@@ -294,7 +292,7 @@ class Mace(TruthInference):
                 for label, p in post.items()
             )
             posteriors = new_posteriors
-            em_iteration(self.name, iterations, delta)
+            self.em_iteration(iterations, delta)
             if delta < self.tolerance:
                 converged = True
                 break

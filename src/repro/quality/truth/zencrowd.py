@@ -27,8 +27,6 @@ from repro.platform.task import Answer
 from repro.quality.truth.base import (
     InferenceResult,
     TruthInference,
-    em_iteration,
-    em_span,
     encode_observations,
     normalize_log_rows,
     posteriors_to_maps,
@@ -76,7 +74,7 @@ class ZenCrowd(TruthInference):
 
     def infer(self, answers_by_task: Mapping[str, Sequence[Answer]]) -> InferenceResult:
         self._validate(answers_by_task)
-        with em_span(self.name, answers_by_task) as span:
+        with self.em_span(answers_by_task) as span:
             if self.backend == "kernel":
                 result = self._infer_kernel(answers_by_task)
             else:
@@ -131,7 +129,7 @@ class ZenCrowd(TruthInference):
                 float(np.abs(new_posteriors - posteriors).max()) if iterations > 1 else 1.0
             )
             posteriors = new_posteriors
-            em_iteration(self.name, iterations, delta)
+            self.em_iteration(iterations, delta)
             if delta < self.tolerance:
                 converged = True
                 break
@@ -223,7 +221,7 @@ class ZenCrowd(TruthInference):
                 delta = 1.0
             posteriors = new_posteriors
             reliability = new_reliability
-            em_iteration(self.name, iterations, delta)
+            self.em_iteration(iterations, delta)
             if delta < self.tolerance:
                 converged = True
                 break

@@ -390,6 +390,27 @@ class TestServeMetricsCommand:
         assert not thread.is_alive()
         assert codes["exit"] == 0
 
+    def test_each_iteration_reports_its_own_run(self, capsys):
+        """Iteration k prints the summary lines ``--seed S+k demo`` prints."""
+
+        def summaries(out):
+            return [
+                line
+                for line in out.splitlines()
+                if line.startswith(("-- batch runtime", "-- answer cache"))
+            ]
+
+        flags = ["--inference", "ds"]
+        argv = ["--seed", "3", *flags, "serve-metrics", "--port", "0", "--iterations", "2"]
+        assert main(argv) == 0
+        served = summaries(capsys.readouterr().out)
+        demos = []
+        for seed in ("3", "4"):
+            assert main(["--seed", seed, *flags, "demo"]) == 0
+            demos += summaries(capsys.readouterr().out)
+        assert len(demos) == 4
+        assert served == demos
+
     def test_serve_metrics_missing_script(self, capsys):
         assert main(["serve-metrics", "/nonexistent/x.sql", "--port", "0"]) == 1
         assert "error: cannot read" in capsys.readouterr().err
@@ -652,8 +673,6 @@ class TestGlobalFlagMatrix:
     @pytest.fixture
     def recorded(self, monkeypatch):
         """The engines the CLI builds and the sessions that run SQL."""
-        from http.server import ThreadingHTTPServer
-
         import repro.cli as cli
         from repro.lang.interpreter import CrowdSQLSession
 
@@ -672,13 +691,6 @@ class TestGlobalFlagMatrix:
 
         monkeypatch.setattr(cli, "CrowdEngine", RecordingEngine)
         monkeypatch.setattr(CrowdSQLSession, "execute", recording_execute)
-        # The live-ops server otherwise takes 0.5 s to notice a shutdown.
-        serve_forever = ThreadingHTTPServer.serve_forever
-        monkeypatch.setattr(
-            ThreadingHTTPServer,
-            "serve_forever",
-            lambda server: serve_forever(server, poll_interval=0.01),
-        )
         return engines, sessions
 
     def test_matrix_covers_every_flag_and_command(self):

@@ -1,6 +1,7 @@
 """Unit tests for the CrowdEngine facade, EngineConfig, and Requester."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -374,7 +375,6 @@ class TestEngineRobustness:
         assert closed == [trace]
 
     def test_close_finishes_every_step_when_one_fails(self, tmp_path):
-        from repro.obs.runtime import current_metrics
         from repro.platform.cache import AnswerCache
 
         blocker = tmp_path / "file.txt"
@@ -388,26 +388,25 @@ class TestEngineRobustness:
             )
         )
         engine.gather(make_choice_tasks(4))
-        assert current_metrics() is engine.metrics
         with pytest.raises(ConfigurationError, match="cannot write profile"):
             engine.close()
         # The failed profile write skipped none of the later steps.
         assert AnswerCache().load(spill) == 4
-        assert current_metrics() is not engine.metrics
         engine.close()  # already closed: nothing left to do
 
-    def test_engines_can_share_one_registry(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry(enabled=True)
-        first = CrowdEngine(EngineConfig(seed=2), metrics=registry)
+    def test_engines_keep_separate_ledgers(self):
+        config = EngineConfig(seed=2, metrics_enabled=True)
+        first = CrowdEngine(config)
         first.gather(make_choice_tasks(4))
+        spent = first.spent
+        assert spent > 0
+        second = CrowdEngine(replace(config, budget=spent))
+        assert second.metrics is not first.metrics
+        assert (second.spent, second.stats.answers_collected) == (0, 0)
+        second.gather(make_choice_tasks(4))  # the whole budget is its own
+        assert second.spent == first.spent == spent
         first.close()
-        second = CrowdEngine(EngineConfig(seed=3), metrics=registry)
-        assert second.metrics is registry
-        second.gather(make_choice_tasks(4))
         second.close()
-        assert registry.counter("platform.tasks_published").value == 8
 
 
 # Operators that buy answers through the batch scheduler, each run on a

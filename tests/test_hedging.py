@@ -3,7 +3,7 @@
 Covers the tentpole contract end-to-end: online completion models and
 straggler detection, first-answer-wins hedge resolution with cancellation
 refunds, seed-replay and kill-and-resume bit-identity, cache/hedge
-interaction, the labeled ``batch.hedges`` metric family, and the
+interaction, the per-outcome ``batch.hedges_*`` counters, and the
 deadline escalation ladder (hedge harder -> shrink redundancy -> trip).
 """
 
@@ -231,19 +231,20 @@ class TestHedgeOutcomes:
         assert "hedge" in summary
 
     def test_labeled_hedge_family_renders(self):
+        """Each hedge outcome renders as its own ``batch_hedges_<outcome>_total``."""
         platform, _ = self._run()
         s = platform.stats
         text = render_prometheus(platform.metrics)
         families = parse_exposition(text)
-        samples = families["batch_hedges_total"]["samples"]
-        by_outcome = {dict(labels)["outcome"]: value for _, labels, value in samples}
-        assert set(by_outcome) <= {"won", "lost", "cancelled"}
+        by_outcome = {
+            outcome: families[f"batch_hedges_{outcome}_total"]["samples"][0][2]
+            for outcome in ("won", "lost", "cancelled")
+        }
         assert sum(by_outcome.values()) == s.hedges_launched
-        assert by_outcome.get("won", 0) == s.hedges_won
+        assert by_outcome["won"] == s.hedges_won
 
     def test_hedge_descriptors_registered(self):
         for name in (
-            "batch.hedges",
             "batch.hedges_launched",
             "batch.hedges_won",
             "batch.hedges_lost",
@@ -252,8 +253,8 @@ class TestHedgeOutcomes:
             "recovery.deadline_escalations",
         ):
             assert name in DESCRIPTOR_INDEX, name
-        assert DESCRIPTOR_INDEX["batch.hedges"].prom_name == "batch_hedges_total"
-        assert DESCRIPTOR_INDEX["batch.hedges"].kind == "counter"
+        assert DESCRIPTOR_INDEX["batch.hedges_won"].prom_name == "batch_hedges_won_total"
+        assert DESCRIPTOR_INDEX["batch.hedges_won"].kind == "counter"
 
     def test_old_profiles_without_hedge_fields_still_render(self):
         from repro.obs.profiler import render_profile

@@ -21,7 +21,6 @@ from repro.obs import (
     render_report,
     report_from_file,
 )
-from repro.obs.runtime import activate, current_metrics, current_tracer, deactivate
 from repro.platform.batch import BatchConfig
 from repro.platform.events import EventSimulator
 from repro.platform.platform import PlatformStats, SimulatedPlatform
@@ -301,12 +300,14 @@ class TestLabeledMetrics:
         labeled = metrics.counter("operator.runs", {"operator": "filter"})
         assert labeled.value == 1
         assert metrics.counter("operator.items", {"operator": "filter"}).value == 2
-        # Dotted aliases advance in lockstep.
-        assert metrics.counter("operator.filter.runs").value == 1
+        answers = metrics.counter("operator.answers", {"operator": "filter"})
+        assert answers.value == platform.stats.answers_collected == 6
         wall = metrics.histogram("operator.wall", {"operator": "filter"})
         assert wall.count == 1
 
     def test_cache_requests_labeled_by_outcome(self):
+        """Each lookup outcome has one series, which the exposition serves."""
+        from repro.obs.prom import parse_exposition, render_prometheus
         from repro.platform.cache import AnswerCache
 
         platform, _, _ = traced_platform(metrics_enabled=True)
@@ -314,9 +315,9 @@ class TestLabeledMetrics:
         tasks = make_tasks(4)
         platform.collect(tasks, redundancy=3)
         platform.collect(tasks, redundancy=3)
-        metrics = platform.metrics
-        hits = metrics.counter("cache.requests", {"outcome": "hit"}).value
-        misses = metrics.counter("cache.requests", {"outcome": "miss"}).value
+        families = parse_exposition(render_prometheus(platform.metrics))
+        (_, _, hits), = families["cache_hits_total"]["samples"]
+        (_, _, misses), = families["cache_misses_total"]["samples"]
         assert misses == platform.stats.cache_misses == 4
         assert hits == platform.stats.cache_hits == 4
 
@@ -351,41 +352,26 @@ class TestLabeledMetrics:
         from repro.platform.task import Answer
 
         registry = MetricsRegistry()
-        activate(metrics=registry)
-        try:
-            answers = {
-                f"t{i}": [
-                    Answer(f"t{i}", "w1", "yes"),
-                    Answer(f"t{i}", "w2", "yes"),
-                    Answer(f"t{i}", "w3", "no"),
-                ]
-                for i in range(6)
-            }
-            CATEGORICAL_METHODS["ds"]().infer(answers)
-        finally:
-            deactivate(metrics=registry)
+        answers = {
+            f"t{i}": [
+                Answer(f"t{i}", "w1", "yes"),
+                Answer(f"t{i}", "w2", "yes"),
+                Answer(f"t{i}", "w3", "no"),
+            ]
+            for i in range(6)
+        }
+        method = CATEGORICAL_METHODS["ds"]()
+        method.metrics = registry
+        result = method.infer(answers)
+        # A method built without instruments keeps the no-op pair.
+        alone = CATEGORICAL_METHODS["ds"]()
+        assert alone.tracer is NULL_TRACER and not alone.metrics.enabled
+        alone.infer(answers)
         iterations = registry.counter("em.iterations", {"method": "ds"}).value
-        assert iterations > 0
+        assert iterations == result.iterations > 0
         deltas = registry.histogram("em.delta", {"method": "ds"})
         assert deltas.count == iterations
-
-
-class TestRuntime:
-    def test_activate_and_deactivate(self):
-        tracer, metrics = Tracer(MemorySink()), MetricsRegistry()
-        activate(tracer, metrics)
-        try:
-            assert current_tracer() is tracer
-            assert current_metrics() is metrics
-        finally:
-            deactivate(tracer, metrics)
-        assert current_tracer() is NULL_TRACER
-        # Deactivating an inactive pair does not clobber the live one.
-        other = Tracer(MemorySink())
-        activate(other, metrics)
-        deactivate(tracer, metrics)
-        assert current_tracer() is other
-        deactivate(other, metrics)
+        assert not alone.metrics.counters and not alone.metrics.histograms
 
 
 class TestEventSimulatorObs:
@@ -486,11 +472,75 @@ class TestEngineObservability:
         iters = [s for s in spans if s["name"] == "em.iteration"]
         assert iters and all(s["parent_id"] == truth_spans[0]["span_id"] for s in iters)
 
+    def test_em_metrics_stay_with_the_engine_that_ran_them(self):
+        config = EngineConfig(seed=1, inference="ds", metrics_enabled=True)
+        first, second = CrowdEngine(config), CrowdEngine(config)
+        items = [f"{c}{i}" for c in "abc" for i in range(10)]
+
+        def categorize():
+            first.categorize(items, categories=("a", "b", "c"), truth_fn=lambda i: i[0])
+            counters = first.metrics.counters
+            return (
+                counters['em.iterations{method="ds"}'].value,
+                first.metrics.histograms['em.delta{method="ds"}'].count,
+            )
+
+        iterations, deltas = categorize()
+        assert iterations == deltas > 0
+        second.close()
+        assert categorize() == (2 * iterations, 2 * deltas)
+        first.close()
+        assert not [
+            key
+            for key in (*second.metrics.counters, *second.metrics.histograms)
+            if key.startswith("em.")
+        ]
+
+    def test_each_quantity_is_booked_in_one_series(self):
+        """An operator, DS inference, cache hits, hedges and a LIMIT's
+        cancellations each land in one series, never in a second alias."""
+        import re
+
+        from repro.lang.executor import CrowdOracle
+
+        config = EngineConfig(
+            seed=3, inference="ds", metrics_enabled=True, max_parallel=4,
+            hedge_enabled=True, hedge_min_samples=8, pipeline=True, cache_enabled=True,
+        )
+        oracle = CrowdOracle(filter_fn=lambda value, _q: int(value.split()[-1]) % 2 == 0)
+        with CrowdEngine(config, oracle=oracle) as engine:
+            engine.sql("CREATE TABLE t (k STRING, price INTEGER, PRIMARY KEY (k))")
+            engine.table("t").insert_many([{"k": f"key {i}", "price": i} for i in range(80)])
+            engine.categorize(
+                [f"{c}{i}" for c in "ab" for i in range(15)],
+                categories=("a", "b"),
+                truth_fn=lambda item: item[0],
+            )
+            sql = "SELECT k FROM t WHERE CROWDFILTER(k, 'even?') ORDER BY price LIMIT 3"
+            engine.query(sql)
+            engine.query(sql)
+        stats, metrics = engine.stats, engine.metrics
+        assert stats.hedges_launched and stats.cache_hits and stats.tasks_cancelled
+        assert metrics.counters['operator.runs{operator="categorize"}'].value == 1
+        assert metrics.counters['em.iterations{method="ds"}'].value > 0
+        names = {
+            series.name
+            for series in (*metrics.counters.values(), *metrics.histograms.values())
+        }
+        deleted = {
+            name
+            for name in names
+            if name in ("cache.requests", "batch.hedges", "batch.cancellations")
+            or re.fullmatch(r"operator\.\w+\.(runs|cost|answers|wall)", name)
+            or re.fullmatch(r"em\.\w+\.delta", name)
+        }
+        assert not deleted
+
     def test_metrics_report_reaches_engine(self):
         engine = CrowdEngine(EngineConfig(seed=3, metrics_enabled=True))
         engine.filter(list(range(6)), "small?", lambda i: i < 3)
         report = engine.metrics_report()
-        assert "operator.filter.runs = 1" in report
+        assert 'operator.runs{operator="filter"} = 1' in report
         engine.close()
         engine.close()  # idempotent
 
@@ -499,7 +549,7 @@ class TestEngineObservability:
         assert engine.tracer is NULL_TRACER
         assert not engine.metrics.enabled
         engine.filter(list(range(4)), "small?", lambda i: i < 2)
-        assert engine.metrics.histograms.get("operator.filter.wall") is None
+        assert engine.metrics.histograms.get('operator.wall{operator="filter"}') is None
         engine.close()
 
     def test_config_validation(self):

@@ -210,6 +210,14 @@ class TestMetricsServer:
         server.stop()
         assert not server.running
 
+    def test_stop_returns_promptly(self):
+        import time
+
+        server = MetricsServer(MetricsRegistry(enabled=True)).start()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.25
+
     def test_rejects_invalid_port(self):
         with pytest.raises(ConfigurationError, match="metrics port"):
             MetricsServer(MetricsRegistry(enabled=True), port=-1)
@@ -255,6 +263,19 @@ class TestEngineLiveOps:
             engine.close()
         assert engine.metrics_server is not None
         assert not engine.metrics_server.running
+
+    def test_idle_run_status_keys(self):
+        engine = CrowdEngine(EngineConfig(seed=3))
+        engine.sql(SCRIPT)
+        status = engine.run_status()
+        assert set(status) == {
+            "current_statement", "budget", "answers_collected", "hits_published",
+            "batches_dispatched", "simulated_clock", "cache", "hedges", "breakers",
+            "profiled_statements",
+        }
+        assert status["batches_dispatched"] == engine.stats.batches_dispatched > 0
+        assert status["answers_collected"] == engine.stats.answers_collected > 0
+        engine.close()
 
     def test_run_status_reports_current_statement_mid_query(self):
         """The /run payload exposes the in-flight statement label."""

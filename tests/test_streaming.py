@@ -29,6 +29,8 @@ from repro.lang.streaming import StreamingExecutor, _Unsupported
 from repro.obs.metrics import MetricsRegistry, normalize_labels, series_key
 from repro.obs.profiler import QueryProfiler
 from repro.obs.prom import render_prometheus
+from repro.obs.sinks import MemorySink
+from repro.obs.tracer import Tracer
 from repro.platform.batch import BatchConfig
 from repro.platform.cache import AnswerCache
 from repro.platform.platform import SimulatedPlatform
@@ -333,15 +335,19 @@ class TestCancellationAccounting:
         assert registry.gauges[key].value == 0.0
 
     def test_cancellation_counter_labeled_by_reason(self):
+        """Cancelled HITs are counted once, in ``batch.tasks_cancelled``; each
+        task's reason rides on its ``batch.cancel`` trace annotation."""
         registry = MetricsRegistry(enabled=True)
         piped = make_session(pipeline=True, accuracy=1.0, metrics=registry)
+        sink = MemorySink()
+        piped.platform.tracer = Tracer(sink)
         piped.query(TOPK_SQL)
-        counter = registry.counter(
-            "batch.cancellations", labels={"reason": "early_termination"}
-        )
-        assert counter.value > 0
+        cancelled = registry.counter("batch.tasks_cancelled").value
+        assert cancelled > 0
+        reasons = [s["tags"]["reason"] for s in sink.spans if s["name"] == "batch.cancel"]
+        assert reasons == ["early_termination"] * cancelled
         exposition = render_prometheus(registry)
-        assert "batch_cancellations_total" in exposition
+        assert "batch_tasks_cancelled_total" in exposition
         assert "operators_in_flight" in exposition
 
     def test_profiler_surfaces_cancellations(self):

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.errors import InferenceError
-from repro.obs.runtime import activate, deactivate
 from repro.obs.sinks import MemorySink
 from repro.obs.tracer import Tracer
 from repro.platform.platform import SimulatedPlatform
@@ -352,12 +351,10 @@ class TestObservabilityContract:
     def test_kernel_emits_em_span_and_iterations(self, method):
         sink = MemorySink()
         tracer = Tracer(sink)
-        activate(tracer=tracer)
-        try:
-            with tracer.span("root"):
-                EM_FACTORIES[method]("kernel").infer(_evidence(seed=5, n_tasks=20))
-        finally:
-            deactivate(tracer=tracer)
+        algo = EM_FACTORIES[method]("kernel")
+        algo.tracer = tracer
+        with tracer.span("root"):
+            algo.infer(_evidence(seed=5, n_tasks=20))
         names = [s["name"] for s in sink.spans]
         truth_spans = [s for s in sink.spans if s["name"].startswith("truth.")]
         assert truth_spans, names
