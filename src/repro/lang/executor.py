@@ -7,28 +7,30 @@ real deployment would simply omit (workers would supply knowledge instead).
 
 A crowd operator posts its questions as one batch of HITs, as CrowdDB and
 Qurk do. A CROWDFILTER, a CROWDJOIN, or the crowd WHERE of UPDATE/DELETE
-renders each row's question in row order, computes its content signature
-once (one ``question_signer`` per call encodes all but the question, so
-a row costs one hash), skips what the statement's verdict memo already
-decided, and buys every new question in one ``platform.collect`` (one
-scheduler run); each verdict is then decided per task. The signature
-rides on the task, so the answer cache never hashes it again. Only
-conditions where a later question depends on an earlier verdict (two or
-more crowd predicates, or one under OR/NOT) keep the per-row short-circuit
-of :meth:`Executor._eval_crowd`. The streaming executor
-(:mod:`repro.lang.streaming`) plans through the same step.
+is evaluated one crowd predicate at a time (:meth:`Executor.crowd_mask`):
+each predicate renders its question for every row that still needs it, in
+row order, computes the content signature once (one ``question_signer``
+per call encodes all but the question, so a row costs one hash), skips
+what the statement's verdict memo already decided, and buys every new
+question in one ``platform.collect`` (one scheduler run); each verdict is
+then decided per task. An AND asks its right arm only on rows its left arm
+left not False, an OR only on rows left not True, so every row is asked
+exactly the questions a per-row short circuit would ask. The signature
+rides on the task, so the answer cache never hashes it again. The
+streaming executor (:mod:`repro.lang.streaming`) plans through the same
+step.
 
 Before any of that, :meth:`Executor.execute` derives every plan node's
-output schema (:meth:`Executor._schema_of`), so a statement that names a
-column its input lacks fails before it buys a crowd answer.
+output schema (:meth:`Executor._schema_of`) and checks every crowd
+predicate (:meth:`Executor.check_crowd_condition`), so a statement that
+names a column its input lacks, or a crowd predicate that cannot be asked,
+fails before it buys a crowd answer.
 
 Machine-side work runs on the column store's arrays where the plan shape
 allows it: scan/filter chains over a base table evaluate one fused
-predicate, crowd filters pre-drop rows whose machine-decidable prefix is
-definitely False before any crowd question is purchased, machine
-equi-joins build/probe on key arrays, and aggregates group and reduce
-per-column value lists. Row dicts are built only for rows a node returns
-or hands to the crowd, one column at a time
+predicate, machine equi-joins build/probe on key arrays, and aggregates
+group and reduce per-column value lists. Row dicts are built only for rows
+a node returns or hands to the crowd, one column at a time
 (:meth:`~repro.data.columnstore.ColumnStore.rows_at`); the hash join
 still builds its matched rows through ``row_dict``. Every fast path
 produces bit-identical rows, ordering, and crowd purchase sequences to the
@@ -41,7 +43,7 @@ Per-run accounting (questions, answers, spend) is collected in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import Any
@@ -100,6 +102,13 @@ from repro.quality.truth import MajorityVote, TruthInference
 YES = "yes"
 NO = "no"
 
+#: Operand count of each crowd predicate kind, and the error for another.
+_CROWD_OPERANDS = {
+    "equal": (2, "CROWDEQUAL takes exactly two operands"),
+    "filter": (1, "CROWDFILTER takes exactly one operand"),
+    "order": (2, "CROWDORDER takes exactly two operands"),
+}
+
 #: The one key every NaN groups under: NaN != NaN, so hashing the cells
 #: themselves would open a GROUP BY group (or DISTINCT row) per NaN.
 _NAN = float("nan")
@@ -115,6 +124,13 @@ def group_key(value: Any) -> Any:
 def distinct_key(row: dict[str, Any], columns: Sequence[str]) -> tuple[Any, ...]:
     """The key DISTINCT deduplicates *row* on (its *columns*, in order)."""
     return tuple(group_key(row[c]) for c in columns)
+
+
+def _check_columns(expr: Expression, schema: Schema) -> None:
+    """Raise the row path's error for a column *expr* reads that *schema* lacks."""
+    for name in sorted(expr.columns()):
+        if name not in schema:
+            raise ExpressionError(f"row has no column {name!r}")
 
 
 def _default_equal_truth(a: Any, b: Any) -> bool:
@@ -234,10 +250,12 @@ class Executor:
         """Output schema of *node*, derived without reading a row.
 
         Raises the error a run would raise for a column a node's input
-        lacks (projection, ORDER BY, CROWDORDER BY, aggregate, GROUP BY)
-        and for join inputs that share a column name, so a statement that
-        must fail fails before any crowd purchase. :meth:`_run` relies on
-        this check having passed.
+        lacks (projection, ORDER BY, CROWDORDER BY, aggregate, GROUP BY),
+        for join inputs that share a column name, and for a crowd filter or
+        crowd join condition that cannot be asked
+        (:meth:`check_crowd_condition`), so a statement that must fail
+        fails before any crowd purchase. :meth:`_run` relies on this check
+        having passed.
         """
         if isinstance(node, ScanNode):
             return self.database.table(node.table).schema
@@ -249,11 +267,16 @@ class Executor:
                     f"join inputs share column name(s) {sorted(clashes)}; "
                     "rename columns so names are unique"
                 )
-            return left.join(right, "left", "right")
+            joined = left.join(right, "left", "right")
+            if isinstance(node, CrowdJoinNode):
+                self.check_crowd_condition(node.condition, joined)
+            return joined
         children = node.children()
         if len(children) != 1:
             raise ExecutionError(f"unknown plan node {type(node).__name__}")
         schema = self._schema_of(children[0])
+        if isinstance(node, CrowdFilterNode):
+            self.check_crowd_condition(node.predicate, schema)
         if isinstance(node, ProjectNode):
             return schema.project(node.columns)
         if isinstance(node, AggregateNode):
@@ -394,88 +417,11 @@ class Executor:
         table, pos = resolved
         return table.schema, table.store.rows_at(pos)
 
-    @staticmethod
-    def _machine_prefix(expr: Expression) -> tuple[Expression, Expression] | None:
-        """Split ``And(machine_subtree, crowd_rest)`` off a predicate tree.
-
-        Walks the left spine of the And tree peeling crowd-dependent right
-        arms; the leftmost crowd-free subtree is the machine prefix, exactly
-        the unit :meth:`_eval_crowd` evaluates in one ``Expression.evaluate``
-        call. Returns (prefix, rest) or None when there is no such split.
-        """
-        arms: list[Expression] = []
-        while isinstance(expr, And) and contains_crowd_predicate(expr):
-            arms.append(expr.right)
-            expr = expr.left
-        if not arms or contains_crowd_predicate(expr):
-            return None
-        arms.reverse()
-        return expr, conjoin(arms)
-
     def _run_crowd_filter(
         self, node: CrowdFilterNode, stats: ExecutionStats
     ) -> tuple[Schema, list[dict[str, Any]]]:
-        fast = self._crowd_filter_prepass(node, stats)
-        if fast is not None:
-            return fast
         schema, rows = self._run(node.child, stats)
         return schema, list(compress(rows, self.crowd_mask(node.predicate, rows, stats)))
-
-    def _crowd_filter_prepass(
-        self, node: CrowdFilterNode, stats: ExecutionStats
-    ) -> tuple[Schema, list[dict[str, Any]]] | None:
-        """Vectorize the machine-decidable prefix of a crowd filter.
-
-        Only rows whose machine prefix is *definitely False* are dropped
-        before crowd evaluation — rows where the prefix is NULL or
-        CROWD_UNKNOWN still reach the crowd exactly as in the row path, so
-        the sequence of purchased questions (and hence the platform RNG
-        stream and every cache entry) is bit-identical.
-        """
-        if not contains_crowd_predicate(node.predicate):
-            # Degenerate crowd filter over a machine predicate: pure
-            # vectorized filter, no purchases at all.
-            resolved = self._columnar_rows(node.child)
-            if resolved is None:
-                return None
-            table, pos = resolved
-            if pos.size:
-                batch, n = self._batch_for(table, node.predicate, pos)
-                try:
-                    true, _null, _cnull = evaluate_tristate(node.predicate, batch, n)
-                except ExpressionError:
-                    return None
-                pos = pos[true]
-            return table.schema, table.store.rows_at(pos)
-        split = self._machine_prefix(node.predicate)
-        if split is None:
-            return None
-        prefix, rest = split
-        resolved = self._columnar_rows(node.child)
-        if resolved is None:
-            return None
-        table, pos = resolved
-        if pos.size == 0:
-            return table.schema, []
-        batch, n = self._batch_for(table, prefix, pos)
-        try:
-            true, null, cnull = evaluate_tristate(prefix, batch, n)
-        except ExpressionError:
-            return None
-        # _eval_crowd short-circuits an And only on definite False; a NULL or
-        # CROWD_UNKNOWN prefix still buys the crowd answers, and at the crowd
-        # And level CROWD_UNKNOWN counts as satisfied while NULL poisons the
-        # row. Mirror all three cases exactly.
-        candidate = true | null | cnull
-        satisfied = (true | cnull)[candidate]
-        rows = table.store.rows_at(pos[candidate])
-        keep = self.crowd_mask(rest, rows, stats)
-        kept = [
-            row
-            for row, ok, k in zip(rows, satisfied.tolist(), keep, strict=True)
-            if k and ok
-        ]
-        return table.schema, kept
 
     @staticmethod
     def _equi_split(
@@ -684,16 +630,8 @@ class Executor:
             with operator_span(
                 self.platform, "crowdjoin", left=len(left_rows), right=len(right_rows)
             ) as span:
-                keep = self.crowd_mask(
-                    node.condition,
-                    ({**lrow, **rrow} for lrow, rrow in product(left_rows, right_rows)),
-                    stats,
-                )
-                out = [
-                    {**lrow, **rrow}
-                    for (lrow, rrow), k in zip(product(left_rows, right_rows), keep)
-                    if k
-                ]
+                pairs = [{**lrow, **rrow} for lrow, rrow in product(left_rows, right_rows)]
+                out = list(compress(pairs, self.crowd_mask(node.condition, pairs, stats)))
                 span.set_tag("matched", len(out))
         else:
             out = self._machine_join(
@@ -912,41 +850,37 @@ class Executor:
     # Crowd-aware expression evaluation
     # ------------------------------------------------------------------ #
 
-    def _eval_crowd(self, expr: Expression, row: dict[str, Any], stats: ExecutionStats) -> Any:
-        """Evaluate *expr* on *row*, buying crowd answers as needed."""
-        if isinstance(expr, CrowdPredicate):
-            return self._resolve_predicate(expr, row, stats)
-        if not contains_crowd_predicate(expr):
-            return expr.evaluate(row)
-        if isinstance(expr, And):
-            lhs = self._eval_crowd(expr.left, row, stats)
-            if lhs is False:
-                return False
-            rhs = self._eval_crowd(expr.right, row, stats)
-            if rhs is False:
-                return False
-            if lhs is None or rhs is None:
-                return None
-            return True
-        if isinstance(expr, Or):
-            lhs = self._eval_crowd(expr.left, row, stats)
-            if lhs is True:
-                return True
-            rhs = self._eval_crowd(expr.right, row, stats)
-            if rhs is True:
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return False
-        if isinstance(expr, Not):
-            value = self._eval_crowd(expr.operand, row, stats)
-            if value is None or is_crowd_unknown(value):
-                return value
-            return not value
-        raise ExecutionError(
-            f"crowd predicates may appear only under AND/OR/NOT, not inside "
-            f"{type(expr).__name__}"
-        )
+    def check_crowd_condition(self, expr: Expression, schema: Schema) -> None:
+        """Raise now whatever evaluating *expr* over rows of *schema* must.
+
+        A crowd predicate sits only under AND, OR or NOT; its kind is known
+        and has the right number of operands; a CROWDFILTER has a filter
+        oracle; and every column the condition names exists. Every arm is
+        checked, whether or not a row reaches it, so a statement that must
+        fail fails before its first purchase.
+        """
+        if isinstance(expr, (And, Or)):
+            self.check_crowd_condition(expr.left, schema)
+            self.check_crowd_condition(expr.right, schema)
+        elif isinstance(expr, Not):
+            self.check_crowd_condition(expr.operand, schema)
+        elif isinstance(expr, CrowdPredicate):
+            for operand in expr.operands:
+                _check_columns(operand, schema)
+            if expr.kind not in _CROWD_OPERANDS:
+                raise ExecutionError(f"unknown crowd predicate kind {expr.kind!r}")
+            count, message = _CROWD_OPERANDS[expr.kind]
+            if len(expr.operands) != count:
+                raise ExecutionError(message)
+            if expr.kind == "filter" and self.oracle.filter_fn is None:
+                raise ExecutionError("query uses CROWDFILTER but no filter oracle is configured")
+        elif contains_crowd_predicate(expr):
+            raise ExecutionError(
+                f"crowd predicates may appear only under AND/OR/NOT, not inside "
+                f"{type(expr).__name__}"
+            )
+        else:
+            _check_columns(expr, schema)
 
     def _crowd_question(
         self, predicate: CrowdPredicate, row: dict[str, Any]
@@ -954,19 +888,11 @@ class Executor:
         """Render *predicate* against *row* into the HIT question text."""
         values = predicate.operand_values(row)
         if predicate.kind == "equal":
-            if len(values) != 2:
-                raise ExecutionError("CROWDEQUAL takes exactly two operands")
             question = f"Do these refer to the same thing? A: {values[0]} | B: {values[1]}"
         elif predicate.kind == "filter":
-            if len(values) != 1:
-                raise ExecutionError("CROWDFILTER takes exactly one operand")
             question = f"{predicate.question} — value: {values[0]}"
-        elif predicate.kind == "order":
-            if len(values) != 2:
-                raise ExecutionError("CROWDORDER takes exactly two operands")
+        else:  # order
             question = f"Does A rank at least as high as B? A: {values[0]} | B: {values[1]}"
-        else:
-            raise ExecutionError(f"unknown crowd predicate kind {predicate.kind!r}")
         return question, values
 
     def _plan_task(
@@ -990,10 +916,6 @@ class Executor:
                 return None
             truth = self.oracle.equal_fn(a, b)
         elif predicate.kind == "filter":
-            if self.oracle.filter_fn is None:
-                raise ExecutionError(
-                    "query uses CROWDFILTER but no filter oracle is configured"
-                )
             truth = self.oracle.filter_fn(values[0], predicate.question)
         else:
             score = self.oracle.order_score_fn or (
@@ -1015,52 +937,26 @@ class Executor:
         # treat the predicate as not satisfied rather than crashing.
         return False
 
-    @classmethod
-    def _single_crowd(
-        cls, expr: Expression
-    ) -> tuple[Expression | None, CrowdPredicate] | None:
-        """Split *expr* into (machine prefix or None, its one crowd predicate).
-
-        None when a row's later question depends on an earlier verdict: two
-        or more crowd predicates, or one under OR/NOT.
-        """
-        if isinstance(expr, CrowdPredicate):
-            return None, expr
-        split = cls._machine_prefix(expr)
-        if split is None or not isinstance(split[1], CrowdPredicate):
-            return None
-        return split
-
     def _plan_questions(
         self,
-        prefix: Expression | None,
         predicate: CrowdPredicate,
-        rows: Iterable[dict[str, Any]],
+        rows: Sequence[dict[str, Any]],
         stats: ExecutionStats,
-    ) -> tuple[list[tuple[bool, str | None]], list[Task]]:
-        """Plan ``prefix AND predicate`` over *rows*, in row order.
+    ) -> tuple[list[str], list[Task]]:
+        """Plan *predicate*'s question on each of *rows*, in row order.
 
-        Returns one ``(ok, signature)`` per row and one task per signature
-        that neither the verdict memo nor an earlier row of this call holds;
-        each task carries its signature. A row whose machine *prefix* is
-        False asks nothing (signature None). A NULL prefix still asks but
-        poisons the row (``ok`` False), exactly as :meth:`_eval_crowd`'s
-        And does. Similarity-pruned questions are decided False here. Every
-        question is a yes/no one, so one signer signs them all.
+        Returns one signature per row and one task per signature that
+        neither the verdict memo nor an earlier row of this call holds;
+        each task carries its signature. Similarity-pruned questions are
+        decided False here. Every question is a yes/no one, so one signer
+        signs them all.
         """
-        planned: list[tuple[bool, str | None]] = []
+        signatures: list[str] = []
         tasks: list[Task] = []
         new: set[str] = set()
         verdicts = self._verdicts
         sign = question_signer(TaskType.SINGLE_CHOICE, (YES, NO))
         for row in rows:
-            ok = True
-            if prefix is not None:
-                value = prefix.evaluate(row)
-                if value is False:
-                    planned.append((False, None))
-                    continue
-                ok = value is not None
             question, values = self._crowd_question(predicate, row)
             signature = sign(question)
             if signature not in verdicts and signature not in new:
@@ -1071,8 +967,8 @@ class Executor:
                     task.signature = signature
                     new.add(signature)
                     tasks.append(task)
-            planned.append((ok, signature))
-        return planned, tasks
+            signatures.append(signature)
+        return signatures, tasks
 
     def _decide(self, task: Task, answers: list[Any], stats: ExecutionStats) -> None:
         """Record the verdict of one planned *task* from its *answers*."""
@@ -1081,28 +977,55 @@ class Executor:
         stats.crowd_answers += len(answers)
 
     def crowd_mask(
-        self, expr: Expression, rows: Iterable[dict[str, Any]], stats: ExecutionStats
+        self, expr: Expression, rows: Sequence[dict[str, Any]], stats: ExecutionStats
     ) -> list[bool]:
         """Whether each of *rows* satisfies crowd-dependent *expr*.
 
-        One crowd question per row is planned for all rows and bought in
-        one collect; other shapes evaluate row by row through
-        :meth:`_eval_crowd`, whose short-circuit decides what to ask next.
+        *expr* must have passed :meth:`check_crowd_condition`. Each crowd
+        predicate in it costs at most one scheduler run (:meth:`_crowd_values`).
         """
-        shape = self._single_crowd(expr)
-        if shape is None:
-            return [self._eval_crowd(expr, row, stats) is True for row in rows]
-        planned, tasks = self._plan_questions(*shape, rows, stats)
-        if tasks:
-            before = self.platform.stats.cost_spent
-            collected = self.platform.collect(tasks, redundancy=self.redundancy)
-            for task in tasks:
-                self._decide(task, collected.get(task.task_id, []), stats)
-            stats.crowd_cost += self.platform.stats.cost_spent - before
-        return [ok and self._verdicts[signature] for ok, signature in planned]
+        return [value is True for value in self._crowd_values(expr, rows, stats)]
 
-    def _resolve_predicate(
-        self, predicate: CrowdPredicate, row: dict[str, Any], stats: ExecutionStats
-    ) -> bool:
-        """Plan one row's question, then buy and decide it if it is new."""
-        return self.crowd_mask(predicate, [row], stats)[0]
+    def _crowd_values(
+        self, expr: Expression, rows: Sequence[dict[str, Any]], stats: ExecutionStats
+    ) -> list[Any]:
+        """The three-valued value of *expr* on each of *rows*.
+
+        A crowd predicate plans its question on every row it is given and
+        buys the new ones in one ``platform.collect``; a machine subtree
+        evaluates row by row. AND evaluates its right arm only on rows whose
+        left value is not False, OR only on rows whose left value is not
+        True, so each row is asked what a per-row short circuit asks. The
+        arms combine as that short circuit does: NULL poisons the row and
+        CROWD_UNKNOWN counts as satisfied under AND; NOT flips True and
+        False and keeps NULL and CROWD_UNKNOWN.
+        """
+        if isinstance(expr, CrowdPredicate):
+            signatures, tasks = self._plan_questions(expr, rows, stats)
+            if tasks:
+                before = self.platform.stats.cost_spent
+                collected = self.platform.collect(tasks, redundancy=self.redundancy)
+                for task in tasks:
+                    self._decide(task, collected.get(task.task_id, []), stats)
+                stats.crowd_cost += self.platform.stats.cost_spent - before
+            return [self._verdicts[signature] for signature in signatures]
+        if not contains_crowd_predicate(expr):
+            return [expr.evaluate(row) for row in rows]
+        if isinstance(expr, Not):
+            return [
+                value if value is None or is_crowd_unknown(value) else not value
+                for value in self._crowd_values(expr.operand, rows, stats)
+            ]
+        # And or Or: the left value that settles a row without the right arm.
+        settles = isinstance(expr, Or)
+        values = self._crowd_values(expr.left, rows, stats)
+        todo = [i for i, value in enumerate(values) if value is not settles]
+        right = self._crowd_values(expr.right, [rows[i] for i in todo], stats)
+        for i, value in zip(todo, right, strict=True):
+            if value is settles:
+                values[i] = settles
+            elif values[i] is None or value is None:
+                values[i] = None
+            else:
+                values[i] = not settles
+        return values

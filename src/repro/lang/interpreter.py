@@ -228,6 +228,7 @@ class CrowdSQLSession:
                 inference=self.inference,
                 oracle=self.oracle,
             )
+            executor.check_crowd_condition(where, table.schema)  # raises before any purchase
             keep = executor.crowd_mask(where, table.to_dicts(), ExecutionStats())
             return list(compress(table.rowids().tolist(), keep))
         try:

@@ -6,8 +6,11 @@ until the whole run lands, so a LIMIT above a crowd filter pays for every
 answer below it.
 
 :class:`StreamingExecutor` compiles exactly one plan shape: a LIMIT over
-optional DISTINCT, projection and ORDER BY, above a CROWDFILTER with one
-crowd conjunct (behind an optional machine prefix) on a machine-only child.
+optional DISTINCT, projection and ORDER BY, above a CROWDFILTER on a
+machine-only child whose predicate is one crowd predicate, as the
+optimizer leaves each crowd conjunct. A condition that combines crowd
+predicates under OR or NOT, or keeps a machine conjunct (an unoptimized
+plan), runs on the barrier executor.
 
 * the machine-only child is resolved vectorized up front via the columnar
   fast paths; under an ORDER BY its rows are pre-sorted, so emission order
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.data.expressions import CrowdPredicate, Expression
+from repro.data.expressions import CrowdPredicate
 from repro.lang.executor import ExecutionStats, Executor, QueryResult, distinct_key
 from repro.lang.planner import (
     CrowdFilterNode,
@@ -64,10 +67,8 @@ class _Pipeline:
     """One compiled streaming statement: a crowd filter stage under a LIMIT.
 
     Attributes:
-        filter_node: The crowd filter whose verdicts drive the stream.
-        prefix: Machine-decidable conjunction evaluated per row before any
-            crowd question is planned (None when the predicate is bare).
-        predicate: The single crowd conjunct the stream resolves.
+        filter_node: The crowd filter whose verdicts drive the stream; its
+            predicate is one :class:`CrowdPredicate`.
         order: ORDER BY keys above the stream (or None).
         project: Projection columns above the stream (or None).
         distinct: Whether DISTINCT applies to emitted rows.
@@ -75,8 +76,6 @@ class _Pipeline:
     """
 
     filter_node: CrowdFilterNode
-    prefix: Expression | None
-    predicate: CrowdPredicate
     order: tuple[tuple[str, bool], ...] | None
     project: tuple[str, ...] | None
     distinct: bool
@@ -86,8 +85,8 @@ class _Pipeline:
 class StreamingExecutor(Executor):
     """Drop-in for :class:`Executor` (the ``pipeline=True`` path).
 
-    Construction matches :class:`Executor`. A LIMIT over a single-crowd-
-    conjunct CROWDFILTER streams its crowd waves and cancels the HITs the
+    Construction matches :class:`Executor`. A LIMIT over a CROWDFILTER of
+    one crowd predicate streams its crowd waves and cancels the HITs the
     LIMIT no longer needs; every other statement runs through the
     inherited barrier implementation.
     """
@@ -134,19 +133,16 @@ class StreamingExecutor(Executor):
         if isinstance(node, OrderNode):
             order = node.keys
             node = node.child
-        if not isinstance(node, CrowdFilterNode) or not machine_only(node.child):
+        if (
+            not isinstance(node, CrowdFilterNode)
+            or not isinstance(node.predicate, CrowdPredicate)
+            or not machine_only(node.child)
+        ):
+            # A machine-only predicate buys nothing; a compound crowd
+            # condition buys predicate by predicate on the barrier path.
             raise _Unsupported
-        shape = self._single_crowd(node.predicate)
-        if shape is None:
-            # A machine-only predicate buys nothing; multi-crowd-conjunct
-            # trees (and OR/NOT shapes) keep the barrier's short-circuit
-            # purchase order.
-            raise _Unsupported
-        prefix, predicate = shape
         return _Pipeline(
             filter_node=node,
-            prefix=prefix,
-            predicate=predicate,
             order=order,
             project=project,
             distinct=distinct,
@@ -169,7 +165,7 @@ class StreamingExecutor(Executor):
 
         # The barrier executor's planning step: questions in row order, one
         # signature each, one task per new signature.
-        planned, tasks = self._plan_questions(pipe.prefix, pipe.predicate, rows, stats)
+        signatures, tasks = self._plan_questions(pipe.filter_node.predicate, rows, stats)
         metrics = self.platform.metrics
         labels = {"operator": "crowd_filter"}
 
@@ -195,13 +191,13 @@ class StreamingExecutor(Executor):
             # Emission strictly follows planning order: a resolved verdict
             # for row 7 waits until rows 0-6 are decided, keeping output
             # deterministic regardless of wave arrival order.
-            while state["frontier"] < len(planned) and not state["done"]:
-                ok, signature = planned[state["frontier"]]
-                if signature is not None and signature not in self._verdicts:
+            while state["frontier"] < len(signatures) and not state["done"]:
+                signature = signatures[state["frontier"]]
+                if signature not in self._verdicts:
                     return
                 row = rows[state["frontier"]]
                 state["frontier"] += 1
-                if ok and self._verdicts[signature]:
+                if self._verdicts[signature]:
                     emit(row)
 
         def on_batch(batch: list[Task], run_result: Any) -> None:

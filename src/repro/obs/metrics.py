@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 #: Default histogram bucket upper bounds (seconds-flavoured, covering both
@@ -291,8 +291,8 @@ class MetricsRegistry:
         if self.enabled:
             self.gauge(name, labels).set(value)
 
-    def add(self, other: "MetricsRegistry", names: "Collection[str] | None" = None) -> None:
-        """Fold *other*'s series into this registry (those in *names* only, if given).
+    def add(self, other: "MetricsRegistry") -> None:
+        """Fold *other*'s series into this registry.
 
         Counters add, histograms take every sample, gauges take *other*'s
         value. Works whether or not either registry is enabled, like the
@@ -300,16 +300,13 @@ class MetricsRegistry:
         """
         counters, gauges, histograms = other.series_snapshot()
         for counter in counters.values():
-            if names is None or counter.name in names:
-                self.counter(counter.name, dict(counter.labels)).inc(counter.value)
+            self.counter(counter.name, dict(counter.labels)).inc(counter.value)
         for gauge in gauges.values():
-            if names is None or gauge.name in names:
-                self.gauge(gauge.name, dict(gauge.labels)).set(gauge.value)
+            self.gauge(gauge.name, dict(gauge.labels)).set(gauge.value)
         for hist in histograms.values():
-            if names is None or hist.name in names:
-                target = self.histogram(hist.name, dict(hist.labels), buckets=hist.buckets)
-                for value in hist.values:
-                    target.observe(value)
+            target = self.histogram(hist.name, dict(hist.labels), buckets=hist.buckets)
+            for value in hist.values:
+                target.observe(value)
 
     # -------------------------------------------------------------- #
     # Export

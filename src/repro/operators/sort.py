@@ -172,27 +172,13 @@ class CrowdComparator:
         if i == j:
             raise ConfigurationError("cannot compare an item to itself")
         key = (min(i, j), max(i, j))
-        if key in self._cache:
-            verdict_low_high = self._cache[key]
-            return verdict_low_high if i == key[0] else not verdict_low_high
-        if self.deducer is not None:
-            deduced = self.deducer.infer(i, j)
-            if deduced is not None:
-                self._cache[key] = deduced if i == key[0] else not deduced
-                return deduced
-        task = self._pair_task(key)
-        collected = self.platform.collect([task], redundancy=self.redundancy)
-        answers = collected.get(task.task_id, [])
-        self.comparisons_asked += 1
-        self.answers_bought += len(answers)
-        if not answers:
-            # Skip/degrade failure policy: no evidence for this comparison —
-            # deterministically keep the lower index first instead of crashing.
-            self._store(key, True)
-            return i == key[0]
-        winner = self.inference.infer({task.task_id: answers}).truths[task.task_id]
-        verdict_low_high = winner == "left"  # key[0] above key[1]?
-        self._store(key, verdict_low_high)
+        if key not in self._cache:
+            self.prefetch([key])
+            if key not in self._cache:
+                # Skip/degrade failure policy: no evidence for this comparison —
+                # deterministically keep the lower index first instead of crashing.
+                self._store(key, True)
+        verdict_low_high = self._cache[key]  # key[0] above key[1]?
         return verdict_low_high if i == key[0] else not verdict_low_high
 
 

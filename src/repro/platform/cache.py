@@ -64,16 +64,6 @@ CACHE_FORMAT_VERSION = 1
 #: questions match across positions, operators, and statements.
 POSITIONAL_PAYLOAD_KEYS = frozenset({"item_index", "left_index", "right_index"})
 
-#: Counter names the cache maintains (mirrored as PlatformStats views).
-CACHE_METRICS = (
-    "cache.hits",
-    "cache.misses",
-    "cache.coalesced",
-    "cache.evictions",
-    "cache.answers_reused",
-)
-
-
 #: Encodes a signature's JSON: sorted keys, compact, non-ASCII kept.
 _SIGNATURE_JSON = json.JSONEncoder(
     sort_keys=True, ensure_ascii=False, separators=(",", ":")
@@ -241,9 +231,9 @@ class AnswerCache:
     Args:
         max_entries: LRU capacity (least-recently-used signature evicted
             past it); None (default) means unbounded.
-        metrics: Registry the hit/miss/coalesce/eviction counters live in;
-            :meth:`rebind_metrics` moves them onto a platform's registry at
-            attach time so ``PlatformStats`` views and the cache agree.
+        metrics: Registry the hit/miss/coalesce/eviction counters live in
+            until the cache is attached to a platform, which points it at
+            the platform's registry (``SimulatedPlatform.attach_cache``).
     """
 
     def __init__(
@@ -285,13 +275,6 @@ class AnswerCache:
     @property
     def answers_reused(self) -> int:
         return self.metrics.counter("cache.answers_reused").value
-
-    def rebind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Move the cache's counters onto *metrics*, carrying their values."""
-        if metrics is self.metrics:
-            return
-        metrics.add(self.metrics, names=CACHE_METRICS)
-        self.metrics = metrics
 
     # -------------------------------------------------------------- #
     # Store / lookup

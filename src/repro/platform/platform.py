@@ -271,16 +271,18 @@ class SimulatedPlatform:
     def attach_cache(self, cache: "AnswerCache | None") -> "AnswerCache | None":
         """Install (or clear, with None) the content-addressed answer cache.
 
-        The cache's counters are rebound onto this platform's registry so
+        The cache counts into this platform's registry from here on, so
         the ``cache_*`` views on :class:`PlatformStats` and the cache object
-        always agree. Only ask-and-close collection (``scheduler.run``, and
-        so :meth:`collect`, with ``complete=True``) consults the cache;
+        agree; counts the cache made before (on another platform, or while
+        loading a file) are not carried over, so a platform counts only the
+        lookups it served. Only ask-and-close collection (``scheduler.run``,
+        and so :meth:`collect`, with ``complete=True``) consults the cache;
         callers keeping tasks open for more evidence (the adaptive filter's
         waves, Deco's dependent fetches), HIT batches, and online
         assignment (:meth:`ask`) never do.
         """
         if cache is not None:
-            cache.rebind_metrics(self.metrics)
+            cache.metrics = self.metrics
         self.cache = cache
         return cache
 

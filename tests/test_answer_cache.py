@@ -287,36 +287,34 @@ class TestCacheStore:
         with pytest.raises(ConfigurationError):
             AnswerCache(max_entries=0)
 
-    def test_rebind_metrics_carries_values(self):
-        cache = AnswerCache()
-        task = single_choice("q?", ("yes", "no"))
-        cache.store(task, self.answers(task, ["yes"]))
-        cache.lookup(task_signature(task), 1)
-        cache.lookup("absent", 1)
-        registry = MetricsRegistry(enabled=False)
-        cache.rebind_metrics(registry)
-        assert cache.metrics is registry
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert registry.counter("cache.hits").value == 1
-
-    def test_rebind_metrics_carries_labeled_series(self):
-        """Every series the cache wrote moves to the new registry."""
-        cache = AnswerCache(metrics=MetricsRegistry())
-        task = single_choice("q?", ("yes", "no"))
-        cache.resolve([task], 1)  # one miss
-        cache.store(task, self.answers(task, ["yes"]))
-        cache.resolve([single_choice("q?", ("yes", "no"))], 1)  # one hit
-        registry = MetricsRegistry()
-        cache.rebind_metrics(registry)
-        assert {key: c.value for key, c in registry.counters.items()} == {
-            "cache.hits": 1,
-            "cache.misses": 1,
-            "cache.answers_reused": 1,
-        }
-
 
 class TestPlatformIntegration:
+    def test_a_platform_counts_only_the_lookups_it_served(self):
+        def counts(platform):
+            stats = platform.stats
+            return (
+                stats.cache_hits,
+                stats.cache_misses,
+                stats.cache_coalesced,
+                stats.cache_answers_reused,
+                stats.cache_evictions,
+            )
+
+        cache = AnswerCache()
+        first = make_platform(cache=cache)
+        first.collect(make_tasks(4, prefix="carry"), redundancy=3)
+        first.collect(make_tasks(4, prefix="carry"), redundancy=3)
+        assert counts(first) == (4, 4, 0, 12, 0)
+        second = make_platform(seed=9, cache=cache)
+        assert counts(second) == (0, 0, 0, 0, 0)
+        assert second.stats.cache_summary() == ""
+        assert counts(first) == (4, 4, 0, 12, 0)
+        # The cache now counts into the second platform only.
+        second.collect(make_tasks(4, prefix="carry"), redundancy=3)
+        assert counts(second) == (4, 0, 0, 12, 0)
+        assert (cache.hits, cache.misses) == (4, 0)
+        assert counts(first) == (4, 4, 0, 12, 0)
+
     def test_inflight_duplicates_publish_once(self):
         platform = make_platform(cache=AnswerCache())
         tasks = [single_choice("dup?", ("yes", "no")) for _ in range(3)]

@@ -9,10 +9,12 @@ Covers the invariants the columnar rebuild must preserve:
 - property-style equivalence between the row-at-a-time reference scan and
   the vectorized ``filter_rowids`` path over randomized expression trees,
   and between batched ``rows_at`` and per-row ``row_dict``;
-- the CrowdSQL executor's columnar fast paths (machine filter, crowd
-  pre-pass, hash join, aggregates, filters the optimizer pushed below a
-  join) against the row-path fallback, comparing result rows, execution
-  stats, platform spend and raised errors bit-for-bit.
+- the CrowdSQL executor's columnar fast paths (machine filter, hash
+  join, aggregates, filters the optimizer pushed below a join) against
+  the row-path fallback, comparing result rows, execution stats,
+  platform spend and raised errors bit-for-bit; the crowd filters over a
+  machine prefix run the crowd evaluator's NULL and CROWD_UNKNOWN prefix
+  cases under both.
 """
 
 import random
@@ -382,8 +384,8 @@ def _executor(database, fast):
     ex = Executor(database, platform, redundancy=3, oracle=oracle)
     if not fast:
         # Shadow the fast paths so every node takes the row-path fallback:
-        # no subtree resolves to column arrays (filters, crowd pre-pass,
-        # joins, aggregates), and rows are built one row_dict at a time.
+        # no subtree resolves to column arrays (filters, joins,
+        # aggregates), and rows are built one row_dict at a time.
         ex._columnar_rows = lambda node: None
         for table in database:
             store = table.store

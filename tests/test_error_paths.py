@@ -15,7 +15,7 @@ from repro.errors import ExecutionError, ExpressionError, ParseError
 from repro.lang.executor import CrowdOracle, Executor
 from repro.lang.interpreter import CrowdSQLSession
 from repro.lang.parser import parse_one
-from repro.lang.planner import build_plan
+from repro.lang.planner import CrowdFilterNode, LogicalPlan, ScanNode, build_plan
 from repro.platform.platform import SimulatedPlatform
 from repro.workers.pool import WorkerPool
 
@@ -56,29 +56,30 @@ class TestExecutorErrorPaths:
         with pytest.raises(ExecutionError, match="ORDER BY unknown"):
             session.query("SELECT name FROM t ORDER BY ghost")
 
+    @staticmethod
+    def _crowd_filter(predicate):
+        return LogicalPlan(CrowdFilterNode(ScanNode("t"), predicate))
+
     def test_crowdequal_arity_enforced(self):
         database, executor = self._executor()
-        from repro.lang.executor import ExecutionStats
-
         pred = CrowdPredicate("equal", (col("name"),))
         with pytest.raises(ExecutionError, match="two operands"):
-            executor._resolve_predicate(pred, {"name": "x"}, ExecutionStats())
+            executor.execute(self._crowd_filter(pred))
+        assert executor.platform.stats.cost_spent == 0
 
     def test_unknown_crowd_kind(self):
         database, executor = self._executor()
-        from repro.lang.executor import ExecutionStats
-
         pred = CrowdPredicate("teleport", (col("name"),))
         with pytest.raises(ExecutionError, match="unknown crowd predicate"):
-            executor._resolve_predicate(pred, {"name": "x"}, ExecutionStats())
+            executor.execute(self._crowd_filter(pred))
+        assert executor.platform.stats.cost_spent == 0
 
     def test_crowd_predicate_inside_arithmetic_rejected(self):
         database, executor = self._executor()
-        from repro.lang.executor import ExecutionStats
-
         expr = Arithmetic("+", CrowdPredicate("equal", (col("name"), lit("x"))), lit(1))
         with pytest.raises(ExecutionError, match="AND/OR/NOT"):
-            executor._eval_crowd(expr, {"name": "x"}, ExecutionStats())
+            executor.execute(self._crowd_filter(expr))
+        assert executor.platform.stats.cost_spent == 0
 
     def test_project_unknown_column(self):
         database, _ = self._executor()

@@ -1,6 +1,7 @@
 """Property-based correctness tests: the CrowdSQL executor vs a Python
-reference implementation on randomized tables and predicates, and its crowd
-operators vs a per-row purchase loop."""
+reference implementation on randomized tables and predicates, its crowd
+operators vs a per-row purchase loop, and its AND/OR/NOT crowd conditions
+vs a per-row three-valued reference."""
 
 import math
 
@@ -9,8 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cost.similarity import jaccard_tokens
+from repro.data.expressions import And, CrowdPredicate, Not, Or
 from repro.lang.executor import CrowdOracle
 from repro.lang.interpreter import CrowdSQLSession
+from repro.lang.optimizer import CostModel, Optimizer
+from repro.lang.parser import parse_one
+from repro.lang.planner import (
+    CrowdFilterNode,
+    FilterNode,
+    ScanNode,
+    build_plan,
+    crowd_predicates_of,
+)
 from repro.platform.batch import BatchConfig
 from repro.platform.cache import AnswerCache
 from repro.platform.platform import SimulatedPlatform
@@ -368,3 +379,144 @@ def test_crowd_operators_buy_what_a_per_row_loop_buys(lanes, rows, labels, optim
             reference.scheduler.simulated_clock,
             rel_tol=1e-9,
         )
+
+
+# ---------------------------------------------------------------------- #
+# Crowd conditions vs a per-row three-valued reference
+# ---------------------------------------------------------------------- #
+
+FLIES = "does it fly?"
+TRUTHS = {MAMMAL: lambda value: _is_mammal(value, MAMMAL), FLIES: lambda value: value == "bee"}
+CONDITION_LEAVES = st.one_of(
+    st.just(f"CROWDFILTER(k, '{MAMMAL}')"),
+    st.just(f"CROWDFILTER(k, '{FLIES}')"),
+    st.just("CROWDEQUAL(k, 'cat')"),
+    st.builds("w {} {}".format, st.sampled_from(["<", "=", ">"]), st.integers(-2, 2)),
+)
+
+
+def _conditions(depth):
+    """CrowdSQL conditions of depth <= *depth* over the leaves above."""
+    if depth == 0:
+        return CONDITION_LEAVES
+    inner = _conditions(depth - 1)
+    return st.one_of(
+        CONDITION_LEAVES,
+        inner.map("(NOT {})".format),
+        st.builds("({} {} {})".format, inner, st.sampled_from(["AND", "OR"]), inner),
+    )
+
+
+def _reference_value(expr, row, asked):
+    """*expr* on one row in SQL's three-valued logic, asking the crowd the
+    way a per-row short circuit does and recording every question asked."""
+    if isinstance(expr, CrowdPredicate):
+        k = row["k"]
+        if expr.kind == "equal":
+            asked.add(f"Do these refer to the same thing? A: {k} | B: cat")
+            return k == "cat"
+        asked.add(f"{expr.question} — value: {k}")
+        return TRUTHS[expr.question](k)
+    if isinstance(expr, Not):
+        value = _reference_value(expr.operand, row, asked)
+        return None if value is None else not value
+    if isinstance(expr, And):
+        left = _reference_value(expr.left, row, asked)
+        if left is False:
+            return False
+        right = _reference_value(expr.right, row, asked)
+        if right is False:
+            return False
+        return None if left is None or right is None else True
+    if isinstance(expr, Or):
+        left = _reference_value(expr.left, row, asked)
+        if left is True:
+            return True
+        right = _reference_value(expr.right, row, asked)
+        if right is True:
+            return True
+        return None if left is None or right is None else False
+    w = row["w"]
+    return None if w is None else OPS[expr.op](w, expr.right.evaluate(row))
+
+
+def _filter_chain(plan):
+    """The WHERE filters of *plan* in the order its rows pass them."""
+    chain = []
+    node = plan.root
+    while not isinstance(node, ScanNode):
+        if isinstance(node, (FilterNode, CrowdFilterNode)):
+            chain.append(node.predicate)
+        (node,) = node.children()
+    return chain[::-1]
+
+
+def _perfect_platform(lanes):
+    """Accuracy-1.0 workers, and a count of the scheduler's runs."""
+    platform = SimulatedPlatform(
+        WorkerPool.uniform(8, 1.0, seed=3),
+        seed=4,
+        batch=BatchConfig(batch_size=4, max_parallel=lanes, seed=5),
+    )
+    runs = []
+    run = platform.scheduler.run
+
+    def counted(*args, **kwargs):
+        runs.append(len(args[0]))
+        return run(*args, **kwargs)
+
+    platform.scheduler.run = counted
+    return platform, runs
+
+
+def _condition_session(platform, rows, optimize):
+    session = CrowdSQLSession(
+        platform=platform,
+        oracle=CrowdOracle(filter_fn=lambda value, question: TRUTHS[question](value)),
+        redundancy=3,
+        optimize=optimize,
+    )
+    session.execute("CREATE TABLE t (k STRING, w INTEGER)")
+    for k, w in rows:
+        session.database.table("t").insert({"k": k, "w": w})
+    return session
+
+
+def _published(platform):
+    return {platform.task(answer.task_id).question for answer in platform.answers}
+
+
+@pytest.mark.parametrize("lanes", [1, 8])
+@given(rows=CROWD_ROWS, condition=_conditions(3), optimize=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_crowd_conditions_match_a_per_row_reference(lanes, rows, condition, optimize):
+    """AND/OR/NOT crowd conditions buy each crowd predicate in at most one
+    scheduler run, ask exactly the questions a per-row short circuit asks,
+    and return its rows, in SELECT and in DELETE."""
+    sql = f"SELECT k, w FROM t WHERE {condition}"
+    where = parse_one(sql).where
+    n_crowd = len(crowd_predicates_of(where))
+    table = [{"k": k, "w": w} for k, w in rows]
+
+    platform, runs = _perfect_platform(lanes)
+    session = _condition_session(platform, rows, optimize)
+    plan = build_plan(parse_one(sql), session.database)
+    if optimize:
+        plan = Optimizer(session.database, CostModel(3)).optimize(plan)
+    chain = _filter_chain(plan)
+    asked: set[str] = set()
+    expected = [
+        row for row in table if all(_reference_value(p, row, asked) is True for p in chain)
+    ]
+    assert session.query(sql).rows == expected
+    assert _published(platform) == asked
+    assert len(runs) <= n_crowd
+
+    platform, runs = _perfect_platform(lanes)
+    session = _condition_session(platform, rows, optimize)
+    session.execute(f"DELETE FROM t WHERE {condition}")
+    asked = set()
+    remaining = [row for row in table if _reference_value(where, row, asked) is not True]
+    assert session.query("SELECT k, w FROM t").rows == remaining
+    assert _published(platform) == asked
+    assert len(runs) <= n_crowd

@@ -602,6 +602,106 @@ class TestOneRunPerOperator:
         assert session.platform.stats.tasks_published == 7
 
 
+#: The two CROWDFILTER questions over "item <n>": 'a?' holds for even n,
+#: 'b?' for multiples of 3.
+_QUESTION_TRUTH = {"a?": lambda n: n % 2 == 0, "b?": lambda n: n % 3 == 0}
+
+
+def _sixty_session(optimize: bool = True, filter_oracle: bool = True) -> CrowdSQLSession:
+    """60 distinct items "item <n>" with w = n % 7, and perfect workers."""
+    database = Database()
+    database.create_table(
+        "t",
+        SchemaBuilder().string("k").integer("w").build(),
+        rows=[{"k": f"item {n}", "w": n % 7} for n in range(60)],
+    )
+
+    def filter_fn(value, question):
+        return _QUESTION_TRUTH[question](int(value.split()[-1]))
+
+    return CrowdSQLSession(
+        database=database,
+        platform=SimulatedPlatform(WorkerPool.uniform(6, 1.0, seed=1), seed=2),
+        oracle=CrowdOracle(filter_fn=filter_fn if filter_oracle else None),
+        redundancy=3,
+        optimize=optimize,
+    )
+
+
+class TestOneRunPerCrowdPredicate:
+    """A condition with several crowd predicates, or one under OR/NOT, buys
+    each crowd predicate's questions in one scheduler run and keeps the rows
+    a per-row evaluation keeps."""
+
+    @pytest.mark.parametrize(
+        "sql, optimize, keep, predicates",
+        [
+            (
+                "SELECT k FROM t WHERE CROWDFILTER(k, 'a?') OR CROWDFILTER(k, 'b?')",
+                True,
+                lambda n, w: n % 2 == 0 or n % 3 == 0,
+                2,
+            ),
+            (
+                "SELECT k FROM t WHERE NOT CROWDFILTER(k, 'a?') AND w > 3",
+                True,
+                lambda n, w: n % 2 != 0 and w > 3,
+                1,
+            ),
+            (
+                "SELECT k FROM t WHERE CROWDFILTER(k, 'a?') AND w < 3",
+                False,
+                lambda n, w: n % 2 == 0 and w < 3,
+                1,
+            ),
+        ],
+    )
+    def test_at_most_one_run_per_crowd_predicate(
+        self, monkeypatch, sql, optimize, keep, predicates
+    ):
+        session = _sixty_session(optimize)
+        sizes = _count_runs(monkeypatch)
+        result = session.query(sql)
+        assert len(sizes) <= predicates
+        assert [r["k"] for r in result.rows] == [
+            f"item {n}" for n in range(60) if keep(n, n % 7)
+        ]
+
+
+class TestCrowdPredicatesCheckedBeforePurchase:
+    """A statement with a crowd predicate that cannot be asked raises before
+    its first purchase, even behind a crowd predicate that could be."""
+
+    def test_missing_filter_oracle(self):
+        session = _sixty_session(filter_oracle=False)
+        with pytest.raises(ExecutionError) as raised:
+            session.query(
+                "SELECT k FROM t WHERE CROWDEQUAL(k, 'item 1') AND CROWDFILTER(k, 'q?')"
+            )
+        assert str(raised.value) == "query uses CROWDFILTER but no filter oracle is configured"
+        assert session.platform.stats.cost_spent == 0
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM items "
+            "WHERE CROWDEQUAL(name, 'item 1') AND CROWDFILTER(nosuch, 'q?')",
+            "SELECT id, label FROM items "
+            "CROWDJOIN refs ON CROWDEQUAL(name, label) AND CROWDEQUAL(nosuch, label)",
+            "DELETE FROM items WHERE CROWDFILTER(name, 'even?') AND CROWDFILTER(nosuch, 'q?')",
+            # A machine arm an earlier crowd answer could short-circuit.
+            "SELECT id FROM items WHERE CROWDFILTER(name, 'even?') OR nosuch > 3",
+        ],
+    )
+    def test_unknown_column_in_a_crowd_condition(self, sql):
+        session = _batch_session()
+        with pytest.raises(ExpressionError) as raised:
+            session.execute(sql)
+        assert str(raised.value) == "row has no column 'nosuch'"
+        assert session.platform.stats.cost_spent == 0
+        assert len(session.database.table("items")) == 12
+
+
 class TestRaisingRunKeepsPaidAnswers:
     """A statement that runs out of budget keeps the answers it paid for in
     the cache, so re-running it after the budget is lifted buys the rest
