@@ -46,8 +46,6 @@ class EngineConfig:
         metrics_enabled: Record counters/histograms (assignment latency,
             retries per task, EM deltas, per-operator cost) in the
             engine's :class:`~repro.obs.metrics.MetricsRegistry`.
-        event_log_limit: Cap on the in-memory event log each simulated
-            timeline retains; None (default) keeps every event.
         failure_policy: What the batch runtime does when a task cannot be
             completed — ``"fail"`` (raise, the historical default),
             ``"skip"`` (drop the task from results), or ``"degrade"``
@@ -117,7 +115,6 @@ class EngineConfig:
     retry_backoff: float = 1.0
     trace_path: str | None = None
     metrics_enabled: bool = False
-    event_log_limit: int | None = None
     failure_policy: str = "fail"
     fault_plan: str | None = None
     deadline: float | None = None
@@ -152,8 +149,6 @@ class EngineConfig:
             raise ConfigurationError("pool_accuracy_range must satisfy 0 <= low <= high <= 1")
         if self.trace_path is not None and not self.trace_path:
             raise ConfigurationError("trace_path must be a non-empty path or None")
-        if self.event_log_limit is not None and self.event_log_limit < 0:
-            raise ConfigurationError("event_log_limit must be >= 0 or None")
         if self.fault_plan is not None and not self.fault_plan:
             raise ConfigurationError("fault_plan must be a non-empty path or None")
         if self.deadline is not None and self.deadline <= 0:

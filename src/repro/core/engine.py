@@ -105,7 +105,6 @@ class CrowdEngine:
             batch=self.config.make_batch_config(),
             tracer=self.tracer,
             metrics=self.metrics,
-            event_log_limit=self.config.event_log_limit,
         )
         if cache is not None:
             self.platform.attach_cache(cache)

@@ -85,6 +85,7 @@ from repro.lang.planner import (
     PlanNode,
     ProjectNode,
     ScanNode,
+    count_crowd_operators,
 )
 from repro.obs.instrument import operator_span
 from repro.operators.fill import CrowdFill
@@ -149,7 +150,8 @@ class CrowdOracle:
         filter_fn: CROWDFILTER(value, question) truth; required when the
             query uses CROWDFILTER.
         order_score_fn: Latent utility for CROWDORDER BY values; defaults
-            to the value itself when numeric.
+            to the value itself over an INTEGER or FLOAT column (any other
+            column type requires one).
         fill_fn: (row dict, column) -> value for CNULL resolution; required
             when a referenced crowd column has unresolved cells.
         equal_similarity_prune: Optional threshold in (0, 1]: CROWDEQUAL
@@ -200,7 +202,8 @@ class Executor:
 
     Args:
         database: Catalog with the base tables.
-        platform: Marketplace for crowd operators.
+        platform: Marketplace for crowd operators; None runs only plans
+            without one (:meth:`execute` raises otherwise).
         redundancy: Votes per crowd question.
         inference: Aggregation for crowd votes (default majority).
         oracle: Simulation ground truth (see :class:`CrowdOracle`).
@@ -209,7 +212,7 @@ class Executor:
     def __init__(
         self,
         database: Database,
-        platform: SimulatedPlatform,
+        platform: SimulatedPlatform | None,
         redundancy: int = 3,
         inference: TruthInference | None = None,
         oracle: CrowdOracle | None = None,
@@ -232,6 +235,8 @@ class Executor:
 
     def execute(self, plan: LogicalPlan) -> QueryResult:
         """Run a logical plan; returns rows plus crowd accounting."""
+        if self.platform is None and count_crowd_operators(plan):
+            raise ExecutionError("query requires crowd work but the session has no platform")
         schema = self._schema_of(plan.root)  # raises before any purchase
         stats = ExecutionStats()
         _schema, rows = self._run(plan.root, stats)
@@ -251,11 +256,12 @@ class Executor:
 
         Raises the error a run would raise for a column a node's input
         lacks (projection, ORDER BY, CROWDORDER BY, aggregate, GROUP BY),
-        for join inputs that share a column name, and for a crowd filter or
+        for join inputs that share a column name, for a crowd filter or
         crowd join condition that cannot be asked
-        (:meth:`check_crowd_condition`), so a statement that must fail
-        fails before any crowd purchase. :meth:`_run` relies on this check
-        having passed.
+        (:meth:`check_crowd_condition`), and for a CROWDORDER BY no oracle
+        can score (a non-numeric column without ``order_score_fn``), so a
+        statement that must fail fails before any crowd purchase.
+        :meth:`_run` relies on this check having passed.
         """
         if isinstance(node, ScanNode):
             return self.database.table(node.table).schema
@@ -285,8 +291,16 @@ class Executor:
             for column, _ascending in node.keys:
                 if column not in schema:
                     raise ExecutionError(f"ORDER BY unknown column {column!r}")
-        if isinstance(node, CrowdOrderNode) and node.column not in schema:
-            raise ExecutionError(f"CROWDORDER BY unknown column {node.column!r}")
+        if isinstance(node, CrowdOrderNode):
+            if node.column not in schema:
+                raise ExecutionError(f"CROWDORDER BY unknown column {node.column!r}")
+            ctype = schema.column(node.column).ctype
+            numeric = ctype in (ColumnType.INTEGER, ColumnType.FLOAT)
+            if self.oracle.order_score_fn is None and not numeric:
+                raise ExecutionError(
+                    f"CROWDORDER BY over a {ctype.value} column requires an "
+                    "order_score_fn oracle"
+                )
         return schema
 
     def _run(self, node: PlanNode, stats: ExecutionStats) -> tuple[Schema, list[dict[str, Any]]]:
@@ -819,23 +833,20 @@ class Executor:
         self, node: CrowdOrderNode, stats: ExecutionStats
     ) -> tuple[Schema, list[dict[str, Any]]]:
         schema, rows = self._run(node.child, stats)
-        if len(rows) < 2:
-            return schema, rows
-        values = [row[node.column] for row in rows]
-        score_fn = self.oracle.order_score_fn
-        if score_fn is None:
-            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-                score_fn = float
-            else:
-                raise ExecutionError(
-                    "CROWDORDER BY over non-numeric values requires an "
-                    "order_score_fn oracle"
-                )
+        # NULL/CNULL cells are never asked about: they follow the sorted
+        # rows in input order, as ORDER BY puts them.
+        present: list[dict[str, Any]] = []
+        absent: list[dict[str, Any]] = []
+        for row in rows:
+            value = row[node.column]
+            (absent if value is None or is_cnull(value) else present).append(row)
+        if len(present) < 2:
+            return schema, present + absent
         before = self.platform.stats.cost_spent
         comparator = CrowdComparator(
             self.platform,
-            values,
-            score_fn,
+            [row[node.column] for row in present],
+            self.oracle.order_score_fn or float,  # _schema_of checked the type
             redundancy=self.redundancy,
             inference=self.inference,
         )
@@ -844,7 +855,7 @@ class Executor:
         stats.crowd_answers += result.answers_bought
         stats.crowd_cost += self.platform.stats.cost_spent - before
         order = result.order if not node.ascending else list(reversed(result.order))
-        return schema, [rows[i] for i in order]
+        return schema, [present[i] for i in order] + absent
 
     # ------------------------------------------------------------------ #
     # Crowd-aware expression evaluation

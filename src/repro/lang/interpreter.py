@@ -306,31 +306,14 @@ class CrowdSQLSession:
         plan = build_plan(statement, self.database)
         if self.optimize:
             plan = Optimizer(self.database, CostModel(self.redundancy)).optimize(plan)
-        platform = self.platform
-        if platform is None:
-            platform = _require_no_crowd(plan)
         executor_cls = (
             StreamingExecutor if self.pipeline and self.platform is not None else Executor
         )
         executor = executor_cls(
             self.database,
-            platform,
+            self.platform,
             redundancy=self.redundancy,
             inference=self.inference,
             oracle=self.oracle,
         )
         return executor.execute(plan)
-
-
-def _require_no_crowd(plan: Any) -> SimulatedPlatform:
-    """Queries without crowd operators may run platform-less."""
-    from repro.lang.planner import count_crowd_operators
-
-    if count_crowd_operators(plan) > 0:
-        raise ExecutionError(
-            "query requires crowd work but the session has no platform"
-        )
-    # A dummy platform that is never used.
-    from repro.workers.pool import WorkerPool
-
-    return SimulatedPlatform(WorkerPool.uniform(1, 1.0, seed=0), seed=0)

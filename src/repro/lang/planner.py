@@ -283,15 +283,12 @@ def build_plan(select: Select, database: Database) -> LogicalPlan:
             plan = JoinNode(plan, right, join.condition)
 
     if select.where is not None:
-        if contains_crowd_predicate(select.where):
-            plan = CrowdFilterNode(plan, select.where)
-        else:
-            plan = FilterNode(plan, select.where)
+        plan = _filter_node(plan, select.where)
 
     if select.aggregates:
         plan = AggregateNode(plan, select.aggregates, group_by=select.group_by)
         if select.having is not None:
-            plan = FilterNode(plan, select.having)
+            plan = _filter_node(plan, select.having)
 
     if select.crowd_order is not None:
         plan = CrowdOrderNode(
@@ -315,6 +312,14 @@ def build_plan(select: Select, database: Database) -> LogicalPlan:
         plan = LimitNode(plan, select.limit)
 
     return LogicalPlan(root=plan, notes=notes)
+
+
+def _filter_node(child: PlanNode, predicate: Expression) -> PlanNode:
+    """A crowd filter when *predicate* holds a crowd predicate (WHERE and
+    HAVING alike), else a machine filter."""
+    if contains_crowd_predicate(predicate):
+        return CrowdFilterNode(child, predicate)
+    return FilterNode(child, predicate)
 
 
 def count_crowd_operators(plan: LogicalPlan) -> int:

@@ -362,7 +362,6 @@ class BatchScheduler:
     def __init__(self, platform: "SimulatedPlatform", config: BatchConfig | None = None):
         self.platform = platform
         self.config = config or BatchConfig()
-        self.records: list[BatchRecord] = []
         self.breakers: list["CircuitBreaker"] = []
         self.batches_run = 0  # lifetime batch count; survives checkpoint/resume
         self._clock = 0.0     # simulated time already consumed by past batches
@@ -531,7 +530,7 @@ class BatchScheduler:
                     ):
                         if tracer.enabled:
                             tracer.annotate("fault.injected", batch=self.batches_run, event=event)
-                record = BatchRecord(index=len(self.records), tasks=len(batch))
+                record = BatchRecord(index=self.batches_run, tasks=len(batch))
                 with tracer.span(
                     "batch",
                     sim_start=self._clock,
@@ -549,7 +548,6 @@ class BatchScheduler:
                     if record.outage_wait:
                         span.set_tag("outage_wait", record.outage_wait)
                     span.sim_end = self._clock + record.makespan
-                self.records.append(record)
                 self.batches_run += 1
                 self.platform.stats.record_batch(record)
                 self._clock += record.makespan
@@ -1032,13 +1030,8 @@ class BatchScheduler:
                         worker_id=worker.worker_id,
                         kind=name,
                     )
-        worker.history.append(answer)
-        worker.earned += task.reward
         for delivered in deliveries:
-            platform.answers.append(delivered)
-            platform._answers_by_task[task.task_id].append(delivered)
-            platform.stats.answers_collected += 1
-            platform.stats.answers_by_worker[worker.worker_id] += 1
+            platform.record_answer(delivered)
             result.answers.setdefault(task.task_id, []).append(delivered)
         landed = (self._clock - self._run_base) + finished
         previous = result.completion_times.get(task.task_id, 0.0)

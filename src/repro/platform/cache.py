@@ -34,12 +34,11 @@ cache-off run at the same seed, while duplicate-heavy workloads get the
 savings and remain per-seed deterministic.
 
 Cache-served answers are returned to the caller but are *not* entered in
-the platform answer log, worker histories, or ``answers_collected`` — they
-represent no new crowd work. Only ``complete=True`` scheduler runs
-participate; callers buying incremental evidence for still-open tasks
-(adaptive filter waves, Deco's dependent fetches) bypass the cache
-entirely, as do HIT-grouped ``collect_batched`` (positional fatigue) and
-online ``ask`` assignment. An entry keeps each worker's first answer, so
+the platform answer log or ``answers_collected`` — they represent no new
+crowd work. Only ``complete=True`` scheduler runs participate; callers
+buying incremental evidence for still-open tasks (adaptive filter waves,
+Deco's dependent fetches) bypass the cache entirely, as do HIT-grouped
+``collect_batched`` (positional fatigue) and online ``ask`` assignment. An entry keeps each worker's first answer, so
 a duplicated delivery never replays as a second worker's vote.
 """
 

@@ -5,7 +5,7 @@ arrive, not just how many are needed. This module provides a minimal but
 exact discrete-event kernel: a priority queue of timestamped events and a
 monotonically advancing clock. The platform schedules worker arrivals and
 task completions on it; latency metrics (makespan, per-round time, tail
-percentiles) fall out of the event log.
+percentiles) fall out of the answers the handler records.
 """
 
 from __future__ import annotations
@@ -39,21 +39,15 @@ class EventSimulator:
         tracer: When given (and enabled), every processed event is emitted
             as a zero-duration span annotation (``event.<kind>``) so a
             trace can reconstruct the discrete-event timeline.
-        max_log: Cap on the in-memory :attr:`log`; events past the cap are
-            still processed (and traced) but no longer retained, bounding
-            memory on long runs. None keeps everything (historical
-            behaviour).
+
+    Processed events are counted (:attr:`events_processed`), not kept.
     """
 
-    def __init__(self, tracer=None, max_log: int | None = None) -> None:
-        if max_log is not None and max_log < 0:
-            raise PlatformError(f"max_log must be >= 0 or None, got {max_log}")
+    def __init__(self, tracer=None) -> None:
         self._queue: list[Event] = []
         self._sequence = itertools.count()
         self.now = 0.0
-        self.log: list[Event] = []
         self.tracer = tracer
-        self.max_log = max_log
         self.events_processed = 0
 
     def __len__(self) -> int:
@@ -82,8 +76,6 @@ class EventSimulator:
         event = heapq.heappop(self._queue)
         self.now = event.time
         self.events_processed += 1
-        if self.max_log is None or len(self.log) < self.max_log:
-            self.log.append(event)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.annotate(f"event.{event.kind}", sim_time=event.time, **event.payload)
         return event

@@ -6,6 +6,7 @@ crowd answer in the library flows. It owns:
 * the worker pool and per-task assignment sampling,
 * budget accounting (every answer costs its task's reward),
 * the answer log used by truth inference and worker quality control,
+  which :meth:`SimulatedPlatform.record_answer` alone writes,
 * an optional discrete-event timeline for latency experiments.
 
 Two usage modes mirror how real requesters interact with platforms:
@@ -93,7 +94,6 @@ class PlatformStats:
 
     def __init__(self, metrics: MetricsRegistry | None = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self.answers_by_worker: dict[str, int] = defaultdict(int)
         self._counters: dict[str, Counter] = {}  # metric name -> bound handle
 
     def record_batch(self, record: "BatchRecord") -> None:
@@ -211,8 +211,6 @@ class SimulatedPlatform:
             and the event timeline; the no-op tracer when omitted.
         metrics: Registry backing :class:`PlatformStats` and the extra
             telemetry histograms; a disabled registry when omitted.
-        event_log_limit: Cap on the discrete-event simulator's in-memory
-            log (None = unbounded, the historical behaviour).
     """
 
     def __init__(
@@ -224,7 +222,6 @@ class SimulatedPlatform:
         batch: "BatchConfig | None" = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        event_log_limit: int | None = None,
     ):
         self.pool = pool
         self.budget = budget
@@ -232,7 +229,6 @@ class SimulatedPlatform:
         self.rng = np.random.default_rng(seed)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self.event_log_limit = event_log_limit
         self.stats = PlatformStats(metrics=self.metrics)
         self.answers: list[Answer] = []
         self._answers_by_task: dict[str, list[Answer]] = defaultdict(list)
@@ -310,6 +306,14 @@ class SimulatedPlatform:
         """All answers gathered so far for one task."""
         return list(self._answers_by_task[task_id])
 
+    def record_answer(self, answer: Answer) -> None:
+        """Book one delivered answer in the answer log, its task's index
+        and ``answers_collected``; no other code writes the log or the
+        index."""
+        self.answers.append(answer)
+        self._answers_by_task[answer.task_id].append(answer)
+        self.stats.answers_collected += 1
+
     @property
     def remaining_budget(self) -> float:
         return self.budget - self.stats.cost_spent
@@ -376,9 +380,9 @@ class SimulatedPlatform:
     ) -> None:
         """Store fresh answers, fan out to duplicates, merge hits, account.
 
-        Cache-served answers never touch the platform answer log, worker
-        histories, ``answers_collected``, or the budget — they represent no
-        new crowd work. Saved cost is valued at the pricing policy's rate
+        Cache-served answers never touch the platform answer log,
+        ``answers_collected``, or the budget — they represent no new
+        crowd work. Saved cost is valued at the pricing policy's rate
         for each reused answer. The ``answer_cache`` span is emitted only
         when reuse actually happened, so a reuse-free run's trace tree is
         bit-identical to a cache-off run.
@@ -427,10 +431,7 @@ class SimulatedPlatform:
             worker = self.pool.sample(1, exclude=done)[0]
         self._charge(task.reward)
         answer = worker.submit(task, self.rng, now=now)
-        self.answers.append(answer)
-        self._answers_by_task[task.task_id].append(answer)
-        self.stats.answers_collected += 1
-        self.stats.answers_by_worker[worker.worker_id] += 1
+        self.record_answer(answer)
         return answer
 
     def collect(
@@ -509,14 +510,9 @@ class SimulatedPlatform:
                             duration=duration,
                             reward_paid=task.reward,
                         )
-                        worker.history.append(answer)
-                        worker.earned += task.reward
                     else:
                         answer = worker.submit(task, self.rng)
-                    self.answers.append(answer)
-                    self._answers_by_task[task.task_id].append(answer)
-                    self.stats.answers_collected += 1
-                    self.stats.answers_by_worker[worker.worker_id] += 1
+                    self.record_answer(answer)
                     result[task.task_id].append(answer)
             for task in hit.tasks:
                 if task.is_open:
@@ -579,7 +575,7 @@ class SimulatedPlatform:
         completion: dict[str, float] = {}
         collected: list[Answer] = []
 
-        sim = EventSimulator(tracer=self.tracer, max_log=self.event_log_limit)
+        sim = EventSimulator(tracer=self.tracer)
         mean_reward = float(np.mean([t.reward for t in tasks])) if tasks else 0.0
         multiplier = (
             price_response.rate_multiplier(mean_reward) if price_response is not None else 1.0
@@ -614,7 +610,7 @@ class SimulatedPlatform:
             "timeline", sim_start=0.0, tasks=len(tasks), redundancy=redundancy
         ) as span:
             sim.run(handle, until=horizon)
-            span.set_tag("events", len(sim.log))
+            span.set_tag("events", sim.events_processed)
             span.sim_end = sim.now
         # Completion = when the redundancy-th answer *arrives* (answers are
         # claimed in queue order but may land out of order).

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import TaskStateError
 
@@ -52,6 +52,18 @@ _task_counter = itertools.count(1)
 
 def _next_task_id() -> str:
     return f"t{next(_task_counter)}"
+
+
+def reserve_task_ids(task_ids: Iterable[str]) -> None:
+    """Move the id counter past every ``t{n}`` in *task_ids*.
+
+    Task ids come from this process-wide counter, so a process that
+    restores tasks (checkpoint resume) must not hand their ids out again.
+    """
+    global _task_counter
+    taken = [int(tid[1:]) for tid in task_ids if tid[:1] == "t" and tid[1:].isdigit()]
+    if taken:
+        _task_counter = itertools.count(max(next(_task_counter), max(taken) + 1))
 
 
 @dataclass

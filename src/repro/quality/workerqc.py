@@ -46,7 +46,7 @@ def qualification_test(
     for worker in list(platform.pool.active_workers):
         hits = 0
         for task in gold_tasks:
-            value = worker.answer_value(task, platform.rng)
+            value = worker.model.answer(task, platform.rng)
             if value == task.truth:
                 hits += 1
         accuracy = hits / len(gold_tasks)

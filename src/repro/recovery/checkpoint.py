@@ -2,9 +2,9 @@
 
 A checkpoint captures everything a fresh process needs to continue a run
 bit-identically: platform bookkeeping (budget, answer log, published
-tasks, stats counters), the worker pool (membership, activity, earnings,
-and both RNG states), and the batch scheduler's simulated clock and
-RNG-stream counter. Truth-inference EM state rides along via the
+tasks, stats counters), the worker pool (membership, activity, and both
+RNG states), and the batch scheduler's simulated clock and RNG-stream
+counter. Truth-inference EM state rides along via the
 :meth:`~repro.quality.truth.base.TruthInference.export_state` hook.
 
 Design constraints that shaped the format:
@@ -21,6 +21,9 @@ Design constraints that shaped the format:
   with non-string keys survive the round trip); genuinely opaque Python
   objects raise :class:`~repro.errors.CheckpointError` instead of being
   silently mangled.
+* **Older snapshots still load.** Earlier releases also wrote each
+  worker's earnings and a per-worker answer tally; both copied the answer
+  log, and restore ignores them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from repro.data.schema import CNULL, is_cnull
 from repro.errors import CheckpointError
 from repro.platform.platform import _STAT_METRICS
-from repro.platform.task import Answer, Task, TaskState, TaskType
+from repro.platform.task import Answer, Task, TaskState, TaskType, reserve_task_ids
 from repro.workers.models import (
     AnswerModel,
     ComparisonNoiseModel,
@@ -176,14 +179,13 @@ def _decode_model(data: dict) -> AnswerModel:
 
 
 def snapshot_pool(pool: "WorkerPool") -> dict:
-    """Serialize pool membership, per-worker scalars, and the pool RNG."""
+    """Serialize pool membership, worker activity and models, and the pool RNG."""
     return {
         "rng": snapshot_rng(pool.rng),
         "workers": [
             {
                 "worker_id": w.worker_id,
                 "active": w.active,
-                "earned": w.earned,
                 "model": _encode_model(w.model),
                 "latency": {
                     "mean_seconds": w.latency.mean_seconds,
@@ -203,8 +205,6 @@ def restore_pool(pool: "WorkerPool", state: dict) -> None:
     in order (same config + seed means same models; only the process-global
     id counter differs, so ids are overwritten). Entries beyond that are
     churn joiners and are reconstructed from their serialized models.
-    Worker answer histories are rebuilt by :func:`restore_platform` from
-    the answer log.
     """
     snaps = state["workers"]
     live = pool._workers
@@ -215,8 +215,6 @@ def restore_pool(pool: "WorkerPool", state: dict) -> None:
     for worker, snap in zip(live, snaps):
         worker.worker_id = snap["worker_id"]
         worker.active = snap["active"]
-        worker.earned = snap["earned"]
-        worker.history = []
     for snap in snaps[len(live):]:
         worker = Worker(
             model=_decode_model(snap["model"]),
@@ -224,7 +222,6 @@ def restore_pool(pool: "WorkerPool", state: dict) -> None:
             worker_id=snap["worker_id"],
         )
         worker.active = snap["active"]
-        worker.earned = snap["earned"]
         live.append(worker)
     pool._by_id = {w.worker_id: w for w in live}
     if len(pool._by_id) != len(live):
@@ -299,37 +296,37 @@ def snapshot_platform(platform: "SimulatedPlatform") -> dict:
         "tasks": [_snapshot_task(t) for t in platform._tasks.values()],
         "stats": {
             "counters": {attr: getattr(stats, attr) for attr in _STAT_METRICS},
-            "answers_by_worker": dict(stats.answers_by_worker),
         },
     }
 
 
 def restore_platform(platform: "SimulatedPlatform", state: dict) -> None:
-    """Rebuild platform bookkeeping; the pool must already be restored."""
+    """Rebuild platform bookkeeping; the pool must already be restored.
+
+    The answer log is replayed through
+    :meth:`~repro.platform.platform.SimulatedPlatform.record_answer`; the
+    snapshotted counters then overwrite the totals it bumped.
+    """
     platform.budget = state["budget"]
     restore_rng(platform.rng, state["rng"])
     platform._tasks = {}
     for task_data in state["tasks"]:
         task = _restore_task(task_data)
         platform._tasks[task.task_id] = task
+    reserve_task_ids(platform._tasks)
     platform.answers = []
     platform._answers_by_task = defaultdict(list)
     for answer_data in state["answers"]:
         answer = _restore_answer(answer_data)
-        platform.answers.append(answer)
-        platform._answers_by_task[answer.task_id].append(answer)
-        try:
-            platform.pool.worker(answer.worker_id).history.append(answer)
-        except Exception as exc:
+        if answer.worker_id not in platform.pool:
             raise CheckpointError(
                 f"answer log references unknown worker {answer.worker_id!r}"
-            ) from exc
+            )
+        platform.record_answer(answer)
     stats = platform.stats
     for attr, value in state["stats"]["counters"].items():
         if attr in _STAT_METRICS:
             setattr(stats, attr, value)
-    stats.answers_by_worker.clear()
-    stats.answers_by_worker.update(state["stats"]["answers_by_worker"])
 
 
 def snapshot_scheduler(scheduler: "BatchScheduler") -> dict:

@@ -1,10 +1,9 @@
-"""Workers: an answer model plus timing behaviour and history."""
+"""Workers: an answer model plus timing behaviour."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -50,19 +49,16 @@ class Worker:
         model: The :class:`~repro.workers.models.AnswerModel` generating
             answer values.
         latency: Timing behaviour.
-        history: All answers this worker has submitted.
+
+    A worker keeps no record of its answers: the platform's answer log
+    (:attr:`~repro.platform.platform.SimulatedPlatform.answers`) is the
+    one place a delivered answer is booked.
     """
 
     model: AnswerModel = field(default_factory=lambda: OneCoinModel(0.8))
     latency: LatencyModel = field(default_factory=LatencyModel)
     worker_id: str = field(default_factory=lambda: f"w{next(_worker_counter)}")
-    history: list[Answer] = field(default_factory=list)
-    earned: float = 0.0
     active: bool = True
-
-    def answer_value(self, task: Task, rng: np.random.Generator) -> Any:
-        """Produce just the answer value (no bookkeeping)."""
-        return self.model.answer(task, rng)
 
     def submit(
         self,
@@ -70,10 +66,10 @@ class Worker:
         rng: np.random.Generator,
         now: float = 0.0,
     ) -> Answer:
-        """Answer *task*, recording history, earnings, and timing."""
+        """Answer *task*: draw a service time, then a value from the model."""
         duration = self.latency.service_time(rng)
         value = self.model.answer(task, rng)
-        answer = Answer(
+        return Answer(
             task_id=task.task_id,
             worker_id=self.worker_id,
             value=value,
@@ -81,14 +77,3 @@ class Worker:
             duration=duration,
             reward_paid=task.reward,
         )
-        self.history.append(answer)
-        self.earned += task.reward
-        return answer
-
-    @property
-    def tasks_done(self) -> int:
-        return len(self.history)
-
-    def has_answered(self, task_id: str) -> bool:
-        """True if this worker already answered the given task id."""
-        return any(a.task_id == task_id for a in self.history)

@@ -1,8 +1,11 @@
 """Unit tests for the command-line interface."""
 
 import io
+import itertools
 import json
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,9 @@ from repro.cli import (
 )
 from repro.core.engine import CrowdEngine
 from repro.lang.interpreter import StatementResult
+from repro.platform import task as task_module
+
+DATA = Path(__file__).parent / "data"
 
 
 def build_session(seed, redundancy, pool_size, **overrides):
@@ -512,6 +518,26 @@ class TestRobustnessFlags:
         assert code == 0
         assert "kept" in out.getvalue()
         assert "skipping 2 statement(s)" in out.getvalue()
+
+    def test_committed_checkpoint_resumes_in_a_fresh_process(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # tests/data/demo-seed3-checkpoint: the demo's first seven statements
+        # at --seed 3, written by an earlier release (its snapshot still
+        # carries each worker's ``earned`` and ``answers_by_worker``). A
+        # fresh process numbers tasks from t1, and must not hand out the
+        # restored t1-t15 again: the resumed run ends as an uninterrupted
+        # one does.
+        assert main(["--seed", "3", "demo"]) == 0
+        uninterrupted = capsys.readouterr().out.splitlines()
+        ck = tmp_path / "ck"
+        shutil.copytree(DATA / "demo-seed3-checkpoint", ck)
+        monkeypatch.setattr(task_module, "_task_counter", itertools.count(1))
+        assert main(["--seed", "3", "--resume", str(ck), "demo"]) == 0
+        head, *tail = capsys.readouterr().out.splitlines()
+        assert head == f"-- resumed from {ck}: skipping 7 statement(s)"
+        assert tail == uninterrupted[-len(tail):]
+        assert tail[-1].endswith(", 23 tasks published")
 
 
 class TestChaosCommand:

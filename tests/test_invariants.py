@@ -48,12 +48,15 @@ class TestBudgetConservation:
         assert outcome.cost == pytest.approx(platform.stats.cost_spent)
 
     def test_worker_earnings_match_spend(self):
+        # A worker's earnings are read off the answer log, the one ledger.
         platform = SimulatedPlatform(WorkerPool.uniform(8, seed=10), seed=11)
         tasks = make_choice_tasks(12, seed=12)
         platform.collect(tasks, redundancy=3)
-        assert sum(w.earned for w in platform.pool) == pytest.approx(
-            platform.stats.cost_spent
-        )
+        earned: dict[str, float] = {}
+        for answer in platform.answers:
+            earned[answer.worker_id] = earned.get(answer.worker_id, 0.0) + answer.reward_paid
+        assert set(earned) <= {w.worker_id for w in platform.pool}
+        assert sum(earned.values()) == pytest.approx(platform.stats.cost_spent)
 
 
 class TestBudgetBoundary:

@@ -442,6 +442,17 @@ class TestSessionStatements:
         result = session.query("SELECT name FROM people WHERE age > 26")
         assert len(result) == 2
 
+    def test_machine_only_queries_build_no_worker(self, db):
+        # Worker ids come from a process-wide counter, so a platform-less
+        # query that built a throwaway pool would move it.
+        from repro.workers.worker import Worker
+
+        session = CrowdSQLSession(database=db)
+        first = int(Worker().worker_id[1:])
+        session.query("SELECT name FROM people WHERE age > 26")
+        session.query("SELECT COUNT(*) FROM people")
+        assert int(Worker().worker_id[1:]) == first + 1
+
     def test_platformless_crowd_query_rejected(self, db):
         session = CrowdSQLSession(database=db)
         with pytest.raises(ExecutionError, match="no platform"):
@@ -740,3 +751,59 @@ class TestRaisingRunKeepsPaidAnswers:
         # 50 questions were paid before the error and are served, not rebought.
         assert platform.stats.cost_spent == pytest.approx(3.0)
         assert platform.cache.hits == 50
+
+
+def _table_session(columns, rows, optimize: bool = True) -> CrowdSQLSession:
+    """Table ``t`` with *columns* ((name, type) pairs) and *rows*, perfect
+    workers and a filter oracle that keeps every value."""
+    builder = SchemaBuilder()
+    for name, ctype in columns:
+        getattr(builder, ctype)(name)
+    database = Database()
+    database.create_table("t", builder.build(), rows=rows)
+    return CrowdSQLSession(
+        database=database,
+        platform=SimulatedPlatform(WorkerPool.uniform(6, 1.0, seed=1), seed=2),
+        oracle=CrowdOracle(filter_fn=lambda _value, _q: True),
+        redundancy=3,
+        optimize=optimize,
+    )
+
+
+class TestCrowdHaving:
+    """A crowd predicate in HAVING is planned as one in WHERE is: a crowd
+    filter over the groups, asked with or without the optimizer."""
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_each_group_is_asked(self, optimize):
+        session = _table_session(
+            [("k", "string"), ("v", "integer")],
+            [{"k": f"g{n % 3}", "v": n} for n in range(6)],
+            optimize=optimize,
+        )
+        result = session.query(
+            "SELECT k, COUNT(*) FROM t GROUP BY k HAVING CROWDFILTER(k, 'keep?')"
+        )
+        assert sorted(r["k"] for r in result.rows) == ["g0", "g1", "g2"]
+        assert result.stats.crowd_questions == 3
+
+
+class TestCrowdOrderInputs:
+    def test_string_column_without_score_oracle_raises_before_buying(self):
+        session = _table_session([("k", "string")], [{"k": f"item {n}"} for n in range(3)])
+        with pytest.raises(ExecutionError, match="order_score_fn"):
+            session.query("SELECT k FROM t WHERE CROWDFILTER(k, 'keep?') CROWDORDER BY k")
+        assert session.platform.stats.cost_spent == 0
+        assert session.platform.stats.tasks_published == 0
+
+    def test_null_cells_follow_the_sorted_rows_unasked(self):
+        columns = [("label", "string"), ("points", "integer")]
+        points = {"a": 5, "n1": None, "b": 9, "c": 1, "n2": None}
+        rows = [{"label": label, "points": p} for label, p in points.items()]
+        sql = "SELECT label FROM t CROWDORDER BY points"
+        with_nulls = _table_session(columns, rows).query(sql)
+        present = [r for r in rows if r["points"] is not None]
+        without = _table_session(columns, present).query(sql)
+        labels = [r["label"] for r in with_nulls.rows]
+        assert labels == [r["label"] for r in without.rows] + ["n1", "n2"]
+        assert with_nulls.stats.crowd_questions == without.stats.crowd_questions > 0

@@ -124,16 +124,6 @@ class TestDecoAnchorKeys:
 
 
 class TestWorkerHelpers:
-    def test_answer_value_no_bookkeeping(self, rng):
-        from repro.workers.worker import Worker
-        from repro.workers.models import OneCoinModel
-
-        worker = Worker(model=OneCoinModel(1.0))
-        task = make_choice_tasks(1, seed=6)[0]
-        value = worker.answer_value(task, rng)
-        assert value == task.truth
-        assert worker.tasks_done == 0 and worker.earned == 0.0
-
     def test_inter_arrival_positive(self, rng):
         from repro.workers.worker import LatencyModel
 

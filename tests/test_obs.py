@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import CrowdEngine, EngineConfig
-from repro.errors import ConfigurationError, PlatformError
+from repro.errors import ConfigurationError
 from repro.obs import (
     NULL_SPAN,
     NULL_TRACER,
@@ -375,17 +375,13 @@ class TestLabeledMetrics:
 
 
 class TestEventSimulatorObs:
-    def test_max_log_caps_memory_but_not_processing(self):
-        sim = EventSimulator(max_log=3)
-        for i in range(10):
-            sim.schedule(float(i), "tick", index=i)
-        list(sim.drain())
-        assert len(sim.log) == 3
-        assert sim.events_processed == 10
-
-    def test_negative_max_log_rejected(self):
-        with pytest.raises(PlatformError):
-            EventSimulator(max_log=-1)
+    def test_timeline_span_counts_every_event(self):
+        platform, tracer, _ = traced_platform()
+        platform.simulate_timeline(make_tasks(3), redundancy=2)
+        spans = tracer.sink.spans
+        (timeline,) = [s for s in spans if s["name"] == "timeline"]
+        events = [s for s in spans if s["name"].startswith("event.")]
+        assert timeline["tags"]["events"] == len(events) > 0
 
     def test_events_become_annotations(self):
         tracer = Tracer(MemorySink())
@@ -555,8 +551,6 @@ class TestEngineObservability:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(trace_path="")
-        with pytest.raises(ConfigurationError):
-            EngineConfig(event_log_limit=-1)
 
     def test_stats_and_metrics_are_one_source_of_truth(self):
         platform, _, metrics = traced_platform()

@@ -126,7 +126,7 @@ class TestEventSimulator:
 
         final = sim.run(handler)
         assert final == pytest.approx(3.0)
-        assert len(sim.log) == 3
+        assert sim.events_processed == 3
 
     def test_run_until_stops_clock(self):
         sim = EventSimulator()
@@ -235,9 +235,11 @@ class TestSimulatedPlatform:
         assert all(ids[i] != ids[i + 1] for i in range(len(ids) - 1))
 
     def test_stats_by_worker(self, platform):
+        # Per-worker counts are read off the answer log, the one ledger.
         task = single_choice("q", ("a", "b"), truth="a")
         answer = platform.ask(task)
-        assert platform.stats.answers_by_worker[answer.worker_id] == 1
+        assert [a.worker_id for a in platform.answers] == [answer.worker_id]
+        assert platform.stats.answers_collected == 1
 
     def test_seeded_platforms_reproducible(self):
         def run(seed):

@@ -239,6 +239,33 @@ class TestCheckpointRoundTrip:
         assert restored.stats.cost_spent == pytest.approx(original.stats.cost_spent)
         assert restored.remaining_budget == pytest.approx(original.remaining_budget)
 
+    def test_snapshot_with_per_worker_copies_restores(self, tmp_path):
+        # Earlier releases also wrote each worker's ``earned`` and the
+        # stats' ``answers_by_worker``, copies of the answer log that
+        # restore now ignores.
+        original = make_world(budget=10.0)
+        original.scheduler.run(make_tasks(8), redundancy=3)
+        checkpoint = Checkpoint.capture(original)
+        for snap in checkpoint.state["pool"]["workers"]:
+            snap["earned"] = 0.5
+        checkpoint.state["platform"]["stats"]["answers_by_worker"] = {"rw0": 99}
+        checkpoint.save(tmp_path)
+
+        restored = make_world(budget=10.0)
+        Checkpoint.load(tmp_path).restore(restored)
+        assert restored.answers == original.answers
+        assert restored.stats.answers_collected == original.stats.answers_collected
+        for task_id in {a.task_id for a in original.answers}:
+            assert restored.answers_for(task_id) == original.answers_for(task_id)
+
+    def test_answer_from_a_worker_outside_the_pool_raises(self):
+        original = make_world()
+        original.scheduler.run(make_tasks(4), redundancy=3)
+        checkpoint = Checkpoint.capture(original)
+        checkpoint.state["platform"]["answers"][0]["worker_id"] = "nobody"
+        with pytest.raises(CheckpointError, match="unknown worker 'nobody'"):
+            checkpoint.restore(make_world())
+
     def test_load_missing_directory_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
             Checkpoint.load(tmp_path / "nope")

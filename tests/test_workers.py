@@ -176,14 +176,13 @@ class TestWorkerAndLatency:
         model = LatencyModel(mean_seconds=10)
         assert all(model.service_time(rng) > 0 for _ in range(100))
 
-    def test_submit_records_history_and_earnings(self, rng):
+    def test_submit_returns_a_paid_answer(self, rng):
         worker = Worker(model=OneCoinModel(1.0))
         task = single_choice("q", ("a", "b"), truth="a", reward=0.05)
         answer = worker.submit(task, rng)
         assert answer.value == "a"
-        assert worker.tasks_done == 1
-        assert worker.earned == pytest.approx(0.05)
-        assert worker.has_answered(task.task_id)
+        assert (answer.task_id, answer.worker_id) == (task.task_id, worker.worker_id)
+        assert answer.reward_paid == pytest.approx(0.05)
 
     def test_answer_submitted_at_includes_duration(self, rng):
         worker = Worker()
