@@ -10,7 +10,6 @@ despite abandonment and timeouts.
 """
 
 import json
-import os
 import time
 
 from conftest import bench_artifact, run_once

@@ -10,7 +10,6 @@ speedup is gated: >=20x full, >=5x quick.
 """
 
 import json
-import os
 import time
 
 import numpy as np

@@ -21,7 +21,6 @@ excluded from the p95 (reported separately).
 """
 
 import json
-import os
 
 import numpy as np
 from conftest import bench_artifact, run_once

@@ -14,7 +14,6 @@ measurements as ``BENCH_truth_inference.json`` for the CI artifact.
 """
 
 import json
-import os
 import time
 
 from conftest import bench_artifact, run_once

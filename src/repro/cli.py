@@ -12,11 +12,10 @@ Usage::
     python -m repro [--seed 7] chaos [--seeds 3] [--intensity 1.0]
                                      [--check-resume] [--mitigation hedge]
     python -m repro trace-report run.jsonl
-    python -m repro profile-report profile.json
 
     global flags: [--seed 7] [--redundancy 3] [--pool 25] [--batch-size 32]
                   [--max-parallel 8] [--inference ds] [--trace run.jsonl]
-                  [--metrics] [--profile profile.json] [--hedge] [--pipeline]
+                  [--metrics] [--hedge] [--pipeline]
                   [--failure-policy degrade] [--fault-plan plan.json]
                   [--cache answers.jsonl | --no-cache]
                   [--checkpoint DIR] [--resume DIR]
@@ -29,10 +28,10 @@ defaults: workers of accuracy 0.75-0.97, 5 votes, the answer cache on).
 A flag a command cannot honour exits 2 with an error naming the flag:
 
 * ``repl``: ``--checkpoint``, ``--resume``;
-* ``serve-metrics`` and ``serve``: ``--trace``, ``--profile``,
-  ``--checkpoint``, ``--resume``;
+* ``serve-metrics`` and ``serve``: ``--trace``, ``--checkpoint``,
+  ``--resume``;
 * ``chaos``: every global flag but ``--seed``;
-* ``trace-report`` and ``profile-report``: every global flag.
+* ``trace-report``: every global flag.
 
 Statements are ';'-separated. Queries print aligned tables plus crowd
 accounting. Crowd predicates work out of the box where defaults exist
@@ -40,17 +39,17 @@ accounting. Crowd predicates work out of the box where defaults exist
 columns); CROWDFILTER and CNULL resolution need programmatic oracles, so
 the CLI reports a clear error for them instead of guessing.
 
-``--trace FILE`` writes a JSONL span trace of the whole run (operators,
-batches, event timeline, EM iterations); ``trace-report`` renders it as
+``--trace FILE`` writes a JSONL span trace of the whole run (statements,
+operators, batches, event timeline, EM iterations); ``trace-report``
+renders it as a per-statement table with each statement's operators,
 per-operator time/cost breakdowns, retry hotspots, and slowest spans.
-``--metrics`` prints the metrics registry after the run. ``--profile
-FILE`` writes a per-statement query profile (render it with
-``profile-report``). ``serve-metrics`` runs a script in a loop while a
-live-ops HTTP server exposes ``/metrics`` (Prometheus text exposition),
-``/healthz``, and ``/run`` (JSON run status) — each iteration's engine
-keeps its own registry, whose series are added into the served one when
-the iteration ends, so served counters only move forward. ``serve`` runs
-the multi-tenant service: concurrent tenant sessions (budgets, fair-share
+``--metrics`` prints the metrics registry after the run.
+``serve-metrics`` runs a script in a loop while a live-ops HTTP server
+exposes ``/metrics`` (Prometheus text exposition), ``/healthz``, and
+``/run`` (JSON run status) — each iteration's engine keeps its own
+registry, whose series are added into the served one when the iteration
+ends, so served counters only move forward. ``serve`` runs the
+multi-tenant service: concurrent tenant sessions (budgets, fair-share
 weights, per-tenant scripts from a JSON spec) share the engine's platform
 and worker pool, with per-tenant labeled metrics and a tenant view on
 ``/run``.
@@ -562,13 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the metrics registry after the run",
     )
     parser.add_argument(
-        "--profile",
-        metavar="FILE",
-        default=None,
-        help="write a per-statement query profile to FILE (JSON; render "
-        "with the profile-report command)",
-    )
-    parser.add_argument(
         "--hedge",
         action="store_true",
         help="speculatively re-issue in-flight straggler assignments "
@@ -708,11 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="keep serving this many seconds after the last session",
     )
-    profile_parser = commands.add_parser(
-        "profile-report", help="summarize a profile written with --profile"
-    )
-    profile_parser.add_argument("profile_file", help="path to the profile file")
-
     return parser
 
 
@@ -728,7 +715,6 @@ def engine_config(args: argparse.Namespace) -> EngineConfig:
         inference=args.inference,
         trace_path=args.trace,
         metrics_enabled=args.metrics,
-        profile_path=args.profile,
         hedge_enabled=args.hedge,
         pipeline=args.pipeline,
         failure_policy=args.failure_policy,
@@ -738,7 +724,7 @@ def engine_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-_SESSION_ONLY = ("trace", "profile", "checkpoint", "resume")
+_SESSION_ONLY = ("trace", "checkpoint", "resume")
 
 # For each command that cannot honour every global flag: which flags it
 # rejects (by argparse dest) and why. See the module docstring.
@@ -760,7 +746,6 @@ _REJECTED_FLAGS = {
         "it builds its own fault worlds; only --seed applies",
     ),
     "trace-report": (lambda dest: True, "it only reads a trace file"),
-    "profile-report": (lambda dest: True, "it only reads a profile file"),
 }
 
 
@@ -791,15 +776,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "trace-report":
         try:
             print(report_from_file(args.trace_file))
-        except CrowdDMError as exc:
-            return _fail(exc, 1)
-        return 0
-
-    if args.command == "profile-report":
-        from repro.obs.profiler import profile_report
-
-        try:
-            print(profile_report(args.profile_file))
         except CrowdDMError as exc:
             return _fail(exc, 1)
         return 0

@@ -41,7 +41,8 @@ class EngineConfig:
         retry_backoff: Base simulated backoff before retry r
             (``retry_backoff * 2**(r-1)``).
         trace_path: When set, the engine writes a span trace of every run
-            to this file as JSONL (read it back with
+            to this file as JSONL, one ``statement`` span per CrowdSQL
+            statement (read it back, per statement and per operator, with
             ``python -m repro trace-report FILE``).
         metrics_enabled: Record counters/histograms (assignment latency,
             retries per task, EM deltas, per-operator cost) in the
@@ -87,12 +88,6 @@ class EngineConfig:
             text exposition), ``/healthz``, and ``/run`` (JSON run
             status). Port 0 binds an ephemeral port (read it back from
             ``engine.metrics_server.port``). Implies ``metrics_enabled``.
-        profile_path: When set, the engine attaches a
-            :class:`~repro.obs.profiler.QueryProfiler` and writes a
-            per-statement ``profile.json`` here on
-            :meth:`~repro.core.engine.CrowdEngine.close` (render it with
-            ``python -m repro profile-report FILE``). Implies
-            ``metrics_enabled``.
         pipeline: Stream a LIMIT over a CROWDFILTER through
             :class:`~repro.lang.streaming.StreamingExecutor`, which
             cancels the HITs the LIMIT no longer needs. Every other
@@ -127,7 +122,6 @@ class EngineConfig:
     cache_path: str | None = None
     cache_max_entries: int | None = None
     metrics_port: int | None = None
-    profile_path: str | None = None
     pipeline: bool = False
 
     def __post_init__(self) -> None:
@@ -173,10 +167,8 @@ class EngineConfig:
             raise ConfigurationError(
                 f"metrics_port must be in [0, 65535] or None, got {self.metrics_port}"
             )
-        if self.profile_path is not None and not self.profile_path:
-            raise ConfigurationError("profile_path must be a non-empty path or None")
-        # Both live-ops surfaces read the registry, so they force it on.
-        if self.metrics_port is not None or self.profile_path is not None:
+        # The live-ops server serves the registry, so it forces it on.
+        if self.metrics_port is not None:
             self.metrics_enabled = True
         # Batch-runtime knobs share BatchConfig's validation (including
         # failure_policy parsing).

@@ -27,7 +27,6 @@ from repro.errors import ConfigurationError
 from repro.lang.executor import CrowdOracle, QueryResult
 from repro.lang.interpreter import CrowdSQLSession, StatementResult
 from repro.obs import NULL_TRACER, JsonlSink, MetricsRegistry, Tracer
-from repro.obs.profiler import QueryProfiler
 from repro.obs.server import MetricsServer
 from repro.operators.categorize import CategorizeResult, CrowdCategorize
 from repro.operators.collect import CollectResult, CrowdCollect
@@ -132,16 +131,12 @@ class CrowdEngine:
         # `is None` check: an empty Database is falsy (it defines __len__).
         self.database = Database() if database is None else database
         self.oracle = oracle or CrowdOracle()
-        self.profiler: QueryProfiler | None = None
-        if self.config.profile_path is not None:
-            self.profiler = QueryProfiler(self.metrics, platform=self.platform)
         self._session = CrowdSQLSession(
             database=self.database,
             platform=self.platform,
             redundancy=self.config.redundancy,
             inference=self.make_inference(),
             oracle=self.oracle,
-            profiler=self.profiler,
             pipeline=self.config.pipeline,
         )
         self.metrics_server: MetricsServer | None = None
@@ -557,9 +552,6 @@ class CrowdEngine:
             "breakers": [
                 {"name": b.name, "tripped": b.tripped} for b in scheduler.breakers
             ],
-            "profiled_statements": (
-                len(self.profiler.statements) if self.profiler is not None else 0
-            ),
         }
 
     def close(self) -> None:
@@ -578,8 +570,6 @@ class CrowdEngine:
         steps: list[Callable[[], object]] = []
         if self.metrics_server is not None:
             steps.append(self.metrics_server.stop)
-        if self.profiler is not None and self.config.profile_path:
-            steps.append(lambda: self.profiler.save(self.config.profile_path))
         if self.platform.cache is not None and self.config.cache_path:
             steps.append(lambda: self.platform.cache.save(self.config.cache_path))
         steps.append(self.tracer.close)

@@ -435,7 +435,9 @@ class Executor:
         self, node: CrowdFilterNode, stats: ExecutionStats
     ) -> tuple[Schema, list[dict[str, Any]]]:
         schema, rows = self._run(node.child, stats)
-        return schema, list(compress(rows, self.crowd_mask(node.predicate, rows, stats)))
+        with operator_span(self.platform, "crowd_filter", items=len(rows)):
+            keep = self.crowd_mask(node.predicate, rows, stats)
+        return schema, list(compress(rows, keep))
 
     @staticmethod
     def _equi_split(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any
 
 from repro.data.database import Database
 from repro.data.expressions import contains_crowd_predicate
@@ -32,6 +31,7 @@ from repro.lang.optimizer import CostModel, Optimizer, estimate_plan_cost
 from repro.lang.parser import parse
 from repro.lang.planner import build_plan
 from repro.lang.streaming import StreamingExecutor
+from repro.obs.instrument import operator_span, statement_span
 from repro.platform.platform import SimulatedPlatform
 from repro.quality.truth import TruthInference
 
@@ -52,7 +52,7 @@ class StatementResult:
     row_count: int = 0
 
 
-#: Statement-node class → SQL verb, for profiler/run-status labels.
+#: Statement-node class → SQL verb, for statement-span and run-status labels.
 _STATEMENT_VERBS = {
     "CreateTable": "CREATE TABLE",
     "DropTable": "DROP TABLE",
@@ -67,7 +67,7 @@ def describe_statement(statement: Statement) -> str:
     """Short human label for *statement* (verb + target table).
 
     The parser does not retain source text, so this is the closest thing
-    to the statement itself the profiler and ``/run`` endpoint can show.
+    to the statement itself the trace and the ``/run`` endpoint can show.
     """
     if isinstance(statement, Explain):
         return "EXPLAIN " + describe_statement(statement.select)
@@ -87,9 +87,6 @@ class CrowdSQLSession:
         oracle: Simulation ground truth for crowd answers.
         optimize: Apply the rule-based optimizer (on by default; the T7
             benchmark turns it off to measure the difference).
-        profiler: Optional :class:`~repro.obs.profiler.QueryProfiler`;
-            when set, every executed statement is bracketed and lands in
-            the profile document.
         pipeline: Run SELECTs through the
             :class:`~repro.lang.streaming.StreamingExecutor`, which
             streams a LIMIT over a CROWDFILTER and cancels the HITs the
@@ -105,7 +102,6 @@ class CrowdSQLSession:
         inference: TruthInference | None = None,
         oracle: CrowdOracle | None = None,
         optimize: bool = True,
-        profiler: Any | None = None,
         pipeline: bool = False,
     ):
         # `is None` check: an empty Database is falsy (it defines __len__).
@@ -115,7 +111,6 @@ class CrowdSQLSession:
         self.inference = inference
         self.oracle = oracle or CrowdOracle()
         self.optimize = optimize
-        self.profiler = profiler
         self.pipeline = pipeline
         #: Label of the statement currently executing (the /run endpoint
         #: reads this from the server thread), or None when idle.
@@ -135,6 +130,8 @@ class CrowdSQLSession:
         from a checkpoint whose database/platform state already reflects
         them). *on_statement* is called after each executed statement with
         ``(statement_index, result)`` — the hook checkpointing builds on.
+        On a traced platform each executed statement is recorded as a
+        ``statement`` span (:class:`~repro.obs.instrument.statement_span`).
         """
         results: list[QueryResult | StatementResult] = []
         for index, statement in enumerate(parse(sql).statements):
@@ -143,12 +140,14 @@ class CrowdSQLSession:
             label = describe_statement(statement)
             self.current_statement = label
             try:
-                if self.profiler is not None:
-                    with self.profiler.statement(index, label) as capture:
-                        result = self._execute_statement(statement)
-                        capture.finish(result)
-                else:
+                with statement_span(self.platform, index, label) as span:
                     result = self._execute_statement(statement)
+                    span.set_tag(
+                        "rows",
+                        len(result.rows)
+                        if isinstance(result, QueryResult)
+                        else result.row_count,
+                    )
             finally:
                 self.current_statement = None
             results.append(result)
@@ -229,7 +228,9 @@ class CrowdSQLSession:
                 oracle=self.oracle,
             )
             executor.check_crowd_condition(where, table.schema)  # raises before any purchase
-            keep = executor.crowd_mask(where, table.to_dicts(), ExecutionStats())
+            rows = table.to_dicts()
+            with operator_span(self.platform, "crowd_filter", items=len(rows)):
+                keep = executor.crowd_mask(where, rows, ExecutionStats())
             return list(compress(table.rowids().tolist(), keep))
         try:
             return table.filter_rowids(where).tolist()

@@ -23,7 +23,7 @@ plan), runs on the barrier executor.
 * once the LIMIT has emitted enough rows, still-pending HITs are cancelled
   through the scheduler's cancel seam (the one hedging refunds ride
   through), never published, and the avoided spend is booked in
-  ``ExecutionStats``, platform stats, metrics, and the profiler.
+  ``ExecutionStats``, platform stats, metrics, and the statement span.
 
 Every other plan runs through the inherited barrier implementation:
 without a LIMIT over a crowd filter nothing can be cancelled, so a stream
@@ -52,6 +52,7 @@ from repro.lang.planner import (
     ProjectNode,
     machine_only,
 )
+from repro.obs.instrument import operator_span
 # Not called here: planning goes through Executor._plan_questions. Kept so
 # perfbench's tracer, which wraps this module's signature_of, still finds it.
 from repro.platform.cache import signature_of  # noqa: F401
@@ -156,13 +157,23 @@ class StreamingExecutor(Executor):
     def _run_pipeline(
         self, pipe: _Pipeline, columns: tuple[str, ...], stats: ExecutionStats
     ) -> list[dict[str, Any]]:
-        """Plan every crowd question, then stream verdict waves to the LIMIT."""
+        """Resolve the machine child, then stream its crowd filter to the LIMIT."""
         _schema, rows = self._run(pipe.filter_node.child, stats)
         if pipe.order is not None:
             # TOP-K: stable sort commutes with filtering, so rows match the
             # barrier's filter-then-sort exactly.
             rows = self._apply_order(rows, pipe.order)
+        with operator_span(self.platform, "crowd_filter", items=len(rows)):
+            return self._stream(pipe, rows, columns, stats)
 
+    def _stream(
+        self,
+        pipe: _Pipeline,
+        rows: list[dict[str, Any]],
+        columns: tuple[str, ...],
+        stats: ExecutionStats,
+    ) -> list[dict[str, Any]]:
+        """Plan every crowd question on *rows*, then stream verdict waves."""
         # The barrier executor's planning step: questions in row order, one
         # signature each, one task per new signature.
         signatures, tasks = self._plan_questions(pipe.filter_node.predicate, rows, stats)

@@ -4,16 +4,17 @@ The tutorial's pillars — quality, cost, latency — are all *measured*
 quantities, so the pipeline carries a first-class observability layer:
 
 * :class:`~repro.obs.tracer.Tracer` — hierarchical spans (engine →
-  operator → batch → retry/EM-iteration) with wall-clock and
-  simulated-clock timestamps, exported as JSONL.
+  statement → operator → batch → retry/EM-iteration) with wall-clock
+  and simulated-clock timestamps, exported as JSONL.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   percentile histograms; also the backing store for
   :class:`~repro.platform.platform.PlatformStats`.
 * Sinks (:mod:`repro.obs.sinks`) and the trace-report renderer
-  (:mod:`repro.obs.report`).
-* Prometheus text exposition (:mod:`repro.obs.prom`), a stdlib live-ops
-  HTTP server (:mod:`repro.obs.server`), and a per-statement query
-  profiler (:mod:`repro.obs.profiler`).
+  (:mod:`repro.obs.report`), whose per-statement report reads the
+  ``statement`` spans :class:`~repro.obs.instrument.statement_span`
+  records and the operator spans under them.
+* Prometheus text exposition (:mod:`repro.obs.prom`) and a stdlib
+  live-ops HTTP server (:mod:`repro.obs.server`).
 
 Everything defaults to off: :data:`~repro.obs.tracer.NULL_TRACER` and a
 disabled registry keep the instrumented hot path within noise of an
@@ -29,12 +30,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     normalize_labels,
     series_key,
-)
-from repro.obs.profiler import (
-    QueryProfiler,
-    load_profile,
-    profile_report,
-    render_profile,
 )
 from repro.obs.prom import (
     CONTENT_TYPE,
@@ -68,19 +63,15 @@ __all__ = [
     "MetricsServer",
     "NullSink",
     "NullTracer",
-    "QueryProfiler",
     "Span",
     "TraceSink",
     "Tracer",
     "build_tree",
-    "load_profile",
     "load_spans",
     "normalize_labels",
     "operator_span",
     "parse_exposition",
-    "profile_report",
     "prom_name_for",
-    "render_profile",
     "render_prometheus",
     "render_report",
     "report_from_file",

@@ -10,8 +10,8 @@ every internal dotted metric name (``platform.tasks_published``) to its
 exposition name under the one ``subsystem_name_unit`` scheme
 (``platform_hits_published_total``), its type, and its help text. Each
 quantity is booked in one series: the dotted name is its registry key,
-which :class:`~repro.platform.platform.PlatformStats` views and the
-profiler read, and the exposition name is what a scraper sees of the same
+which :class:`~repro.platform.platform.PlatformStats` views and
+statement spans read, and the exposition name is what a scraper sees of the same
 series. Metrics without a descriptor (dynamic families like
 ``faults.<kind>``) are auto-named by :func:`prom_name_for`, so the
 renderer is total over any registry state.
@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 #: Content-Type a conforming scrape endpoint must serve.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"

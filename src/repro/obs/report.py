@@ -2,9 +2,11 @@
 
 ``python -m repro trace-report FILE`` lands here. The report answers the
 questions the tutorial's four pillars pose about a finished run: where
-did the time go (per-operator and slowest spans), where did the money go
-(per-operator cost), how reliable was execution (batch retry hotspots),
-and how did inference behave (EM iterations and convergence deltas).
+did each CrowdSQL statement's time and money go (one row per
+``statement`` span, one operator table per statement, and the run's
+totals), where did they go per operator and per span (per-operator and
+slowest spans), how reliable was execution (batch retry hotspots), and
+how did inference behave (EM iterations and convergence deltas).
 """
 
 from __future__ import annotations
@@ -68,6 +70,19 @@ def _spans_named(spans: list[SpanDict], prefix: str) -> list[SpanDict]:
     return [s for s in spans if str(s.get("name", "")).startswith(prefix)]
 
 
+def _descendants(
+    children: dict[int | None, list[SpanDict]], span_id: int
+) -> list[SpanDict]:
+    """Every span and annotation below *span_id* in the tree."""
+    found: list[SpanDict] = []
+    stack = list(children.get(span_id, []))
+    while stack:
+        span = stack.pop()
+        found.append(span)
+        stack.extend(children.get(span["span_id"], []))
+    return found
+
+
 def _operator_rows(spans: list[SpanDict]) -> list[dict[str, Any]]:
     grouped: dict[str, list[SpanDict]] = defaultdict(list)
     for span in _spans_named(spans, "operator."):
@@ -83,6 +98,7 @@ def _operator_rows(spans: list[SpanDict]) -> list[dict[str, Any]]:
             {
                 "operator": name.removeprefix("operator."),
                 "runs": len(group),
+                "items": sum(s.get("tags", {}).get("items", 0) for s in group),
                 "wall_s": sum(s.get("duration", 0.0) for s in group),
                 "cost": sum(s.get("tags", {}).get("cost", 0.0) for s in group),
                 "answers": sum(s.get("tags", {}).get("answers", 0) for s in group),
@@ -146,6 +162,76 @@ def _em_rows(spans: list[SpanDict]) -> list[dict[str, Any]]:
     return rows
 
 
+def _statement_sections(spans: list[SpanDict]) -> list[str]:
+    """The per-statement table, each statement's operator table, and totals."""
+    from repro.experiments.report import format_table
+
+    statements = [
+        s for s in spans if s.get("name") == "statement" and s.get("kind") == "span"
+    ]
+    if not statements:
+        return []
+    children = build_tree(spans)
+    rows, operator_tables = [], []
+    for span in statements:
+        tags = span.get("tags", {})
+        below = _descendants(children, span["span_id"])
+        index, label = tags.get("index", "?"), str(tags.get("statement", ""))[:48]
+        sim_start, sim_end = span.get("sim_start"), span.get("sim_end")
+        rows.append(
+            {
+                "#": index,
+                "statement": label,
+                "wall_s": span.get("duration", 0.0),
+                "sim_s": (
+                    sim_end - sim_start
+                    if sim_start is not None and sim_end is not None
+                    else 0.0
+                ),
+                "rows": tags.get("rows", "-"),
+                "hits": tags.get("published", 0),
+                "reused": tags.get("reused", 0),
+                "hedges": tags.get("hedges", 0),
+                "cancelled": tags.get("cancelled", 0),
+                "cost": tags.get("cost", 0),
+                "em_iters": sum(1 for s in below if s.get("name") == "em.iteration"),
+            }
+        )
+        operators = _operator_rows(below)
+        if operators:
+            operator_tables.append(
+                format_table(
+                    operators,
+                    columns=["operator", "runs", "items", "wall_s", "cost", "answers"],
+                    title=f"statement #{index} ({label}) operators",
+                    float_format="{:.4f}",
+                )
+            )
+    tagged = [s.get("tags", {}) for s in statements]
+    line = (
+        f"totals: {len(rows)} statements, "
+        f"{sum(r['wall_s'] for r in rows):.3f}s wall, "
+        f"{sum(r['sim_s'] for r in rows):.1f}s simulated, "
+        f"{sum(r['hits'] for r in rows)} HITs published, "
+        f"{sum(r['reused'] for r in rows)} answers reused, "
+        f"spend {sum(r['cost'] for r in rows):.4f}, "
+        f"{sum(r['em_iters'] for r in rows)} EM iterations"
+    )
+    hedges = sum(r["hedges"] for r in rows)
+    if hedges:
+        won = sum(t.get("hedges_won", 0) for t in tagged)
+        line += f", {hedges} hedges ({won} won)"
+    cancelled = sum(r["cancelled"] for r in rows)
+    if cancelled:
+        saved = sum(t.get("cancel_refunded", 0) for t in tagged)
+        line += f", {int(cancelled)} HITs cancelled (saved {saved:.4f})"
+    return [
+        format_table(rows, title="per-statement profile", float_format="{:.4f}"),
+        *operator_tables,
+        line,
+    ]
+
+
 def render_report(spans: list[SpanDict]) -> str:
     """The full human-readable trace report for *spans*."""
     # Imported lazily: experiments pulls in the platform package, which in
@@ -166,13 +252,16 @@ def render_report(spans: list[SpanDict]) -> str:
         f"trace: {len(real)} spans, {len(annotations)} annotations; "
         f"root: {root_line or '(none)'}"
     )
+    sections.extend(_statement_sections(spans))
 
     operator_rows = _operator_rows(spans)
     if operator_rows:
         sections.append(
             format_table(
                 operator_rows,
-                columns=["operator", "runs", "wall_s", "cost", "answers", "accuracy"],
+                columns=[
+                    "operator", "runs", "items", "wall_s", "cost", "answers", "accuracy"
+                ],
                 title="per-operator breakdown",
                 float_format="{:.4f}",
             )

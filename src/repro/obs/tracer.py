@@ -1,8 +1,9 @@
 """Span-based tracing for the crowd pipeline.
 
 A :class:`Tracer` records a tree of :class:`Span` objects — engine run →
-operators → batches → retries / EM iterations — each carrying wall-clock
-timestamps, optional *simulated*-clock timestamps, and free-form tags.
+statements → operators → batches → retries / EM iterations — each
+carrying wall-clock timestamps, optional *simulated*-clock timestamps,
+and free-form tags.
 Finished spans stream to a :class:`~repro.obs.sinks.TraceSink` as JSON
 dicts (see :data:`SPAN_FIELDS` for the schema).
 

@@ -13,6 +13,7 @@ from typing import Any, Callable
 
 from repro.data.table import Table
 from repro.errors import ConfigurationError
+from repro.obs.instrument import operator_span
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
 from repro.quality.truth import MajorityVote, TruthInference
@@ -72,51 +73,52 @@ class CrowdFill:
         When *columns* is given, only cells of those crowd columns are
         resolved (the optimizer prunes fills to referenced columns).
         """
-        before = self.platform.stats.cost_spent
-        cells = table.cnull_cells()
-        if columns is not None:
-            wanted = set(columns)
-            cells = [(rowid, col) for rowid, col in cells if col in wanted]
-        if limit is not None:
-            cells = cells[:limit]
-        if not cells:
-            return FillResult(filled_cells=0, questions_asked=0, cost=0.0)
+        with operator_span(self.platform, "fill"):
+            before = self.platform.stats.cost_spent
+            cells = table.cnull_cells()
+            if columns is not None:
+                wanted = set(columns)
+                cells = [(rowid, col) for rowid, col in cells if col in wanted]
+            if limit is not None:
+                cells = cells[:limit]
+            if not cells:
+                return FillResult(filled_cells=0, questions_asked=0, cost=0.0)
 
-        tasks: dict[str, tuple[int, str]] = {}
-        task_list = []
-        for rowid, column in cells:
-            row = table.row(rowid).as_dict()
-            truth = self.truth_fn(row, column) if self.truth_fn is not None else None
-            task = Task(
-                TaskType.FILL,
-                question=self.question_fn(row, column),
-                payload={"table": table.name, "rowid": rowid, "column": column},
-                truth=truth,
+            tasks: dict[str, tuple[int, str]] = {}
+            task_list = []
+            for rowid, column in cells:
+                row = table.row(rowid).as_dict()
+                truth = self.truth_fn(row, column) if self.truth_fn is not None else None
+                task = Task(
+                    TaskType.FILL,
+                    question=self.question_fn(row, column),
+                    payload={"table": table.name, "rowid": rowid, "column": column},
+                    truth=truth,
+                )
+                tasks[task.task_id] = (rowid, column)
+                task_list.append(task)
+
+            collected = self.platform.collect(task_list, redundancy=self.redundancy)
+            inferred = self.inference.infer_answered(collected)
+
+            result = FillResult(
+                filled_cells=0,
+                questions_asked=len(task_list) * self.redundancy,
+                cost=0.0,
             )
-            tasks[task.task_id] = (rowid, column)
-            task_list.append(task)
-
-        collected = self.platform.collect(task_list, redundancy=self.redundancy)
-        inferred = self.inference.infer_answered(collected)
-
-        result = FillResult(
-            filled_cells=0,
-            questions_asked=len(task_list) * self.redundancy,
-            cost=0.0,
-        )
-        for task in task_list:
-            if task.task_id not in inferred.truths:
-                continue  # no answers landed: the cell stays CNULL
-            rowid, column = tasks[task.task_id]
-            value = inferred.truths[task.task_id]
-            table.update_cell(rowid, column, value)
-            result.values[(rowid, column)] = value
-            result.confidences[(rowid, column)] = inferred.confidences.get(
-                task.task_id, 0.0
-            )
-            result.filled_cells += 1
-        result.cost = self.platform.stats.cost_spent - before
-        return result
+            for task in task_list:
+                if task.task_id not in inferred.truths:
+                    continue  # no answers landed: the cell stays CNULL
+                rowid, column = tasks[task.task_id]
+                value = inferred.truths[task.task_id]
+                table.update_cell(rowid, column, value)
+                result.values[(rowid, column)] = value
+                result.confidences[(rowid, column)] = inferred.confidences.get(
+                    task.task_id, 0.0
+                )
+                result.filled_cells += 1
+            result.cost = self.platform.stats.cost_spent - before
+            return result
 
     def accuracy_against(
         self,

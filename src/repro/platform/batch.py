@@ -621,7 +621,7 @@ class BatchScheduler:
         *avoided*: the price it would have cost at the requested
         redundancy, added task by task in pass order. Counted in stats
         once per pass, so early termination shows up in batch summaries,
-        the profiler, and Prometheus scrapes; each task's reason goes on
+        statement spans, and Prometheus scrapes; each task's reason goes on
         its ``batch.cancel`` trace annotation.
         """
         platform = self.platform

@@ -235,6 +235,9 @@ class SimulatedPlatform:
         self._tasks: dict[str, Task] = {}
         self.faults: "FaultInjector | None" = None
         self.cache: "AnswerCache | None" = None
+        # True while an operator span is open here (repro.obs.instrument):
+        # an operator run inside another books nothing of its own.
+        self.operator_open = False
         # Multi-tenant service seam: when a tenant account is active, every
         # charge is additionally checked and booked against it, atomically
         # with the global budget check (the lock is what makes two tenants

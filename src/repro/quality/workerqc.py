@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Answer, Task
 from repro.workers.pool import WorkerPool
-from repro.workers.worker import Worker
 
 
 def qualification_test(

@@ -20,7 +20,7 @@ from repro.errors import BudgetExceededError, ConfigurationError
 
 if TYPE_CHECKING:
     from repro.platform.batch import BatchRunResult
-    from repro.platform.platform import PlatformStats, SimulatedPlatform
+    from repro.platform.platform import PlatformStats
     from repro.platform.task import Answer, Task
     from repro.service.service import CrowdService
 
@@ -169,6 +169,9 @@ class TenantPlatform:
         self._tenant = tenant
         self._stats = _TenantStats(service.platform.stats, tenant.account)
         self.scheduler = TenantScheduler(service, tenant)
+        # Per session, not shared: another session's open operator span
+        # must not silence this one's.
+        self.operator_open = False
 
     @property
     def tenant(self) -> "Tenant":

@@ -258,6 +258,27 @@ class TestObservabilityFlags:
         assert "per-operator breakdown" in out
         assert "batch runtime" in out
 
+    def test_trace_records_every_statement(self, tmp_path, capsys):
+        from repro.obs import load_spans
+
+        trace = tmp_path / "run.jsonl"
+        assert main(["--seed", "3", "--trace", str(trace), "demo"]) == 0
+        capsys.readouterr()
+        statements = [s for s in load_spans(str(trace)) if s["name"] == "statement"]
+        assert [s["tags"]["index"] for s in statements] == list(range(8))
+        assert "SELECT imports" in [s["tags"]["statement"] for s in statements]
+        assert sum(s["tags"]["published"] for s in statements) == 23
+
+    def test_trace_report_renders_statement_tables(self, tmp_path, capsys):
+        trace = tmp_path / "run.jsonl"
+        main(["--seed", "3", "--trace", str(trace), "demo"])
+        capsys.readouterr()
+        assert main(["trace-report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "per-statement profile" in out
+        assert "statement #6 (SELECT imports) operators" in out
+        assert "totals: 8 statements" in out
+
     def test_unwritable_trace_path_reports_cleanly(self, capsys):
         assert main(["--trace", "/nonexistent-dir/run.jsonl", "demo"]) == 2
         err = capsys.readouterr().err
@@ -290,38 +311,6 @@ class TestObservabilityFlags:
         captured = capsys.readouterr()
         assert "per-operator breakdown" in captured.out
         assert "skipping non-JSON trace line" in captured.err
-
-
-class TestProfileFlags:
-    def test_profile_flag_writes_profile_json(self, tmp_path, capsys):
-        profile = tmp_path / "profile.json"
-        assert main(["--seed", "3", "--profile", str(profile), "demo"]) == 0
-        capsys.readouterr()
-        import json
-
-        document = json.loads(profile.read_text())
-        labels = [s["statement"] for s in document["statements"]]
-        assert "SELECT imports" in labels
-        assert document["totals"]["hits_published"] > 0
-
-    def test_profile_report_renders_tables(self, tmp_path, capsys):
-        profile = tmp_path / "profile.json"
-        main(["--seed", "3", "--profile", str(profile), "demo"])
-        capsys.readouterr()
-        assert main(["profile-report", str(profile)]) == 0
-        out = capsys.readouterr().out
-        assert "per-statement profile" in out
-        assert "operators" in out
-        assert "totals:" in out
-
-    def test_profile_report_missing_file(self, capsys):
-        assert main(["profile-report", "/nonexistent/profile.json"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_unwritable_profile_path_reports_cleanly(self, capsys):
-        assert main(["--profile", "/nonexistent-dir/p.json", "demo"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write profile")
 
 
 class TestServeMetricsCommand:
@@ -584,7 +573,6 @@ FLAG_ARGS = {
     "--inference": lambda tmp: ["--inference", "ds"],
     "--trace": lambda tmp: ["--trace", str(tmp / "run.jsonl")],
     "--metrics": lambda tmp: ["--metrics"],
-    "--profile": lambda tmp: ["--profile", str(tmp / "profile.json")],
     "--hedge": lambda tmp: ["--hedge"],
     "--pipeline": lambda tmp: ["--pipeline"],
     "--failure-policy": lambda tmp: ["--failure-policy", "degrade"],
@@ -612,17 +600,16 @@ def _command_args(command, tmp):
         "serve": ["serve", str(spec), "--port", "0", "--rounds", "1"],
         "chaos": ["chaos", "--seeds", "1"],
         "trace-report": ["trace-report", str(tmp / "run.jsonl")],
-        "profile-report": ["profile-report", str(tmp / "profile.json")],
     }[command]
 
 
 def _rejected(flag, command):
-    if command in ("trace-report", "profile-report"):
+    if command == "trace-report":
         return True
     if command == "chaos":
         return flag != "--seed"
     if command in ("serve-metrics", "serve"):
-        return flag in ("--trace", "--profile", "--checkpoint", "--resume")
+        return flag in ("--trace", "--checkpoint", "--resume")
     if command == "repl":
         return flag in ("--checkpoint", "--resume")
     return False
@@ -645,12 +632,7 @@ def _traced(run):
     from repro.obs import load_spans
 
     names = {span["name"] for span in load_spans(str(run.tmp / "run.jsonl"))}
-    return {"engine", "run", "operator.crowdjoin"} <= names
-
-
-def _profiled(run):
-    document = json.loads((run.tmp / "profile.json").read_text(encoding="utf-8"))
-    return bool(document["statements"])
+    return {"engine", "run", "statement", "operator.crowdjoin"} <= names
 
 
 def _cache_spilled(run):
@@ -669,7 +651,6 @@ FLAG_EFFECTS = {
     "--inference": lambda run: all(s.inference.name == "ds" for s in run.sessions),
     "--trace": _traced,
     "--metrics": lambda run: "== metrics ==" in run.out,
-    "--profile": _profiled,
     "--hedge": lambda run: run.engines[0].scheduler.hedge_state is not None,
     "--pipeline": lambda run: all(s.pipeline for s in run.sessions),
     "--failure-policy": lambda run: (
@@ -693,7 +674,7 @@ class TestGlobalFlagMatrix:
 
     COMMANDS = (
         "run", "demo", "repl", "serve-metrics", "serve",
-        "chaos", "trace-report", "profile-report",
+        "chaos", "trace-report",
     )
 
     @pytest.fixture

@@ -12,7 +12,7 @@ from repro.data.csvio import (
     write_csv,
 )
 from repro.data.database import Database
-from repro.data.schema import CNULL, SchemaBuilder, is_cnull
+from repro.data.schema import SchemaBuilder, is_cnull
 from repro.errors import DuplicateTableError, UnknownTableError
 
 

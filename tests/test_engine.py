@@ -17,6 +17,7 @@ from repro.deco import (
 from repro.errors import BudgetExceededError, ConfigurationError, RetryExhaustedError
 from repro.lang.executor import CrowdOracle
 from repro.latency.rounds import RoundScheduler
+from repro.obs import load_spans
 from repro.operators.collect import CrowdCollect, bind_zipf_knowledge
 from repro.operators.findfixverify import proofreading_dataset
 from repro.operators.join import crossing_join
@@ -375,23 +376,27 @@ class TestEngineRobustness:
         assert closed == [trace]
 
     def test_close_finishes_every_step_when_one_fails(self, tmp_path):
-        from repro.platform.cache import AnswerCache
+        from repro.errors import CacheError
 
-        blocker = tmp_path / "file.txt"
-        blocker.write_text("not a directory")
-        spill = tmp_path / "answers.jsonl"
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        trace = tmp_path / "run.jsonl"
         engine = CrowdEngine(
             EngineConfig(
                 seed=3,
-                cache_path=str(spill),
-                profile_path=str(blocker / "profile.json"),
+                cache_path=str(spill_dir / "answers.jsonl"),
+                trace_path=str(trace),
             )
         )
         engine.gather(make_choice_tasks(4))
-        with pytest.raises(ConfigurationError, match="cannot write profile"):
+        # A file where the spill directory was: the cache spill now fails.
+        (spill_dir / "answers.jsonl").unlink()
+        spill_dir.rmdir()
+        spill_dir.write_text("not a directory")
+        with pytest.raises(CacheError, match="cannot write answer cache"):
             engine.close()
-        # The failed profile write skipped none of the later steps.
-        assert AnswerCache().load(spill) == 4
+        # The failed spill skipped none of the later steps: the trace closed.
+        assert [s["name"] for s in load_spans(str(trace))][-1] == "engine"
         engine.close()  # already closed: nothing left to do
 
     def test_engines_keep_separate_ledgers(self):
@@ -583,7 +588,7 @@ class TestOperatorFailurePolicy:
 
     def test_sql_fill_runs_on_the_simulated_clock(self, tmp_path):
         engine = CrowdEngine(
-            EngineConfig(seed=3, profile_path=str(tmp_path / "profile.json")),
+            EngineConfig(seed=3, trace_path=str(tmp_path / "run.jsonl")),
             oracle=CrowdOracle(fill_fn=lambda row, col: row["k"] + "!"),
         )
         engine.sql(
@@ -597,7 +602,10 @@ class TestOperatorFailurePolicy:
         ]
         assert engine.spent == pytest.approx(0.09)  # 3 cells x 3 votes x 0.01
         assert engine.stats.batches_dispatched == batches + 1
-        assert engine.profiler.statements[-1]["sim_s"] > 0.0
+        engine.close()
+        spans = load_spans(str(tmp_path / "run.jsonl"))
+        fill = [s for s in spans if s["name"] == "statement"][-1]
+        assert fill["sim_end"] - fill["sim_start"] > 0.0
 
     @pytest.mark.parametrize("abandon_rate", [0.3, 1.0])
     @pytest.mark.parametrize("policy", ["skip", "degrade"])

@@ -256,32 +256,6 @@ class TestHedgeOutcomes:
         assert DESCRIPTOR_INDEX["batch.hedges_won"].prom_name == "batch_hedges_won_total"
         assert DESCRIPTOR_INDEX["batch.hedges_won"].kind == "counter"
 
-    def test_old_profiles_without_hedge_fields_still_render(self):
-        from repro.obs.profiler import render_profile
-
-        document = {
-            "version": 1,
-            "statements": [
-                {
-                    "index": 0,
-                    "statement": "SELECT 1",
-                    "wall_s": 0.1,
-                    "sim_s": 2.0,
-                    "rows_out": 1,
-                    "failed": False,
-                    "em_iterations": {},
-                    "operators": [],
-                    "cost": 0.0,
-                    "answers": 0,
-                    "hits_published": 0,
-                    "answers_reused": 0,
-                    "cache_hits": 0,
-                    "cache_misses": 0,
-                }
-            ],
-        }
-        assert "hedges" in render_profile(document)
-
 
 class TestHedgeCacheInteraction:
     def _platform(self, seed=13):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.data.schema import CNULL
 from repro.errors import ExecutionError, ParseError
 from repro.lang.ast_nodes import AggregateSpec
 from repro.lang.executor import CrowdOracle

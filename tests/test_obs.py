@@ -14,7 +14,6 @@ from repro.obs import (
     JsonlSink,
     MemorySink,
     MetricsRegistry,
-    NullSink,
     Tracer,
     build_tree,
     load_spans,
@@ -304,6 +303,39 @@ class TestLabeledMetrics:
         assert answers.value == platform.stats.answers_collected == 6
         wall = metrics.histogram("operator.wall", {"operator": "filter"})
         assert wall.count == 1
+
+    @pytest.mark.parametrize("operator", ["hybrid_sort", "topk_tournament"])
+    def test_nested_operator_books_once(self, operator):
+        """An operator run inside another (rating_sort in hybrid_sort,
+        tournament_max in topk_tournament) books nothing of its own."""
+        from repro.operators.sort import CrowdComparator, hybrid_sort
+        from repro.operators.topk import topk_tournament
+
+        sink = MemorySink()
+        platform = SimulatedPlatform(
+            WorkerPool.heterogeneous(10, 0.7, 0.95, seed=1),
+            seed=2,
+            tracer=Tracer(sink),
+            metrics=MetricsRegistry(enabled=True),
+        )
+        if operator == "hybrid_sort":
+            name = "sort"
+            hybrid_sort(platform, list(range(8)), float, 3)
+        else:
+            name = "topk"
+            comparator = CrowdComparator(platform, list(range(12)), float, redundancy=3)
+            topk_tournament(comparator, k=3, fan_in=2)
+        metrics, stats = platform.metrics, platform.stats
+        labels = {"operator": name}
+        assert stats.answers_collected > 0
+        assert metrics.counter("operator.cost", labels).value == pytest.approx(
+            stats.cost_spent
+        )
+        assert metrics.counter("operator.answers", labels).value == stats.answers_collected
+        assert metrics.counter("operator.runs", labels).value == 1
+        (span,) = [s for s in sink.spans if s["name"].startswith("operator.")]
+        assert span["tags"]["cost"] == pytest.approx(stats.cost_spent)
+        assert not platform.operator_open
 
     def test_cache_requests_labeled_by_outcome(self):
         """Each lookup outcome has one series, which the exposition serves."""

@@ -1,4 +1,5 @@
-"""Tests for the query profiler and the live-ops metrics server."""
+"""Tests for the per-statement run profile (statement spans in the trace)
+and the live-ops metrics server."""
 
 import json
 import urllib.error
@@ -8,8 +9,19 @@ import pytest
 
 from repro.core import CrowdEngine, EngineConfig
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, MetricsServer, QueryProfiler
-from repro.obs.profiler import load_profile, render_profile
+from repro.lang.executor import CrowdOracle
+from repro.lang.interpreter import CrowdSQLSession
+from repro.obs import (
+    MemorySink,
+    MetricsRegistry,
+    MetricsServer,
+    Tracer,
+    build_tree,
+    load_spans,
+    render_report,
+)
+from repro.platform.platform import SimulatedPlatform
+from repro.workers.pool import WorkerPool
 
 SCRIPT = """
 CREATE TABLE films (title STRING NOT NULL, score FLOAT, PRIMARY KEY (title));
@@ -21,30 +33,48 @@ SELECT title FROM films CROWDORDER BY score LIMIT 2;
 """
 
 
-def profiled_engine(tmp_path, **overrides):
+def traced_engine(tmp_path, **overrides):
     return CrowdEngine(
-        EngineConfig(
-            seed=9, profile_path=str(tmp_path / "profile.json"), **overrides
-        )
+        EngineConfig(seed=9, trace_path=str(tmp_path / "run.jsonl"), **overrides)
     )
 
 
-class TestQueryProfiler:
-    def test_profile_path_implies_metrics(self, tmp_path):
-        config = EngineConfig(profile_path=str(tmp_path / "p.json"))
-        assert config.metrics_enabled
+def statement_spans(tmp_path):
+    """The trace's statement spans and its children-by-parent index."""
+    spans = load_spans(str(tmp_path / "run.jsonl"))
+    statements = [s for s in spans if s["name"] == "statement"]
+    return statements, build_tree(spans)
 
-    def test_metrics_port_validation(self):
-        with pytest.raises(ConfigurationError, match="metrics_port"):
-            EngineConfig(metrics_port=70000)
 
+def below(tree, span):
+    """Every span and annotation under *span*."""
+    found, stack = [], list(tree.get(span["span_id"], []))
+    while stack:
+        child = stack.pop()
+        found.append(child)
+        stack.extend(tree.get(child["span_id"], []))
+    return found
+
+
+def outermost_operators(tree, span):
+    """Operator spans under *span* with no operator span between them and it."""
+    found, stack = [], list(tree.get(span["span_id"], []))
+    while stack:
+        child = stack.pop()
+        if child["name"].startswith("operator."):
+            found.append(child)
+        else:
+            stack.extend(tree.get(child["span_id"], []))
+    return found
+
+
+class TestStatementSpans:
     def test_per_statement_records(self, tmp_path):
-        engine = profiled_engine(tmp_path)
+        engine = traced_engine(tmp_path)
         engine.sql(SCRIPT)
-        profile = engine.profiler.profile()
         engine.close()
-        statements = profile["statements"]
-        assert [s["statement"] for s in statements] == [
+        statements, tree = statement_spans(tmp_path)
+        assert [s["tags"]["statement"] for s in statements] == [
             "CREATE TABLE films",
             "INSERT films",
             "CREATE TABLE imports",
@@ -52,100 +82,143 @@ class TestQueryProfiler:
             "SELECT imports",
             "SELECT films",
         ]
-        create = statements[0]
-        assert create["hits_published"] == 0 and create["cost"] == 0
+        assert [s["tags"]["index"] for s in statements] == list(range(6))
+        create = statements[0]["tags"]
+        assert create["published"] == 0 and create["cost"] == 0
         join = statements[4]
-        assert join["hits_published"] > 0
-        assert join["cost"] > 0
-        assert join["rows_out"] >= 2
-        (join_op,) = join["operators"]
-        assert join_op["operator"] == "crowdjoin"
-        assert join_op["runs"] == 1
-        assert join_op["cost"] == pytest.approx(join["cost"])
-        assert join_op["wall_s"] > 0
-        sort = statements[5]
-        (sort_op,) = sort["operators"]
-        assert sort_op["operator"] == "sort"
-        assert sort_op["items"] == 3
-        assert profile["totals"]["statements"] == 6
-        assert profile["totals"]["cost"] == pytest.approx(
-            sum(s["cost"] for s in statements)
-        )
+        assert join["tags"]["published"] > 0
+        assert join["tags"]["cost"] > 0
+        assert join["tags"]["rows"] >= 2
+        (join_op,) = outermost_operators(tree, join)
+        assert join_op["name"] == "operator.crowdjoin"
+        assert join_op["tags"]["cost"] == pytest.approx(join["tags"]["cost"])
+        assert join_op["duration"] > 0
+        (sort_op,) = outermost_operators(tree, statements[5])
+        assert sort_op["name"] == "operator.sort"
+        assert sort_op["tags"]["items"] == 3
+        assert sum(s["tags"]["cost"] for s in statements) == pytest.approx(engine.spent)
 
     def test_simulated_time_attributed_to_crowd_statements(self, tmp_path):
-        engine = profiled_engine(tmp_path)
+        engine = traced_engine(tmp_path)
         engine.sql(SCRIPT)
-        statements = engine.profiler.profile()["statements"]
         engine.close()
-        assert statements[0]["sim_s"] == 0.0
-        assert statements[4]["sim_s"] > 0.0
+        statements, _ = statement_spans(tmp_path)
+        sim = [s["sim_end"] - s["sim_start"] for s in statements]
+        assert sim[0] == 0.0
+        assert sim[4] > 0.0
+        assert statements[-1]["sim_end"] == engine.scheduler.simulated_clock
 
-    def test_close_writes_profile_json(self, tmp_path):
-        engine = profiled_engine(tmp_path)
+    def test_close_writes_statement_spans(self, tmp_path):
+        engine = traced_engine(tmp_path)
         engine.sql(SCRIPT)
         engine.close()
-        document = load_profile(str(tmp_path / "profile.json"))
-        assert document["version"] == 1
-        assert document["totals"]["statements"] == 6
+        statements, tree = statement_spans(tmp_path)
+        assert len(statements) == 6
+        (root,) = tree[None]
+        assert {s["parent_id"] for s in statements} == {root["span_id"]}
 
-    def test_em_iterations_attributed_by_method(self, tmp_path):
-        engine = profiled_engine(tmp_path, inference="ds", redundancy=5)
+    def test_em_iterations_counted_per_statement(self, tmp_path):
+        engine = traced_engine(
+            tmp_path, inference="ds", redundancy=5, metrics_enabled=True
+        )
         engine.sql(SCRIPT)
-        statements = engine.profiler.profile()["statements"]
         engine.close()
-        crowd = [s for s in statements if s["hits_published"] > 0]
-        assert any(s["em_iterations"] for s in crowd)
-        for s in crowd:
-            for method, iterations in s["em_iterations"].items():
-                assert method and iterations > 0
+        statements, tree = statement_spans(tmp_path)
+        iterations = [
+            sum(1 for s in below(tree, statement) if s["name"] == "em.iteration")
+            for statement in statements
+        ]
+        assert iterations[:4] == [0, 0, 0, 0]
+        assert iterations[4] > 0 and iterations[5] > 0
+        counted = engine.metrics.counter("em.iterations", {"method": "ds"}).value
+        assert sum(iterations) == counted
 
     def test_failed_statement_is_recorded(self, tmp_path):
         from repro.errors import CrowdDMError
 
-        engine = profiled_engine(tmp_path)
+        engine = traced_engine(tmp_path)
         with pytest.raises(CrowdDMError):
             engine.sql("CREATE TABLE t (a STRING); SELECT a FROM nope;")
-        statements = engine.profiler.profile()["statements"]
         engine.close()
-        assert statements[-1]["failed"] is True
+        statements, _ = statement_spans(tmp_path)
+        assert [s["tags"]["failed"] for s in statements] == [False, True]
+        assert "rows" not in statements[-1]["tags"]
 
-    def test_render_profile_tables(self, tmp_path):
-        engine = profiled_engine(tmp_path)
+    def test_render_statement_tables(self, tmp_path):
+        engine = traced_engine(tmp_path)
         engine.sql(SCRIPT)
         engine.close()
-        text = render_profile(load_profile(str(tmp_path / "profile.json")))
+        text = render_report(load_spans(str(tmp_path / "run.jsonl")))
         assert "per-statement profile" in text
-        assert "SELECT imports" in text
+        assert "statement #4 (SELECT imports) operators" in text
         assert "crowdjoin" in text
-        assert text.strip().endswith("EM iterations")
+        assert "totals: 6 statements" in text
 
-    def test_render_empty_profile(self):
-        assert render_profile({"statements": []}) == "(empty profile)"
+    def test_trace_without_statements_has_no_statement_tables(self):
+        tracer = Tracer(MemorySink())
+        with tracer.span("operator.filter", cost=0.1, answers=10):
+            pass
+        text = render_report(tracer.sink.spans)
+        assert "per-statement profile" not in text
+        assert "totals:" not in text
+        assert "per-operator breakdown" in text
 
-    def test_load_profile_rejects_non_profile(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ConfigurationError, match="not a profile document"):
-            load_profile(str(path))
-        path.write_text("{nope")
-        with pytest.raises(ConfigurationError, match="not a JSON profile"):
-            load_profile(str(path))
+    def test_session_without_engine_records_statement_spans(self):
+        """A bare session on a traced platform records its statements;
+        one without a platform records nothing and still runs."""
+        sink = MemorySink()
+        platform = SimulatedPlatform(
+            WorkerPool.heterogeneous(10, 0.7, 0.95, seed=1),
+            seed=2,
+            tracer=Tracer(sink),
+        )
+        session = CrowdSQLSession(platform=platform)
+        session.execute("CREATE TABLE t (a STRING); INSERT INTO t VALUES ('x')")
+        statements = [s for s in sink.spans if s["name"] == "statement"]
+        assert [s["tags"]["statement"] for s in statements] == ["CREATE TABLE t", "INSERT t"]
+        assert statements[1]["tags"]["rows"] == 1
+        (result,) = CrowdSQLSession().execute("CREATE TABLE t (a STRING)")
+        assert result.kind == "created"
 
-    def test_profiler_without_engine(self):
-        """The profiler is usable standalone around any registry activity."""
-        registry = MetricsRegistry(enabled=True)
-        profiler = QueryProfiler(registry)
-        with profiler.statement(0, "synthetic") as capture:
-            registry.inc("platform.tasks_published", 4)
-            registry.inc("platform.cost_spent", 0.2)
-            registry.inc("operator.runs", labels={"operator": "filter"})
-            registry.observe("operator.wall", 0.5, labels={"operator": "filter"})
-        record = profiler.statements[0]
-        assert record["hits_published"] == 4
-        assert record["cost"] == pytest.approx(0.2)
-        assert record["operators"][0]["operator"] == "filter"
-        assert record["operators"][0]["wall_s"] == pytest.approx(0.5)
-        assert capture.rows_out is None
+    def test_operator_costs_sum_to_statement_cost(self, tmp_path):
+        """Every crowd statement books its spend on operators, once."""
+        engine = CrowdEngine(
+            EngineConfig(seed=1, trace_path=str(tmp_path / "run.jsonl")),
+            oracle=CrowdOracle(
+                filter_fn=lambda value, question: value in ("a", "b", "c"),
+                fill_fn=lambda row, column: row["k"] + "!",
+            ),
+        )
+        engine.sql(
+            "CREATE TABLE t (k STRING, score INTEGER, v STRING CROWD);"
+            "INSERT INTO t (k, score) VALUES ('a', 1), ('b', 2), ('c', 3), ('d', 4);"
+            "CREATE TABLE u (name STRING);"
+            "INSERT INTO u VALUES ('a'), ('z');"
+            "SELECT k FROM t WHERE CROWDFILTER(k, 'keep?');"
+            "DELETE FROM t WHERE NOT CROWDFILTER(k, 'keep this one?');"
+            "SELECT name, k FROM u CROWDJOIN t ON CROWDEQUAL(name, k);"
+            "SELECT k FROM t CROWDORDER BY score;"
+            "SELECT k, v FROM t"
+        )
+        engine.close()
+        statements, tree = statement_spans(tmp_path)
+        assert len(statements) == 9
+        operators = {}
+        for statement in statements:
+            outer = outermost_operators(tree, statement)
+            cost = statement["tags"]["cost"]
+            assert sum(op["tags"]["cost"] for op in outer) == pytest.approx(cost, abs=1e-9)
+            operators[statement["tags"]["index"]] = sorted(op["name"] for op in outer)
+        crowd = {i: operators[i] for i in range(4, 9)}
+        assert crowd == {
+            4: ["operator.crowd_filter"],
+            5: ["operator.crowd_filter"],
+            6: ["operator.crowdjoin"],
+            7: ["operator.sort"],
+            8: ["operator.fill"],
+        }
+        assert all(statements[i]["tags"]["cost"] > 0 for i in crowd)
+        assert sum(s["tags"]["cost"] for s in statements) == pytest.approx(engine.spent)
 
 
 def http_get(url):
@@ -231,6 +304,10 @@ class TestMetricsServer:
 
 
 class TestEngineLiveOps:
+    def test_metrics_port_validation(self):
+        with pytest.raises(ConfigurationError, match="metrics_port"):
+            EngineConfig(metrics_port=70000)
+
     def test_engine_serves_run_status_during_lifetime(self, tmp_path):
         config = EngineConfig(
             seed=3,
@@ -271,7 +348,6 @@ class TestEngineLiveOps:
         assert set(status) == {
             "current_statement", "budget", "answers_collected", "hits_published",
             "batches_dispatched", "simulated_clock", "cache", "hedges", "breakers",
-            "profiled_statements",
         }
         assert status["batches_dispatched"] == engine.stats.batches_dispatched > 0
         assert status["answers_collected"] == engine.stats.answers_collected > 0

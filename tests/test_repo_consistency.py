@@ -130,7 +130,6 @@ class TestRegistries:
     def test_all_task_types_have_a_capable_worker_model(self, rng):
         """OneCoinModel must produce a sane answer for every task type."""
         from repro.platform.task import (
-            Task,
             TaskType,
             collect,
             compare,

@@ -27,7 +27,6 @@ from repro.lang.planner import (
 )
 from repro.lang.streaming import StreamingExecutor, _Unsupported
 from repro.obs.metrics import MetricsRegistry, normalize_labels, series_key
-from repro.obs.profiler import QueryProfiler
 from repro.obs.prom import render_prometheus
 from repro.obs.sinks import MemorySink
 from repro.obs.tracer import Tracer
@@ -102,7 +101,6 @@ def make_session(
     accuracy: float | None = None,
     seed: int = 5,
     metrics: MetricsRegistry | None = None,
-    profiler: QueryProfiler | None = None,
 ) -> CrowdSQLSession:
     return CrowdSQLSession(
         database=make_database(),
@@ -110,7 +108,6 @@ def make_session(
         oracle=make_oracle(),
         redundancy=3,
         pipeline=pipeline,
-        profiler=profiler,
     )
 
 
@@ -350,22 +347,18 @@ class TestCancellationAccounting:
         assert "batch_tasks_cancelled_total" in exposition
         assert "operators_in_flight" in exposition
 
-    def test_profiler_surfaces_cancellations(self):
-        registry = MetricsRegistry(enabled=True)
-        platform = make_platform(accuracy=1.0, metrics=registry)
-        profiler = QueryProfiler(registry, platform)
-        session = CrowdSQLSession(
-            database=make_database(),
-            platform=platform,
-            oracle=make_oracle(),
-            redundancy=3,
-            pipeline=True,
-            profiler=profiler,
+    def test_statement_span_surfaces_cancellations(self):
+        piped = make_session(pipeline=True, accuracy=1.0)
+        sink = MemorySink()
+        piped.platform.tracer = Tracer(sink)
+        result = piped.query(TOPK_SQL)
+        (statement,) = [s for s in sink.spans if s["name"] == "statement"]
+        assert statement["tags"]["cancelled"] == result.stats.tasks_cancelled > 0
+        assert statement["tags"]["cancel_refunded"] == pytest.approx(
+            result.stats.cost_avoided
         )
-        session.query(TOPK_SQL)
-        profile = profiler.profile()
-        assert profile["totals"]["cancelled"] > 0
-        assert profile["totals"]["cancel_refunded"] > 0
+        (stream,) = [s for s in sink.spans if s["name"] == "operator.crowd_filter"]
+        assert stream["tags"]["cost"] == pytest.approx(statement["tags"]["cost"])
 
 
 class TestCheckpointResume:

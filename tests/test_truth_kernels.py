@@ -17,7 +17,6 @@ single-step tests below.
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import InferenceError
