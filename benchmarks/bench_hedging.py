@@ -66,7 +66,6 @@ def _run_strategy(hedge: bool) -> dict:
             seed=SEED + 2,
             hedge_enabled=hedge,
             hedge_min_samples=20,
-            hedge_percentile=0.9,
         ),
     )
     platform.attach_faults(

@@ -312,6 +312,15 @@ def _run_serve_metrics(args, config: EngineConfig) -> int:
     return code
 
 
+def _spec_number(value: object, kind: type, what: str):
+    """*value* as a *kind* (float or int), or a ConfigurationError naming *what*."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{what} must be {noun}, got {value!r}") from None
+
+
 def _load_tenant_spec(path: str | None):
     """Parse a ``serve`` tenant-spec file into (specs, sessions, scripts, budget).
 
@@ -348,11 +357,15 @@ def _load_tenant_spec(path: str | None):
         name = str(entry["name"])
         spec = TenantSpec(
             name=name,
-            budget=float(entry.get("budget", float("inf"))),
-            weight=float(entry.get("weight", 1.0)),
+            budget=_spec_number(
+                entry.get("budget", float("inf")), float, f"tenant {name!r}: budget"
+            ),
+            weight=_spec_number(entry.get("weight", 1.0), float, f"tenant {name!r}: weight"),
         )
         specs.append(spec)
-        sessions[name] = int(entry.get("sessions", 1))
+        sessions[name] = _spec_number(
+            entry.get("sessions", 1), int, f"tenant {name!r}: sessions"
+        )
         if sessions[name] < 1:
             raise ConfigurationError(f"tenant {name!r}: sessions must be >= 1")
         script = entry.get("script")
@@ -365,7 +378,9 @@ def _load_tenant_spec(path: str | None):
                     f"tenant {name!r}: cannot read script {script}: {exc}"
                 ) from exc
     budget = data.get("platform_budget")
-    return specs, sessions, scripts, (float(budget) if budget is not None else None)
+    if budget is not None:
+        budget = _spec_number(budget, float, "platform_budget")
+    return specs, sessions, scripts, budget
 
 
 def _run_serve(args, config: EngineConfig) -> int:

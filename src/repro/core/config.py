@@ -14,12 +14,22 @@ from repro.quality.truth import CATEGORICAL_METHODS
 class EngineConfig:
     """Knobs for a :class:`~repro.core.engine.CrowdEngine`.
 
+    Every field is a setting of the ``python -m repro`` command line (its
+    global flags, and ``serve``'s ``platform_budget``), so a run's command
+    line states its configuration completely. Lower-level behaviour is
+    configured on the object that implements it: fault injection and retry
+    limits through ``engine.platform.attach_scheduler(replace(
+    engine.scheduler.config, ...))``, breakers by appending to
+    ``engine.scheduler.breakers``, a bounded cache through
+    ``engine.platform.attach_cache``, and a live-ops server by building a
+    :class:`~repro.obs.server.MetricsServer` on ``engine.metrics``.
+
     Attributes:
         redundancy: Default votes per crowd question.
         inference: Truth-inference method name (see
             :data:`repro.quality.truth.CATEGORICAL_METHODS`).
-        budget: Total spend ceiling for the engine's platform.
-        task_price: Default per-assignment reward.
+        budget: Total spend ceiling for the engine's platform; > 0 (inf,
+            the default, is no ceiling).
         seed: Master seed, a non-negative int — the pool gets ``seed``, the
             platform ``seed+1``, and the batch runtime's per-assignment
             streams ``seed+2``.
@@ -33,13 +43,6 @@ class EngineConfig:
             any lane count. 1 (the default) draws each assignment from
             the platform RNG in dispatch order; more lanes give each
             assignment its own random stream.
-        retry_limit: Retries per assignment after the first attempt.
-        assignment_timeout: Simulated seconds before an in-flight
-            assignment is reclaimed and retried; None disables timeouts.
-        abandon_rate: Probability a simulated worker abandons an
-            assignment (fault injection; 0 = off, the default).
-        retry_backoff: Base simulated backoff before retry r
-            (``retry_backoff * 2**(r-1)``).
         trace_path: When set, the engine writes a span trace of every run
             to this file as JSONL, one ``statement`` span per CrowdSQL
             statement (read it back, per statement and per operator, with
@@ -53,24 +56,11 @@ class EngineConfig:
             (keep partial answers plus a failure record).
         fault_plan: Path to a JSON :class:`~repro.faults.plan.FaultPlan`
             the engine's platform injects, or None (no faults).
-        deadline: Simulated-clock deadline; a breaker stops dispatching
-            new batches once the scheduler clock reaches it. None = off.
-        adaptive_deadline: Escalate through the recovery ladder as the
-            clock eats into ``deadline`` (hedge harder, then shrink
-            redundancy) instead of only tripping at the wall — installs an
-            :class:`~repro.recovery.breakers.AdaptiveDeadlineBreaker`.
-            Requires ``deadline``.
         hedge_enabled: Speculatively re-issue in-flight straggler
             assignments once the batch runtime's per-task-type completion
             model is warm (first answer wins; losing copy cancelled and
             refunded). Off by default — hedging off is bit-identical to
             the pre-hedging runtime.
-        hedge_percentile: Completion-time quantile that flags a running
-            assignment as a straggler.
-        hedge_min_samples: Observations per task type before the fitted
-            model is trusted for hedging.
-        budget_reserve: Stop dispatching new batches once remaining
-            budget drops to this floor (a budget circuit breaker). 0 = off.
         cache_enabled: Attach a content-addressed
             :class:`~repro.platform.cache.AnswerCache` to the platform, so
             identical questions are published once and answers are reused
@@ -81,13 +71,6 @@ class EngineConfig:
             it exists) and spilled to on :meth:`~repro.core.engine.
             CrowdEngine.close` — Reprowd-style reuse across runs. Setting
             a path implies ``cache_enabled``.
-        cache_max_entries: LRU capacity of the cache (least-recently-used
-            signature evicted past it); None = unbounded.
-        metrics_port: When set, the engine starts a live-ops HTTP server
-            on ``127.0.0.1:<port>`` exposing ``/metrics`` (Prometheus
-            text exposition), ``/healthz``, and ``/run`` (JSON run
-            status). Port 0 binds an ephemeral port (read it back from
-            ``engine.metrics_server.port``). Implies ``metrics_enabled``.
         pipeline: Stream a LIMIT over a CROWDFILTER through
             :class:`~repro.lang.streaming.StreamingExecutor`, which
             cancels the HITs the LIMIT no longer needs. Every other
@@ -98,30 +81,18 @@ class EngineConfig:
     redundancy: int = 3
     inference: str = "mv"
     budget: float = math.inf
-    task_price: float = 0.01
     seed: int = 0
     pool_size: int = 25
     pool_accuracy_range: tuple[float, float] = (0.6, 0.95)
     batch_size: int = 32
     max_parallel: int = 1
-    retry_limit: int = 2
-    assignment_timeout: float | None = None
-    abandon_rate: float = 0.0
-    retry_backoff: float = 1.0
     trace_path: str | None = None
     metrics_enabled: bool = False
     failure_policy: str = "fail"
     fault_plan: str | None = None
-    deadline: float | None = None
-    adaptive_deadline: bool = False
     hedge_enabled: bool = False
-    hedge_percentile: float = 0.9
-    hedge_min_samples: int = 20
-    budget_reserve: float = 0.0
     cache_enabled: bool = False
     cache_path: str | None = None
-    cache_max_entries: int | None = None
-    metrics_port: int | None = None
     pipeline: bool = False
 
     def __post_init__(self) -> None:
@@ -134,8 +105,9 @@ class EngineConfig:
                 f"unknown inference {self.inference!r}; "
                 f"available: {sorted(CATEGORICAL_METHODS)}"
             )
-        if self.task_price < 0:
-            raise ConfigurationError("task_price must be non-negative")
+        # `not >`: a NaN budget would disable every budget check.
+        if not self.budget > 0:
+            raise ConfigurationError(f"budget must be > 0, got {self.budget}")
         if self.pool_size < 1:
             raise ConfigurationError("pool_size must be >= 1")
         low, high = self.pool_accuracy_range
@@ -145,31 +117,8 @@ class EngineConfig:
             raise ConfigurationError("trace_path must be a non-empty path or None")
         if self.fault_plan is not None and not self.fault_plan:
             raise ConfigurationError("fault_plan must be a non-empty path or None")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ConfigurationError(
-                f"deadline must be > 0 or None, got {self.deadline}"
-            )
-        if self.adaptive_deadline and self.deadline is None:
-            raise ConfigurationError(
-                "adaptive_deadline requires a deadline to escalate against"
-            )
-        if self.budget_reserve < 0:
-            raise ConfigurationError(
-                f"budget_reserve must be >= 0, got {self.budget_reserve}"
-            )
         if self.cache_path is not None and not self.cache_path:
             raise ConfigurationError("cache_path must be a non-empty path or None")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ConfigurationError(
-                f"cache_max_entries must be >= 1 or None, got {self.cache_max_entries}"
-            )
-        if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
-            raise ConfigurationError(
-                f"metrics_port must be in [0, 65535] or None, got {self.metrics_port}"
-            )
-        # The live-ops server serves the registry, so it forces it on.
-        if self.metrics_port is not None:
-            self.metrics_enabled = True
         # Batch-runtime knobs share BatchConfig's validation (including
         # failure_policy parsing).
         self.make_batch_config()
@@ -183,15 +132,9 @@ class EngineConfig:
         return BatchConfig(
             batch_size=self.batch_size,
             max_parallel=self.max_parallel,
-            retry_limit=self.retry_limit,
-            assignment_timeout=self.assignment_timeout,
-            abandon_rate=self.abandon_rate,
-            retry_backoff=self.retry_backoff,
             seed=self.seed + 2,
             failure_policy=self.failure_policy,
             hedge_enabled=self.hedge_enabled,
-            hedge_percentile=self.hedge_percentile,
-            hedge_min_samples=self.hedge_min_samples,
         )
 
     @property
@@ -205,7 +148,7 @@ class EngineConfig:
             return None
         from repro.platform.cache import AnswerCache
 
-        return AnswerCache(max_entries=self.cache_max_entries)
+        return AnswerCache()
 
     def make_fault_plan(self):
         """Load the configured fault plan, or None when faults are off."""

@@ -27,7 +27,6 @@ from repro.errors import ConfigurationError
 from repro.lang.executor import CrowdOracle, QueryResult
 from repro.lang.interpreter import CrowdSQLSession, StatementResult
 from repro.obs import NULL_TRACER, JsonlSink, MetricsRegistry, Tracer
-from repro.obs.server import MetricsServer
 from repro.operators.categorize import CategorizeResult, CrowdCategorize
 from repro.operators.collect import CollectResult, CrowdCollect
 from repro.operators.count import CountResult, CrowdCount
@@ -44,7 +43,6 @@ from repro.operators.sort import (
 )
 from repro.operators.topk import TopKResult, topk_tournament, tournament_max
 from repro.platform.platform import PlatformStats, SimulatedPlatform
-from repro.platform.pricing import PricingPolicy
 from repro.quality.truth import TruthInference
 from repro.workers.pool import WorkerPool
 
@@ -99,7 +97,6 @@ class CrowdEngine:
         self.platform = SimulatedPlatform(
             self.pool,
             budget=self.config.budget,
-            pricing=PricingPolicy(default=self.config.task_price),
             seed=self.config.seed + 1,
             batch=self.config.make_batch_config(),
             tracer=self.tracer,
@@ -109,25 +106,6 @@ class CrowdEngine:
             self.platform.attach_cache(cache)
         if plan is not None:
             self.platform.attach_faults(plan)
-        from repro.recovery.breakers import (
-            AdaptiveDeadlineBreaker,
-            BudgetBreaker,
-            DeadlineBreaker,
-        )
-
-        if self.config.budget_reserve > 0:
-            self.platform.scheduler.breakers.append(
-                BudgetBreaker(reserve=self.config.budget_reserve)
-            )
-        if self.config.deadline is not None:
-            breaker_cls = (
-                AdaptiveDeadlineBreaker
-                if self.config.adaptive_deadline
-                else DeadlineBreaker
-            )
-            self.platform.scheduler.breakers.append(
-                breaker_cls(deadline=self.config.deadline)
-            )
         # `is None` check: an empty Database is falsy (it defines __len__).
         self.database = Database() if database is None else database
         self.oracle = oracle or CrowdOracle()
@@ -139,18 +117,6 @@ class CrowdEngine:
             oracle=self.oracle,
             pipeline=self.config.pipeline,
         )
-        self.metrics_server: MetricsServer | None = None
-        if self.config.metrics_port is not None:
-            self.metrics_server = MetricsServer(
-                self.metrics,
-                run_status=self.run_status,
-                port=self.config.metrics_port,
-            )
-            try:
-                self.metrics_server.start()
-            except ConfigurationError:
-                self.tracer.close()  # no engine is returned to close it
-                raise
         self._closed = False
         self._root_span = self.tracer.span(
             "engine", seed=self.config.seed, inference=self.config.inference
@@ -557,30 +523,20 @@ class CrowdEngine:
     def close(self) -> None:
         """End the root span and flush the trace file.
 
-        With a configured ``cache_path``, the answer cache is also spilled
-        to disk here so the next run replays this one's answers. Every step
-        runs even when an earlier one fails; the first failure is raised
-        once all have run. Idempotent, and a no-op for an engine without
-        observability or a cache path. The engine stays usable afterwards —
-        only tracing stops.
+        With a configured ``cache_path``, the answer cache is first spilled
+        to disk so the next run replays this one's answers; the trace
+        closes even when the spill fails, and the spill's error is raised.
+        Idempotent, and a no-op for an engine without observability or a
+        cache path. The engine stays usable afterwards — only tracing stops.
         """
         if self._closed:
             return
         self._closed = True
-        steps: list[Callable[[], object]] = []
-        if self.metrics_server is not None:
-            steps.append(self.metrics_server.stop)
-        if self.platform.cache is not None and self.config.cache_path:
-            steps.append(lambda: self.platform.cache.save(self.config.cache_path))
-        steps.append(self.tracer.close)
-        first: Exception | None = None
-        for step in steps:
-            try:
-                step()
-            except Exception as exc:
-                first = first or exc
-        if first is not None:
-            raise first
+        try:
+            if self.platform.cache is not None and self.config.cache_path:
+                self.platform.cache.save(self.config.cache_path)
+        finally:
+            self.tracer.close()
 
     def __enter__(self) -> "CrowdEngine":
         return self

@@ -172,7 +172,6 @@ def run_chaos(
             retry_limit=2,
             assignment_timeout=240.0,
             abandon_rate=0.05,
-            retry_backoff=1.0,
             seed=seed + 2,
             failure_policy="degrade",
             hedge_enabled=hedge,
@@ -327,7 +326,6 @@ def _resumable_world(
             retry_limit=2,
             assignment_timeout=240.0,
             abandon_rate=0.05,
-            retry_backoff=1.0,
             seed=seed + 2,
             failure_policy="degrade",
             hedge_enabled=hedge,

@@ -29,7 +29,7 @@ from repro.lang.ast_nodes import (
 from repro.lang.executor import CrowdOracle, ExecutionStats, Executor, QueryResult
 from repro.lang.optimizer import CostModel, Optimizer, estimate_plan_cost
 from repro.lang.parser import parse
-from repro.lang.planner import build_plan
+from repro.lang.planner import LogicalPlan, build_plan
 from repro.lang.streaming import StreamingExecutor
 from repro.obs.instrument import operator_span, statement_span
 from repro.platform.platform import SimulatedPlatform
@@ -165,18 +165,26 @@ class CrowdSQLSession:
 
     def explain(self, sql: str) -> str:
         """Plan text (and estimated crowd cost) without executing."""
-        statements = parse(sql).statements
         chunks = []
-        for statement in statements:
-            if not isinstance(statement, Select):
+        for statement in parse(sql).statements:
+            if isinstance(statement, Select):
+                chunks.append("\n".join(self._plan_text(statement)))
+            else:
                 chunks.append(f"-- {type(statement).__name__}: no plan")
-                continue
-            plan = build_plan(statement, self.database)
-            if self.optimize:
-                plan = Optimizer(self.database, CostModel(self.redundancy)).optimize(plan)
-            cost = estimate_plan_cost(plan, self.database, CostModel(self.redundancy))
-            chunks.append(plan.explain() + f"\n-- estimated crowd cost: {cost:.4f}")
         return "\n\n".join(chunks)
+
+    def _plan(self, select: Select) -> LogicalPlan:
+        """*select*'s plan, optimized unless the session turns that off."""
+        plan = build_plan(select, self.database)
+        if self.optimize:
+            plan = Optimizer(self.database, CostModel(self.redundancy)).optimize(plan)
+        return plan
+
+    def _plan_text(self, select: Select) -> list[str]:
+        """EXPLAIN's lines: the plan tree, then its estimated crowd cost."""
+        plan = self._plan(select)
+        cost = estimate_plan_cost(plan, self.database, CostModel(self.redundancy))
+        return plan.explain().splitlines() + [f"-- estimated crowd cost: {cost:.4f}"]
 
     # ------------------------------------------------------------------ #
 
@@ -200,14 +208,9 @@ class CrowdSQLSession:
 
     def _explain(self, statement: Explain) -> QueryResult:
         """EXPLAIN: return the plan text as rows instead of executing."""
-        plan = build_plan(statement.select, self.database)
-        if self.optimize:
-            plan = Optimizer(self.database, CostModel(self.redundancy)).optimize(plan)
-        cost = estimate_plan_cost(plan, self.database, CostModel(self.redundancy))
-        lines = plan.explain().splitlines() + [f"-- estimated crowd cost: {cost:.4f}"]
         return QueryResult(
             columns=("plan",),
-            rows=[{"plan": line} for line in lines],
+            rows=[{"plan": line} for line in self._plan_text(statement.select)],
         )
 
     def _matching_rowids(self, table_name: str, where) -> list[int]:
@@ -304,9 +307,7 @@ class CrowdSQLSession:
         )
 
     def _select(self, statement: Select) -> QueryResult:
-        plan = build_plan(statement, self.database)
-        if self.optimize:
-            plan = Optimizer(self.database, CostModel(self.redundancy)).optimize(plan)
+        plan = self._plan(statement)
         executor_cls = (
             StreamingExecutor if self.pipeline and self.platform is not None else Executor
         )

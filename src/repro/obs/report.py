@@ -163,7 +163,12 @@ def _em_rows(spans: list[SpanDict]) -> list[dict[str, Any]]:
 
 
 def _statement_sections(spans: list[SpanDict]) -> list[str]:
-    """The per-statement table, each statement's operator table, and totals."""
+    """The per-statement table, each statement's operator table, and totals.
+
+    Statements are numbered in the order the trace holds them: a REPL runs
+    each statement as its own script, so the span's ``index`` tag (the
+    script position a resume skips by) restarts at 0 for every one.
+    """
     from repro.experiments.report import format_table
 
     statements = [
@@ -173,10 +178,10 @@ def _statement_sections(spans: list[SpanDict]) -> list[str]:
         return []
     children = build_tree(spans)
     rows, operator_tables = [], []
-    for span in statements:
+    for index, span in enumerate(statements):
         tags = span.get("tags", {})
         below = _descendants(children, span["span_id"])
-        index, label = tags.get("index", "?"), str(tags.get("statement", ""))[:48]
+        label = str(tags.get("statement", ""))[:48]
         sim_start, sim_end = span.get("sim_start"), span.get("sim_end")
         rows.append(
             {

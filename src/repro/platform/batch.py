@@ -13,7 +13,8 @@ a retry limit is hit (the Reprowd / human-powered-sorts-and-joins regime).
   the simulated clock, never a thread;
 * per-assignment faults — worker abandonment (``abandon_rate``) and
   service times exceeding ``assignment_timeout`` — trigger bounded
-  retry-with-exponential-backoff on a fresh worker, and exhausting the
+  retry-with-exponential-backoff on a fresh worker (retry *r* waits
+  ``RETRY_BACKOFF * 2**(r-1)`` simulated seconds), and exhausting the
   retry budget raises :class:`~repro.errors.RetryExhaustedError`.
 
 Every platform has a scheduler, and :meth:`SimulatedPlatform.collect` is
@@ -77,6 +78,12 @@ if TYPE_CHECKING:  # avoid import cycles with platform/workers
     from repro.workers.worker import Worker
 
 
+#: Base simulated backoff, in seconds, before retry r: ``RETRY_BACKOFF * 2**(r-1)``.
+RETRY_BACKOFF = 1.0
+#: Completion-time quantile beyond which a running attempt is a straggler.
+HEDGE_PERCENTILE = 0.9
+
+
 def check_seed(seed: object, *, optional: bool = True) -> None:
     """Raise :class:`ConfigurationError` unless *seed* is a non-negative int.
 
@@ -105,8 +112,6 @@ class BatchConfig:
             assignment is reclaimed and retried; None disables timeouts.
         abandon_rate: Probability a worker silently abandons an assignment
             (fault injection; 0 disables it).
-        retry_backoff: Base simulated delay before retry r, growing as
-            ``retry_backoff * 2**(r-1)``.
         seed: Entropy for the per-assignment RNG streams used when
             ``max_parallel > 1``: None or a non-negative int. A stream's
             entropy is ``[seed, stream]``, or ``[stream]`` when None.
@@ -115,10 +120,9 @@ class BatchConfig:
             raises, ``"skip"`` drops the task from the answers,
             ``"degrade"`` keeps partial answers and records failures (see
             :class:`~repro.recovery.degrade.FailurePolicy`).
-        hedge_enabled: Speculatively re-issue in-flight stragglers once a
+        hedge_enabled: Speculatively re-issue in-flight stragglers (past
+            the :data:`HEDGE_PERCENTILE` completion time) once a
             per-task-type completion model is warm (see module docstring).
-        hedge_percentile: Completion-time quantile beyond which a running
-            attempt counts as a straggler and gets hedged.
         hedge_min_samples: Observations per task type required before the
             model is trusted; colder types never hedge.
     """
@@ -128,11 +132,9 @@ class BatchConfig:
     retry_limit: int = 2
     assignment_timeout: float | None = None
     abandon_rate: float = 0.0
-    retry_backoff: float = 1.0
     seed: int | None = None
     failure_policy: str = "fail"
     hedge_enabled: bool = False
-    hedge_percentile: float = 0.9
     hedge_min_samples: int = 20
 
     def __post_init__(self) -> None:
@@ -149,14 +151,6 @@ class BatchConfig:
             )
         if not 0.0 <= self.abandon_rate <= 1.0:
             raise ConfigurationError(f"abandon_rate must be in [0, 1], got {self.abandon_rate}")
-        if self.retry_backoff < 0:
-            raise ConfigurationError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff}"
-            )
-        if not 0.0 < self.hedge_percentile < 1.0:
-            raise ConfigurationError(
-                f"hedge_percentile must be in (0, 1), got {self.hedge_percentile}"
-            )
         if self.hedge_min_samples < 2:
             raise ConfigurationError(
                 f"hedge_min_samples must be >= 2, got {self.hedge_min_samples}"
@@ -278,7 +272,7 @@ class HedgeState:
 
     def __init__(
         self,
-        percentile: float = 0.9,
+        percentile: float = HEDGE_PERCENTILE,
         min_samples: int = 20,
         window: int = 256,
     ):
@@ -370,10 +364,7 @@ class BatchScheduler:
         self._stream_rng = StreamGenerator()  # positioned per assignment above one lane
         self._budget_exhausted = False
         self.hedge_state: HedgeState | None = (
-            HedgeState(
-                percentile=self.config.hedge_percentile,
-                min_samples=self.config.hedge_min_samples,
-            )
+            HedgeState(min_samples=self.config.hedge_min_samples)
             if self.config.hedge_enabled
             else None
         )
@@ -408,10 +399,7 @@ class BatchScheduler:
         """
         self._shrink_redundancy = shrink
         if hedge and self.hedge_state is None:
-            self.hedge_state = HedgeState(
-                percentile=self.config.hedge_percentile,
-                min_samples=self.config.hedge_min_samples,
-            )
+            self.hedge_state = HedgeState(min_samples=self.config.hedge_min_samples)
         if self.hedge_state is not None:
             self.hedge_state.set_pressure(hedge, percentile)
 
@@ -704,9 +692,7 @@ class BatchScheduler:
                 if a.straggled:
                     metrics.inc("faults.stragglers")
                 attempted[task_id].add(a.worker.worker_id)
-                backoff = (
-                    self.config.retry_backoff * 2 ** (a.attempt - 1) if a.attempt else 0.0
-                )
+                backoff = RETRY_BACKOFF * 2 ** (a.attempt - 1) if a.attempt else 0.0
                 winner, effective, outcome = a, a.duration, None
                 if a.hedge is not None:
                     winner, effective, outcome = self._resolve_hedge(a)

@@ -360,10 +360,7 @@ def restore_scheduler(scheduler: "BatchScheduler", state: dict) -> None:
         if scheduler.hedge_state is None:
             from repro.platform.batch import HedgeState
 
-            scheduler.hedge_state = HedgeState(
-                percentile=scheduler.config.hedge_percentile,
-                min_samples=scheduler.config.hedge_min_samples,
-            )
+            scheduler.hedge_state = HedgeState(min_samples=scheduler.config.hedge_min_samples)
         scheduler.hedge_state.restore_state(hedge)
 
 

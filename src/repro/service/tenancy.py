@@ -44,7 +44,7 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
-        if self.budget <= 0:
+        if not self.budget > 0:  # NaN too: it would pass every budget check
             raise ConfigurationError(
                 f"tenant {self.name!r}: budget must be > 0, got {self.budget}"
             )

@@ -66,6 +66,20 @@ def make_choice_tasks(n, labels=("a", "b", "c"), seed=0, difficulty=0.0):
     return tasks
 
 
+def abandoning_engine(config, abandon_rate, retry_limit=0):
+    """A CrowdEngine on *config* whose workers abandon each assignment with
+    probability *abandon_rate*, re-posted at most *retry_limit* times."""
+    from dataclasses import replace
+
+    from repro.core.engine import CrowdEngine
+
+    engine = CrowdEngine(config)
+    engine.platform.attach_scheduler(
+        replace(engine.scheduler.config, abandon_rate=abandon_rate, retry_limit=retry_limit)
+    )
+    return engine
+
+
 @pytest.fixture
 def choice_tasks():
     return make_choice_tasks(60, seed=5)

@@ -60,7 +60,6 @@ class TestBatchConfig:
             {"abandon_rate": 1.5},
             {"abandon_rate": -0.1},
             {"assignment_timeout": 0.0},
-            {"retry_backoff": -1.0},
             {"seed": -1},
         ],
     )
@@ -252,8 +251,6 @@ class TestEngineIntegration:
     def test_engine_config_validation(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(max_parallel=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(abandon_rate=2.0)
 
     def test_engine_exposes_scheduler(self):
         engine = CrowdEngine(EngineConfig(seed=1, max_parallel=4))

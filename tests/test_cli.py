@@ -22,6 +22,8 @@ from repro.core.engine import CrowdEngine
 from repro.lang.interpreter import StatementResult
 from repro.platform import task as task_module
 
+from conftest import abandoning_engine
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -279,6 +281,46 @@ class TestObservabilityFlags:
         assert "statement #6 (SELECT imports) operators" in out
         assert "totals: 8 statements" in out
 
+    @staticmethod
+    def statement_numbers(report):
+        """The ``#`` column of a trace report's per-statement table."""
+        table = report.split("per-statement profile\n", 1)[1].split("\n\n", 1)[0]
+        return [line.split("|")[0].strip() for line in table.splitlines()[2:]]
+
+    @pytest.mark.parametrize(
+        "script, numbers, titles",
+        [
+            (
+                "CREATE TABLE t (a STRING);\nINSERT INTO t VALUES ('x'), ('y');\n"
+                "SELECT a FROM t;\n",
+                ["0", "1", "2"],
+                [],
+            ),
+            (
+                DEMO_SCRIPT,
+                [str(i) for i in range(8)],
+                [
+                    "statement #6 (SELECT imports) operators",
+                    "statement #7 (SELECT films) operators",
+                ],
+            ),
+        ],
+        ids=["three_statements", "demo"],
+    )
+    def test_trace_report_numbers_repl_statements_in_trace_order(
+        self, tmp_path, capsys, monkeypatch, script, numbers, titles
+    ):
+        """Each REPL statement is its own script, whose span index is 0."""
+        trace = tmp_path / "repl.jsonl"
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        assert main(["--seed", "3", "--trace", str(trace), "repl"]) == 0
+        capsys.readouterr()
+        assert main(["trace-report", str(trace)]) == 0
+        report = capsys.readouterr().out
+        assert self.statement_numbers(report) == numbers
+        for title in titles:
+            assert title in report
+
     def test_unwritable_trace_path_reports_cleanly(self, capsys):
         assert main(["--trace", "/nonexistent-dir/run.jsonl", "demo"]) == 2
         err = capsys.readouterr().err
@@ -415,21 +457,53 @@ class TestServeMetricsCommand:
         assert "error: metrics port" in capsys.readouterr().err
 
 
+class TestServeTenantSpec:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"platform_budget": NaN, "tenants": [{"name": "a"}]}', "budget must be > 0"),
+            ('{"tenants": [{"name": "a", "budget": NaN}]}', "tenant 'a': budget must be > 0"),
+            (
+                '{"tenants": [{"name": "a", "budget": "lots"}]}',
+                "tenant 'a': budget must be a number",
+            ),
+            (
+                '{"tenants": [{"name": "a", "sessions": "two"}]}',
+                "tenant 'a': sessions must be an integer",
+            ),
+            (
+                '{"platform_budget": [1], "tenants": [{"name": "a"}]}',
+                "platform_budget must be a number",
+            ),
+        ],
+        ids=[
+            "nan_platform_budget", "nan_tenant_budget", "non_numeric_budget",
+            "non_numeric_sessions", "non_numeric_platform_budget",
+        ],
+    )
+    def test_bad_number_is_a_configuration_error(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "tenants.json"
+        path.write_text(spec, encoding="utf-8")
+        assert main(["--seed", "3", "serve", str(path), "--port", "0", "--rounds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestRobustnessFlags:
     def make_failing_session(self, policy="fail"):
         """An engine whose every assignment is abandoned (retries exhaust)."""
         from repro.core.config import EngineConfig
 
-        return CrowdEngine(
+        return abandoning_engine(
             EngineConfig(
                 seed=1,
                 pool_size=8,
                 pool_accuracy_range=(0.75, 0.95),
-                abandon_rate=1.0,
-                retry_limit=0,
                 failure_policy=policy,
                 redundancy=3,
-            )
+            ),
+            abandon_rate=1.0,
         )
 
     CROWD_SQL = (

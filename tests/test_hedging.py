@@ -27,7 +27,6 @@ HEDGE_CFG = dict(
     max_parallel=4,
     hedge_enabled=True,
     hedge_min_samples=8,
-    hedge_percentile=0.9,
 )
 
 
@@ -81,9 +80,6 @@ class TestHedgeConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"hedge_percentile": 0.0},
-            {"hedge_percentile": 1.0},
-            {"hedge_percentile": -0.2},
             {"hedge_min_samples": 1},
             {"hedge_min_samples": 0},
         ],

@@ -1,6 +1,7 @@
 """Tests for the observability layer (repro.obs)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -533,10 +534,13 @@ class TestEngineObservability:
 
         config = EngineConfig(
             seed=3, inference="ds", metrics_enabled=True, max_parallel=4,
-            hedge_enabled=True, hedge_min_samples=8, pipeline=True, cache_enabled=True,
+            hedge_enabled=True, pipeline=True, cache_enabled=True,
         )
         oracle = CrowdOracle(filter_fn=lambda value, _q: int(value.split()[-1]) % 2 == 0)
         with CrowdEngine(config, oracle=oracle) as engine:
+            engine.platform.attach_scheduler(
+                replace(engine.scheduler.config, hedge_min_samples=8)
+            )
             engine.sql("CREATE TABLE t (k STRING, price INTEGER, PRIMARY KEY (k))")
             engine.table("t").insert_many([{"k": f"key {i}", "price": i} for i in range(80)])
             engine.categorize(

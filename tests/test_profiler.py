@@ -304,23 +304,18 @@ class TestMetricsServer:
 
 
 class TestEngineLiveOps:
-    def test_metrics_port_validation(self):
-        with pytest.raises(ConfigurationError, match="metrics_port"):
-            EngineConfig(metrics_port=70000)
+    def test_engine_serves_run_status_during_lifetime(self):
+        from repro.obs.prom import validate_exposition
+        from repro.recovery.breakers import BudgetBreaker
 
-    def test_engine_serves_run_status_during_lifetime(self, tmp_path):
-        config = EngineConfig(
-            seed=3,
-            metrics_port=0,
-            budget=10.0,
-            cache_enabled=True,
-            budget_reserve=1.0,
+        engine = CrowdEngine(
+            EngineConfig(seed=3, budget=10.0, cache_enabled=True, metrics_enabled=True)
         )
-        engine = CrowdEngine(config)
-        try:
-            url = engine.metrics_server.url
+        engine.scheduler.breakers.append(BudgetBreaker(reserve=1.0))
+        server = MetricsServer(engine.metrics, run_status=engine.run_status)
+        with engine, server:
             engine.sql(SCRIPT)
-            _, _, body = http_get(f"{url}/run")
+            _, _, body = http_get(f"{server.url}/run")
             payload = json.loads(body)
             assert payload["current_statement"] is None
             assert payload["budget"]["limit"] == 10.0
@@ -332,14 +327,8 @@ class TestEngineLiveOps:
             assert payload["cache"]["enabled"] is True
             names = [b["name"] for b in payload["breakers"]]
             assert "breaker:budget" in names
-            _, _, metrics_body = http_get(f"{url}/metrics")
-            from repro.obs.prom import validate_exposition
-
+            _, _, metrics_body = http_get(f"{server.url}/metrics")
             assert validate_exposition(metrics_body) > 0
-        finally:
-            engine.close()
-        assert engine.metrics_server is not None
-        assert not engine.metrics_server.running
 
     def test_idle_run_status_keys(self):
         engine = CrowdEngine(EngineConfig(seed=3))
@@ -355,18 +344,17 @@ class TestEngineLiveOps:
 
     def test_run_status_reports_current_statement_mid_query(self):
         """The /run payload exposes the in-flight statement label."""
-        engine = CrowdEngine(EngineConfig(seed=3, metrics_port=0))
-        try:
+        engine = CrowdEngine(EngineConfig(seed=3))
+        server = MetricsServer(engine.metrics, run_status=engine.run_status)
+        with engine, server:
             seen = {}
             original = engine._session._execute_statement
 
             def spy(statement):
-                _, _, body = http_get(f"{engine.metrics_server.url}/run")
+                _, _, body = http_get(f"{server.url}/run")
                 seen["label"] = json.loads(body)["current_statement"]
                 return original(statement)
 
             engine._session._execute_statement = spy
             engine.sql("CREATE TABLE t (a STRING);")
             assert seen["label"] == "CREATE TABLE t"
-        finally:
-            engine.close()

@@ -49,7 +49,6 @@ def make_world(seed=7, n_workers=10, budget=None, policy="degrade", **batch_kwar
         retry_limit=2,
         assignment_timeout=200.0,
         abandon_rate=0.05,
-        retry_backoff=1.0,
         seed=seed + 2,
         failure_policy=policy,
     )

@@ -157,6 +157,32 @@ class TestRegistries:
             model.answer(task, rng)  # must not raise
 
 
+class TestConfigSurface:
+    def test_every_engine_config_field_is_a_cli_setting(self):
+        """The CLI sets every EngineConfig field (a global flag, or serve's
+        platform_budget), so a run's command line states its configuration."""
+        import ast
+        import dataclasses
+
+        from repro.core.config import EngineConfig
+
+        cli = ast.parse((REPO / "src" / "repro" / "cli.py").read_text(encoding="utf-8"))
+        set_by_cli = {
+            keyword.arg
+            for node in ast.walk(cli)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("EngineConfig", "replace")
+            for keyword in node.keywords
+            if keyword.arg is not None
+        }
+        fields = {field.name for field in dataclasses.fields(EngineConfig)}
+        assert set_by_cli == fields, (
+            f"fields the CLI never sets: {sorted(fields - set_by_cli)}; "
+            f"set but not fields: {sorted(set_by_cli - fields)}"
+        )
+
+
 class TestExamplesInventory:
     def test_examples_exist_and_have_docstrings(self):
         examples = sorted((REPO / "examples").glob("*.py"))

@@ -88,6 +88,9 @@ class TestTenantRegistry:
             TenantSpec("")
         with pytest.raises(ConfigurationError):
             TenantSpec("a", budget=0.0)
+        # NaN would pass every `spent + amount > budget` check.
+        with pytest.raises(ConfigurationError, match="budget must be > 0"):
+            TenantSpec("a", budget=float("nan"))
         with pytest.raises(ConfigurationError):
             TenantSpec("a", weight=0.0)
 
