@@ -22,7 +22,11 @@ a thin call to :meth:`BatchScheduler.run`, so every batch collection
 passes through this module.
 
 Determinism: planning (worker sampling) happens in task order, so the
-pool's RNG stream is consumed identically at any lane count. With
+pool's RNG stream is consumed identically at any lane count. A wave's
+tasks are sampled with one bounded-integer draw from the pool's
+generator (:meth:`~repro.workers.pool.WorkerPool.draw`), which makes
+exactly the draws one ``Generator.choice`` per task would, in task
+order, and leaves the generator in the same state. With
 ``max_parallel=1`` each assignment then draws its service time and its
 answer from the platform RNG in dispatch order — the same draws as a
 plain sequential loop of ``worker.submit(task, platform.rng)`` over the
@@ -205,25 +209,32 @@ class BatchRunResult:
         return len(self.completion_times) / self.makespan
 
 
-@dataclass
 class _Assignment:
     """One (task, worker) attempt tracked through execution."""
 
-    task: Task
-    worker: "Worker"
-    order: int                # stable dispatch order within the wave
-    stream: int               # global per-assignment RNG stream id
-    attempt: int = 0          # 0 = first try
-    # filled by execution:
-    fault: str | None = None  # None | "timeout" | "abandoned"
-    duration: float = 0.0     # simulated seconds the lane was occupied
-    value: object = None
-    straggled: bool = False   # duration inflated by an injected straggler spike
-    # outcome history of this retry chain, shared across its assignments
-    outcomes: list[str] = field(default_factory=list)
-    # speculative hedge copy racing this attempt, if any
-    hedge: "_Assignment | None" = None
-    hedge_detect: float = 0.0  # simulated offset at which the hedge launched
+    __slots__ = (
+        "task", "worker", "order", "stream", "attempt", "fault", "duration",
+        "value", "straggled", "outcomes", "hedge", "hedge_detect",
+    )
+
+    def __init__(
+        self, task: Task, worker: "Worker", order: int, stream: int, attempt: int = 0
+    ) -> None:
+        self.task = task
+        self.worker = worker
+        self.order = order        # stable dispatch order within the wave
+        self.stream = stream      # global per-assignment RNG stream id
+        self.attempt = attempt    # 0 = first try
+        # filled by execution:
+        self.fault: str | None = None  # None | "timeout" | "abandoned"
+        self.duration = 0.0       # simulated seconds the lane was occupied
+        self.value: object = None
+        self.straggled = False    # duration inflated by an injected straggler spike
+        # outcome history of this retry chain, shared across its assignments
+        self.outcomes: list[str] = []
+        # speculative hedge copy racing this attempt, if any
+        self.hedge: _Assignment | None = None
+        self.hedge_detect = 0.0   # simulated offset at which the hedge launched
 
 
 class _BatchInstruments:
@@ -242,18 +253,23 @@ class _BatchInstruments:
         self._outcomes: dict[str, Counter] = {}
         self._latency: Histogram | None = None
 
-    def latency(self, seconds: float) -> None:
+    def committed(self, latencies: list[float]) -> None:
+        """Book a wave's successful attempts: one ``ok`` outcome and one
+        latency sample each, in commit order."""
         if self._latency is None:
             self._latency = self._metrics.histogram("batch.assignment_latency")
-        self._latency.observe(seconds)
+        observe = self._latency.observe
+        for seconds in latencies:
+            observe(seconds)
+        self.outcome("ok", len(latencies))
 
-    def outcome(self, outcome: str) -> None:
+    def outcome(self, outcome: str, count: int = 1) -> None:
         counter = self._outcomes.get(outcome)
         if counter is None:
             counter = self._outcomes[outcome] = self._metrics.counter(
                 "batch.assignment_outcomes", {"outcome": outcome}
             )
-        counter.inc()
+        counter.inc(count)
 
 
 class HedgeState:
@@ -656,24 +672,13 @@ class BatchScheduler:
                         "fault.outage", sim_start=self._clock, wait=outage
                     )
 
-        # Plan the whole wave first: the pool RNG stream is consumed in
-        # task order at any lane count. Workers who have already answered a
-        # task (round-structured callers) are excluded, which is a no-op for
-        # fresh tasks.
-        wave: list[_Assignment] = []
-        order = 0
-        for task in batch:
-            answered = {a.worker_id for a in platform._answers_by_task[task.task_id]}
-            for worker in self._plan_workers(task, redundancy, answered, policy, result):
-                wave.append(self._assignment(task, worker, order))
-                order += 1
-
+        wave = self._plan_wave(batch, redundancy, policy, result)
         attempted: dict[str, set[str]] = {t.task_id: set() for t in batch}
         lanes = [outage] * self.config.max_parallel
-        tracer = platform.tracer
         metrics = platform.metrics
         instruments = _BatchInstruments(metrics) if metrics.enabled else None
         retry_counts: dict[str, int] = {}
+        order = len(wave)
         while wave:
             self._execute_wave(wave)
             # Hedge planning happens in wave order (pool RNG determinism),
@@ -683,94 +688,11 @@ class BatchScheduler:
                 hedges = self._plan_hedges(wave, attempted)
                 if hedges:
                     self._execute_wave(hedges)
-            retries: list[_Assignment] = []
-            for a in wave:
-                task_id = a.task.task_id
-                record.dispatched += 1
-                if a.attempt > 0:
-                    record.retried += 1
-                if a.straggled:
-                    metrics.inc("faults.stragglers")
-                attempted[task_id].add(a.worker.worker_id)
-                backoff = RETRY_BACKOFF * 2 ** (a.attempt - 1) if a.attempt else 0.0
-                winner, effective, outcome = a, a.duration, None
-                if a.hedge is not None:
-                    winner, effective, outcome = self._resolve_hedge(a)
-                lane = min(range(len(lanes)), key=lanes.__getitem__)
-                finished = lanes[lane] + backoff + effective
-                lanes[lane] = finished
-                if outcome is not None:
-                    self._account_hedge(a, outcome, effective, record, attempted, lanes)
-                if a.fault is None:
-                    if self._budget_exhausted:
-                        self._record_failure(
-                            result, FailureInfo(task_id, reason="budget_exhausted")
-                        )
-                        continue
-                    try:
-                        self._commit(winner, result, finished)
-                    except BudgetExceededError:
-                        if policy is FailurePolicy.FAIL:
-                            raise
-                        self._budget_exhausted = True
-                        self._record_failure(
-                            result, FailureInfo(task_id, reason="budget_exhausted")
-                        )
-                        continue
-                    if self.hedge_state is not None:
-                        self.hedge_state.observe(a.task.task_type.value, effective)
-                    if instruments is not None:
-                        instruments.latency(winner.duration)
-                        instruments.outcome("ok")
-                else:
-                    if a.fault == "timeout":
-                        record.timed_out += 1
-                    else:
-                        record.abandoned += 1
-                    if instruments is not None:
-                        instruments.outcome(a.fault)
-                    a.outcomes.append(a.fault)
-                    retry_counts[task_id] = retry_counts.get(task_id, 0) + 1
-                    if tracer.enabled:
-                        tracer.annotate(
-                            "batch.retry",
-                            task_id=task_id,
-                            attempt=a.attempt + 1,
-                            reason=a.fault,
-                        )
-                    if self._budget_exhausted:
-                        self._record_failure(
-                            result, FailureInfo(task_id, reason="budget_exhausted")
-                        )
-                        continue
-                    try:
-                        retries.append(self._retry(a, attempted[task_id], order))
-                        order += 1
-                    except RetryExhaustedError as exc:
-                        if policy is FailurePolicy.FAIL:
-                            raise
-                        self._record_failure(
-                            result,
-                            FailureInfo(
-                                task_id,
-                                reason="retries_exhausted",
-                                attempts=exc.attempts,
-                                outcomes=list(exc.outcomes),
-                            ),
-                        )
-                    except NoWorkersAvailableError:
-                        if policy is FailurePolicy.FAIL:
-                            raise
-                        self._record_failure(
-                            result,
-                            FailureInfo(
-                                task_id,
-                                reason="no_workers",
-                                attempts=a.attempt + 1,
-                                outcomes=list(a.outcomes),
-                            ),
-                        )
-            wave = retries
+            wave = self._commit_wave(
+                wave, order, record, result, policy, attempted, lanes, retry_counts,
+                instruments,
+            )
+            order += len(wave)
         if instruments is not None:
             retries_per_task = metrics.histogram("batch.retries_per_task")
             for task in batch:
@@ -782,35 +704,58 @@ class BatchScheduler:
         record.makespan = max(lanes)
         record.wall_clock = time.perf_counter() - started
 
-    def _plan_workers(
+    def _plan_wave(
         self,
-        task: Task,
+        batch: list[Task],
         redundancy: int,
-        answered: set[str],
         policy: FailurePolicy,
         result: BatchRunResult,
-    ) -> "list[Worker]":
-        """Sample *redundancy* workers; degrade to fewer when the pool is short.
+    ) -> list[_Assignment]:
+        """Sample every task's workers in task order, with one pool draw.
 
-        Under the ``fail`` policy a short pool raises exactly as before;
-        otherwise the task proceeds with however many eligible workers
-        remain (zero means an immediate ``no_workers`` failure record).
+        Workers who have already answered a task (round-structured callers)
+        are not eligible for it, which is a no-op for fresh tasks. The
+        pool's generator is consumed exactly as by one :meth:`WorkerPool.
+        sample` call per task, so the stream is the same at any lane count.
+        A task with fewer than *redundancy* eligible workers raises under
+        the ``fail`` policy, after the tasks before it have drawn; otherwise
+        it takes every eligible worker, and a task with none gets a
+        ``no_workers`` failure record without drawing.
         """
         pool = self.platform.pool
-        try:
-            return pool.sample(redundancy, exclude=answered)
-        except NoWorkersAvailableError:
-            if policy is FailurePolicy.FAIL:
-                raise
-        eligible = [
-            w for w in pool.active_workers if w.worker_id not in answered
-        ]
-        if not eligible:
-            self._record_failure(
-                result, FailureInfo(task.task_id, reason="no_workers")
-            )
-            return []
-        return pool.sample(len(eligible), exclude=answered)
+        answers_by_task = self.platform._answers_by_task
+        active = pool.active_workers
+        planned: list[Task] = []
+        requests: list[tuple[list[Worker], int]] = []
+        short: NoWorkersAvailableError | None = None
+        for task in batch:
+            eligible = active
+            answers = answers_by_task.get(task.task_id)
+            if answers:
+                answered = {a.worker_id for a in answers}
+                eligible = [w for w in active if w.worker_id not in answered]
+            k = redundancy
+            if len(eligible) < k:
+                if policy is FailurePolicy.FAIL:
+                    short = NoWorkersAvailableError(
+                        f"requested {k} workers but only {len(eligible)} eligible"
+                    )
+                    break
+                if not eligible:
+                    self._record_failure(
+                        result, FailureInfo(task.task_id, reason="no_workers")
+                    )
+                    continue
+                k = len(eligible)
+            planned.append(task)
+            requests.append((eligible, k))
+        wave: list[_Assignment] = []
+        for task, workers in zip(planned, pool.draw(requests)):
+            for worker in workers:
+                wave.append(self._assignment(task, worker, len(wave)))
+        if short is not None:
+            raise short
+        return wave
 
     # ------------------------------------------------------------------ #
     # Hedging (speculative straggler re-issue)
@@ -989,36 +934,158 @@ class BatchScheduler:
     # Commit (in deterministic wave order)
     # ------------------------------------------------------------------ #
 
-    def _commit(self, a: _Assignment, result: BatchRunResult, finished: float) -> None:
+    def _commit_wave(
+        self,
+        wave: list[_Assignment],
+        order: int,
+        record: BatchRecord,
+        result: BatchRunResult,
+        policy: FailurePolicy,
+        attempted: dict[str, set[str]],
+        lanes: list[float],
+        retry_counts: dict[str, int],
+        instruments: _BatchInstruments | None,
+    ) -> list[_Assignment]:
+        """Commit an executed wave in wave order and return its retries.
+
+        Each attempt occupies the earliest-free lane. A successful one is
+        charged, answered and delivered (a fault plan may corrupt, delay or
+        duplicate the delivery); a faulted one is re-posted on a fresh
+        worker, numbered from *order*. ``answers_collected`` and the
+        ``ok`` outcome are booked once for the wave, also when a failure
+        raises part-way through it.
+        """
         platform = self.platform
-        task, worker = a.task, a.worker
-        platform._charge(task.reward)
-        answer = Answer(
-            task_id=task.task_id,
-            worker_id=worker.worker_id,
-            value=a.value,
-            submitted_at=a.duration,  # the Worker.submit stamp at now=0
-            duration=a.duration,
-            reward_paid=task.reward,
-        )
-        deliveries = [answer]
-        if platform.faults is not None:
-            answer, duplicates, fault_names = platform.faults.deliver(
-                answer, task, a.stream
-            )
-            deliveries = [answer, *duplicates]
-            for name in fault_names:
-                platform.metrics.inc(f"faults.{name}")
-                if platform.tracer.enabled:
-                    platform.tracer.annotate(
-                        "fault.delivery",
-                        task_id=task.task_id,
-                        worker_id=worker.worker_id,
-                        kind=name,
+        charge = platform._charge
+        record_answer = platform.record_answer
+        record_failure = self._record_failure
+        metrics = platform.metrics
+        tracer = platform.tracer
+        faults = platform.faults
+        hedge_state = self.hedge_state
+        answers = result.answers
+        completion_times = result.completion_times
+        run_offset = self._clock - self._run_base
+        latencies: list[float] = []
+        delivered = 0
+        retries: list[_Assignment] = []
+        record.dispatched += len(wave)
+        try:
+            for a in wave:
+                task = a.task
+                task_id = task.task_id
+                if a.attempt:
+                    record.retried += 1
+                    backoff = RETRY_BACKOFF * 2 ** (a.attempt - 1)
+                else:
+                    backoff = 0.0
+                if a.straggled:
+                    metrics.inc("faults.stragglers")
+                attempted[task_id].add(a.worker.worker_id)
+                winner, effective, outcome = a, a.duration, None
+                if a.hedge is not None:
+                    winner, effective, outcome = self._resolve_hedge(a)
+                lane = lanes.index(min(lanes))
+                finished = lanes[lane] + backoff + effective
+                lanes[lane] = finished
+                if outcome is not None:
+                    self._account_hedge(a, outcome, effective, record, attempted, lanes)
+                if a.fault is None:
+                    if self._budget_exhausted:
+                        record_failure(result, FailureInfo(task_id, reason="budget_exhausted"))
+                        continue
+                    try:
+                        charge(task.reward)
+                    except BudgetExceededError:
+                        if policy is FailurePolicy.FAIL:
+                            raise
+                        self._budget_exhausted = True
+                        record_failure(result, FailureInfo(task_id, reason="budget_exhausted"))
+                        continue
+                    answer = Answer(
+                        task_id=task_id,
+                        worker_id=winner.worker.worker_id,
+                        value=winner.value,
+                        submitted_at=winner.duration,  # the Worker.submit stamp at now=0
+                        duration=winner.duration,
+                        reward_paid=task.reward,
                     )
-        for delivered in deliveries:
-            platform.record_answer(delivered)
-            result.answers.setdefault(task.task_id, []).append(delivered)
-        landed = (self._clock - self._run_base) + finished
-        previous = result.completion_times.get(task.task_id, 0.0)
-        result.completion_times[task.task_id] = max(previous, landed)
+                    deliveries = (answer,) if faults is None else self._deliver(answer, winner)
+                    landed = answers.get(task_id)
+                    if landed is None:
+                        landed = answers[task_id] = []
+                    for delivery in deliveries:
+                        record_answer(delivery, counted=False)
+                        landed.append(delivery)
+                    delivered += len(deliveries)
+                    completion_times[task_id] = max(
+                        completion_times.get(task_id, 0.0), run_offset + finished
+                    )
+                    if hedge_state is not None:
+                        hedge_state.observe(task.task_type.value, effective)
+                    latencies.append(winner.duration)
+                    continue
+                if a.fault == "timeout":
+                    record.timed_out += 1
+                else:
+                    record.abandoned += 1
+                if instruments is not None:
+                    instruments.outcome(a.fault)
+                a.outcomes.append(a.fault)
+                retry_counts[task_id] = retry_counts.get(task_id, 0) + 1
+                if tracer.enabled:
+                    tracer.annotate(
+                        "batch.retry", task_id=task_id, attempt=a.attempt + 1, reason=a.fault
+                    )
+                if self._budget_exhausted:
+                    record_failure(result, FailureInfo(task_id, reason="budget_exhausted"))
+                    continue
+                try:
+                    retries.append(self._retry(a, attempted[task_id], order + len(retries)))
+                except RetryExhaustedError as exc:
+                    if policy is FailurePolicy.FAIL:
+                        raise
+                    record_failure(
+                        result,
+                        FailureInfo(
+                            task_id,
+                            reason="retries_exhausted",
+                            attempts=exc.attempts,
+                            outcomes=list(exc.outcomes),
+                        ),
+                    )
+                except NoWorkersAvailableError:
+                    if policy is FailurePolicy.FAIL:
+                        raise
+                    record_failure(
+                        result,
+                        FailureInfo(
+                            task_id,
+                            reason="no_workers",
+                            attempts=a.attempt + 1,
+                            outcomes=list(a.outcomes),
+                        ),
+                    )
+        finally:
+            if delivered:
+                platform.stats.answers_collected += delivered
+            if instruments is not None and latencies:
+                instruments.committed(latencies)
+        return retries
+
+    def _deliver(self, answer: Answer, a: _Assignment) -> list[Answer]:
+        """Pass *answer* through the fault plan's delivery faults; returns
+        what arrives (the answer, possibly corrupted or late, then any
+        duplicates)."""
+        platform = self.platform
+        answer, duplicates, fault_names = platform.faults.deliver(answer, a.task, a.stream)
+        for name in fault_names:
+            platform.metrics.inc(f"faults.{name}")
+            if platform.tracer.enabled:
+                platform.tracer.annotate(
+                    "fault.delivery",
+                    task_id=a.task.task_id,
+                    worker_id=a.worker.worker_id,
+                    kind=name,
+                )
+        return [answer, *duplicates]

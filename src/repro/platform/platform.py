@@ -35,7 +35,12 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import BudgetExceededError, NoWorkersAvailableError, PlatformError
+from repro.errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    NoWorkersAvailableError,
+    PlatformError,
+)
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.platform.events import EventSimulator
@@ -198,7 +203,8 @@ class SimulatedPlatform:
 
     Args:
         pool: The worker population.
-        budget: Maximum total spend; answers beyond it raise
+        budget: Maximum total spend, > 0 (``inf``, the default, is
+            unbounded); answers beyond it raise
             :class:`~repro.errors.BudgetExceededError`.
         pricing: Reward policy stamped onto published tasks.
         seed: Seed for the platform's own RNG (assignment sampling and the
@@ -223,6 +229,9 @@ class SimulatedPlatform:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
+        # `not >`: a NaN budget would pass every budget check.
+        if not budget > 0:
+            raise ConfigurationError(f"budget must be > 0, got {budget}")
         self.pool = pool
         self.budget = budget
         self.pricing = pricing or PricingPolicy()
@@ -309,13 +318,15 @@ class SimulatedPlatform:
         """All answers gathered so far for one task."""
         return list(self._answers_by_task[task_id])
 
-    def record_answer(self, answer: Answer) -> None:
+    def record_answer(self, answer: Answer, *, counted: bool = True) -> None:
         """Book one delivered answer in the answer log, its task's index
         and ``answers_collected``; no other code writes the log or the
-        index."""
+        index. The batch scheduler passes ``counted=False`` and adds a
+        wave's answers to ``answers_collected`` at once."""
         self.answers.append(answer)
         self._answers_by_task[answer.task_id].append(answer)
-        self.stats.answers_collected += 1
+        if counted:
+            self.stats.answers_collected += 1
 
     @property
     def remaining_budget(self) -> float:

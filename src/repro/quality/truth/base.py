@@ -278,22 +278,19 @@ def encode_observations(
     labels = label_space(answers_by_task)
     label_index = {label: i for i, label in enumerate(labels)}
     task_ids = list(answers_by_task)
-    task_index = {t: i for i, t in enumerate(task_ids)}
     worker_ids = sorted({a.worker_id for ans in answers_by_task.values() for a in ans})
     worker_index = {w: i for i, w in enumerate(worker_ids)}
 
-    n_obs = sum(len(answers) for answers in answers_by_task.values())
-    obs_task = np.empty(n_obs, dtype=np.intp)
-    obs_worker = np.empty(n_obs, dtype=np.intp)
-    obs_label = np.empty(n_obs, dtype=np.intp)
-    i = 0
-    for task_id, answers in answers_by_task.items():
-        t = task_index[task_id]
-        for a in answers:
-            obs_task[i] = t
-            obs_worker[i] = worker_index[a.worker_id]
-            obs_label[i] = label_index[a.value]
-            i += 1
+    answer_lists = list(answers_by_task.values())
+    obs_task = np.repeat(
+        np.arange(len(task_ids), dtype=np.intp), [len(answers) for answers in answer_lists]
+    )
+    obs_worker = np.array(
+        [worker_index[a.worker_id] for answers in answer_lists for a in answers], dtype=np.intp
+    )
+    obs_label = np.array(
+        [label_index[a.value] for answers in answer_lists for a in answers], dtype=np.intp
+    )
     candidate_mask = np.zeros((len(task_ids), len(labels)), dtype=bool)
     candidate_mask[obs_task, obs_label] = True
     return SparseObservations(

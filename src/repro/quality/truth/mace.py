@@ -20,6 +20,7 @@ kept for the differential harness.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -47,7 +48,8 @@ class Mace(TruthInference):
         max_iterations: EM iteration cap.
         tolerance: Convergence threshold on max posterior change.
         prior_competence: Initial P(not spamming) per worker.
-        smoothing: Pseudo-count for spam-distribution estimation.
+        smoothing: Pseudo-count for spam-distribution estimation; a finite
+            number >= 0 (a negative or NaN one makes every posterior NaN).
         backend: ``"kernel"`` (vectorized, log-space) or ``"legacy"``.
     """
 
@@ -65,6 +67,8 @@ class Mace(TruthInference):
             raise InferenceError("prior_competence must be in (0, 1)")
         if max_iterations < 1:
             raise InferenceError("max_iterations must be >= 1")
+        if not (math.isfinite(smoothing) and smoothing >= 0.0):
+            raise InferenceError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.prior_competence = prior_competence

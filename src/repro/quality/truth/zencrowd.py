@@ -57,6 +57,8 @@ class ZenCrowd(TruthInference):
     ):
         if not 0.0 < prior_reliability < 1.0:
             raise InferenceError("prior_reliability must be in (0, 1)")
+        if max_iterations < 1:
+            raise InferenceError("max_iterations must be >= 1")
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.prior_reliability = prior_reliability

@@ -7,7 +7,8 @@ pools, pools contaminated with spammers, and GLAD-style ability spectra.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +22,44 @@ from repro.workers.models import (
     SpammerModel,
 )
 from repro.workers.worker import Worker
+
+#: ``Generator.choice(n, k, replace=False)`` leaves Floyd's algorithm for a
+#: tail shuffle when ``n`` exceeds this and ``k > n // 50``.
+_TAIL_SHUFFLE_POPULATION = 10_000
+
+
+def _tail_shuffle(n: int, k: int) -> bool:
+    return n > _TAIL_SHUFFLE_POPULATION and k > n // 50
+
+
+@lru_cache(maxsize=64)
+def _choice_highs(n: int, k: int) -> tuple[int, ...]:
+    """Exclusive upper bounds of the draws ``choice(n, k, replace=False)`` makes.
+
+    Floyd's algorithm draws on ``[0, j]`` for ``j = n-k ... n-1``, then
+    shuffles its k picks with draws on ``[0, i]`` for ``i = k-1 ... 1``; the
+    tail shuffle draws on ``[0, i]`` for ``i = n-1`` down to
+    ``max(n-k, 1)``. A bound of 1 (``[0, 0]``) consumes no randomness, in
+    ``choice`` and in ``integers`` alike.
+    """
+    if _tail_shuffle(n, k):
+        return tuple(range(n, max(n - k, 1), -1))
+    return tuple(range(n - k + 1, n + 1)) + tuple(range(k, 1, -1))
+
+
+def _choice_picks(n: int, k: int, draws: Sequence[int]) -> list[int]:
+    """The positions ``choice(n, k, replace=False)`` selects, given its
+    draws (see :func:`_choice_highs`), in ascending order."""
+    if _tail_shuffle(n, k):
+        order = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), draws):
+            order[i], order[j] = order[j], order[i]
+        return sorted(order[n - k:])
+    picked: set[int] = set()
+    for j, drawn in zip(range(n - k, n), draws):
+        # Floyd: a draw that repeats an earlier pick takes j instead.
+        picked.add(j if drawn in picked else drawn)
+    return sorted(picked)
 
 
 class WorkerPool:
@@ -74,18 +113,48 @@ class WorkerPool:
         self._by_id[worker.worker_id] = worker
         return worker
 
-    def sample(self, k: int, exclude: set[str] = frozenset()) -> list[Worker]:
+    def sample(self, k: int, exclude: Collection[str] = frozenset()) -> list[Worker]:
         """Sample *k* distinct active workers uniformly, excluding ids in *exclude*.
 
-        Raises NoWorkersAvailableError when fewer than *k* are eligible.
+        Raises NoWorkersAvailableError, before drawing, when fewer than *k*
+        are eligible.
         """
         eligible = [w for w in self._workers if w.active and w.worker_id not in exclude]
         if len(eligible) < k:
             raise NoWorkersAvailableError(
                 f"requested {k} workers but only {len(eligible)} eligible"
             )
-        idx = self.rng.choice(len(eligible), size=k, replace=False)
-        return [eligible[i] for i in sorted(int(i) for i in idx)]
+        return self.draw([(eligible, k)])[0]
+
+    def draw(self, requests: Sequence[tuple[Sequence[Worker], int]]) -> list[list[Worker]]:
+        """For each ``(candidates, k)`` request, *k* distinct candidates
+        drawn uniformly, in candidate order.
+
+        Every request picks what ``rng.choice(len(candidates), k,
+        replace=False)`` would, and the pool's generator ends where that
+        many successive ``choice`` calls leave it: ``choice`` makes bounded
+        integer draws whose bounds depend only on ``(n, k)``, so one
+        ``rng.integers`` call over all the requests' bounds makes the same
+        draws in the same order.
+        """
+        bounds: list[tuple[int, ...]] = []
+        highs: list[int] = []
+        for candidates, k in requests:
+            if not 0 <= k <= len(candidates):
+                raise ValueError(f"cannot draw {k} of {len(candidates)} candidates")
+            bounds.append(_choice_highs(len(candidates), k))
+            highs += bounds[-1]
+        if len(highs) > 1:
+            draws = self.rng.integers(0, np.fromiter(highs, np.int64, len(highs))).tolist()
+        else:  # numpy's scalar path makes the same draw without broadcasting
+            draws = [int(self.rng.integers(0, high)) for high in highs]
+        picks: list[list[Worker]] = []
+        at = 0
+        for (candidates, k), used in zip(requests, bounds):
+            positions = _choice_picks(len(candidates), k, draws[at:at + len(used)])
+            picks.append([candidates[i] for i in positions])
+            at += len(used)
+        return picks
 
     def round_robin(self) -> Iterator[Worker]:
         """Endless round-robin over active workers (arrival order proxy)."""

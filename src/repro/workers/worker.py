@@ -14,7 +14,7 @@ from repro.workers.models import AnswerModel, OneCoinModel
 _worker_counter = itertools.count(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatencyModel:
     """Lognormal task service time plus exponential think/arrival gaps.
 
@@ -30,10 +30,12 @@ class LatencyModel:
     def __post_init__(self) -> None:
         if self.mean_seconds <= 0 or self.sigma < 0 or self.arrival_rate <= 0:
             raise ConfigurationError("latency parameters must be positive")
+        # The lognormal's log-scale location, taken once (frozen: it cannot go stale).
+        object.__setattr__(self, "_log_mean", np.log(self.mean_seconds))
 
     def service_time(self, rng: np.random.Generator) -> float:
         """Sample a lognormal task service time, seconds."""
-        return float(rng.lognormal(mean=np.log(self.mean_seconds), sigma=self.sigma))
+        return float(rng.lognormal(mean=self._log_mean, sigma=self.sigma))
 
     def inter_arrival(self, rng: np.random.Generator) -> float:
         """Sample an exponential gap until this worker's next arrival."""

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import (
     BudgetExceededError,
+    ConfigurationError,
     NoWorkersAvailableError,
     PlatformError,
     TaskStateError,
@@ -195,6 +196,13 @@ class TestSimulatedPlatform:
             platform.collect(
                 [single_choice("q2", ("a", "b"), truth="a")], redundancy=2
             )
+
+    @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0, -math.inf])
+    def test_budget_must_be_positive(self, uniform_pool, budget):
+        # A NaN budget passes every `spent + amount > budget` check, so it
+        # would switch budget enforcement off instead of failing.
+        with pytest.raises(ConfigurationError, match="budget must be > 0"):
+            SimulatedPlatform(uniform_pool, budget=budget, seed=2)
 
     def test_redundancy_exceeding_pool_rejected(self, platform):
         with pytest.raises(NoWorkersAvailableError):

@@ -11,6 +11,7 @@ from repro.quality.truth import (
     BayesianVote,
     DawidSkene,
     Glad,
+    Mace,
     MajorityVote,
     WeightedMajorityVote,
     ZenCrowd,
@@ -226,6 +227,24 @@ class TestEMFamily:
             Glad(max_iterations=0)
         with pytest.raises(InferenceError):
             BayesianVote(prior_alpha=-1)
+        with pytest.raises(InferenceError):
+            ZenCrowd(max_iterations=0)
+
+    @pytest.mark.parametrize("smoothing", [-0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("method", [DawidSkene, Mace])
+    def test_poisoning_smoothing_rejected(self, method, smoothing):
+        # Such a pseudo-count makes every posterior NaN, and every task
+        # then takes the first label.
+        with pytest.raises(InferenceError, match="smoothing"):
+            method(smoothing=smoothing)
+
+    def test_dawid_skene_needs_a_positive_smoothing(self):
+        # w2 puts no mass on truth "b", so unsmoothed its row is 0/0.
+        evidence = _manual({"t1": [("w1", "a"), ("w2", "a")], "t2": [("w1", "b")]})
+        with pytest.raises(InferenceError, match="smoothing"):
+            DawidSkene(smoothing=0.0)
+        assert DawidSkene(smoothing=1e-6).infer(evidence).truths == {"t1": "a", "t2": "b"}
+        assert Mace(smoothing=0.0).infer(evidence).truths == {"t1": "a", "t2": "b"}
 
     @pytest.mark.parametrize("method", sorted(CATEGORICAL_METHODS))
     def test_posteriors_are_distributions(self, method):

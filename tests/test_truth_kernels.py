@@ -15,8 +15,10 @@ single-step tests below.
 """
 
 import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import InferenceError
@@ -53,7 +55,21 @@ WORKLOADS = {
         seed=3, pool=WorkerPool.with_spammers(24, spammer_fraction=0.3, seed=3)
     ),
     "sparse": lambda: _evidence(seed=11, n_tasks=60, redundancy=2),
+    # The DS kernel reduces over labels column by column, which equals
+    # numpy's row reductions only below 8 labels: label_batch's five
+    # labels sit on one side of that rule, ten labels on the other.
+    "five_labels": lambda: _evidence(seed=5, labels=("a", "b", "c", "d", "e")),
+    "ten_labels": lambda: _evidence(seed=13, n_tasks=150, labels=tuple("abcdefghij")),
 }
+
+#: sha256 of the DS kernel's posterior matrix (tasks x labels, float64
+#: bytes) on the "five_labels" workload, recorded before the kernel took
+#: the confusion table's log once and reduced rows column by column.
+DS_FIVE_LABEL_POSTERIORS = "9f72a9a61f85d2d8b7bed489ee51f7b7f4e2369093358f20a1f2c1d457c02d58"
+#: sha256 of np.exp and np.log over two fixed grids where that digest was
+#: recorded (numpy 2.4.6, x86-64 with AVX-512). numpy's SIMD exp/log may
+#: round a last bit differently on other CPUs, and so move the digest.
+RECORDING_FP = "e62f1d4c1ff2b2cf8b639448bda651a710f68a79a3b8085cdddbbc5ebe9e3fad"
 
 
 def _evidence(n_tasks=120, pool=None, redundancy=5, seed=7, labels=("a", "b", "c")):
@@ -76,6 +92,51 @@ def _one_task(n_a, n_b, label_a="a", label_b="b"):
         Answer(task_id="t", worker_id=f"wa{i}", value=label_a) for i in range(n_a)
     ] + [Answer(task_id="t", worker_id=f"wb{i}", value=label_b) for i in range(n_b)]
     return {"t": answers}
+
+
+def _posterior_matrix(result, answers):
+    return np.array([list(result.posteriors[t].values()) for t in answers])
+
+
+def _fp_fingerprint():
+    exp = np.exp(np.linspace(-30.0, 0.0, 1001))
+    log = np.log(np.linspace(1e-6, 1.0, 1001))
+    return hashlib.sha256(exp.tobytes() + log.tobytes()).hexdigest()
+
+
+def _ds_first_formulation(answers, smoothing=0.01, max_iterations=100, tolerance=1e-5):
+    """The DS kernel's posteriors as the kernel first computed them: gather
+    each answer's confusion column, then take its log; numpy's row max
+    and row sum."""
+    obs = encode_observations(answers)
+    n_tasks, k, n_workers = obs.n_tasks, obs.n_labels, obs.n_workers
+    rows = np.bincount(
+        obs.flat_task_label(), weights=np.ones(obs.n_obs), minlength=n_tasks * k
+    ).reshape(n_tasks, k)
+    posteriors = rows / rows.sum(axis=1, keepdims=True)
+    conf_flat = (obs.obs_worker * k * k + obs.obs_label)[:, None] + (np.arange(k) * k)[None, :]
+    ll_flat = obs.obs_task[:, None] * k + np.arange(k)[None, :]
+    for _ in range(max_iterations):
+        confusion = smoothing + np.bincount(
+            conf_flat.ravel(),
+            weights=posteriors[obs.obs_task].ravel(),
+            minlength=n_workers * k * k,
+        ).reshape(n_workers, k, k)
+        confusion /= confusion.sum(axis=2, keepdims=True)
+        priors = np.clip(posteriors.mean(axis=0), 1e-9, None)
+        priors /= priors.sum()
+        contrib = np.log(confusion[obs.obs_worker, :, obs.obs_label])
+        log_like = np.log(priors)[None, :] + np.bincount(
+            ll_flat.ravel(), weights=contrib.ravel(), minlength=n_tasks * k
+        ).reshape(n_tasks, k)
+        log_like -= log_like.max(axis=1, keepdims=True)
+        new_posteriors = np.exp(log_like)
+        new_posteriors /= new_posteriors.sum(axis=1, keepdims=True)
+        delta = float(np.abs(new_posteriors - posteriors).max())
+        posteriors = new_posteriors
+        if delta < tolerance:
+            break
+    return posteriors
 
 
 def _assert_equivalent(kernel, legacy, tol=1e-6):
@@ -194,6 +255,23 @@ class TestDifferentialEquivalence:
             algo.warm_start(state)
             results.append(algo.infer(answers))
         _assert_equivalent(*results)
+
+
+class TestDawidSkeneKernelPin:
+    """The DS kernel's iteration is cheaper than it was, not different."""
+
+    @pytest.mark.parametrize("workload", ["five_labels", "ten_labels", "hetero"])
+    def test_bit_identical_to_the_first_formulation(self, workload):
+        answers = WORKLOADS[workload]()
+        got = _posterior_matrix(DawidSkene().infer(answers), answers)
+        assert got.tobytes() == _ds_first_formulation(answers).tobytes()
+
+    def test_five_label_posteriors_match_the_recorded_digest(self):
+        if _fp_fingerprint() != RECORDING_FP:
+            pytest.skip("np.exp/np.log round differently here than where the digest was recorded")
+        answers = WORKLOADS["five_labels"]()
+        posteriors = _posterior_matrix(DawidSkene().infer(answers), answers)
+        assert hashlib.sha256(posteriors.tobytes()).hexdigest() == DS_FIVE_LABEL_POSTERIORS
 
 
 class TestUnderflowRegression:
