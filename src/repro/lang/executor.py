@@ -43,7 +43,7 @@ Per-run accounting (questions, answers, spend) is collected in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import Any
@@ -173,7 +173,7 @@ class ExecutionStats:
     crowd_cost: float = 0.0
     cells_filled: int = 0
     pairs_pruned: int = 0
-    tasks_cancelled: int = 0   # pending HITs cancelled by early termination
+    tasks_cancelled: int = 0   # candidates a streamed LIMIT never reached
     cost_avoided: float = 0.0  # spend avoided by those cancellations
 
 
@@ -950,28 +950,28 @@ class Executor:
         # treat the predicate as not satisfied rather than crashing.
         return False
 
-    def _plan_questions(
+    def _plan_rows(
         self,
         predicate: CrowdPredicate,
-        rows: Sequence[dict[str, Any]],
+        rows: Iterable[dict[str, Any]],
         stats: ExecutionStats,
-    ) -> tuple[list[str], list[Task]]:
-        """Plan *predicate*'s question on each of *rows*, in row order.
+    ) -> Iterator[tuple[str, Task | None]]:
+        """Plan *predicate*'s question on each of *rows*, lazily, in row order.
 
-        Returns one signature per row and one task per signature that
-        neither the verdict memo nor an earlier row of this call holds;
-        each task carries its signature. Similarity-pruned questions are
-        decided False here. Every question is a yes/no one, so one signer
-        signs them all.
+        Yields each row's signature with the task it needs: a new task,
+        carrying its signature, for a signature that neither the verdict
+        memo nor an earlier row holds, else None. Similarity-pruned
+        questions are decided False here. Every question is a yes/no one,
+        so one signer signs them all. A row is rendered, signed and asked
+        of the oracle only when the consumer pulls it.
         """
-        signatures: list[str] = []
-        tasks: list[Task] = []
         new: set[str] = set()
         verdicts = self._verdicts
         sign = question_signer(TaskType.SINGLE_CHOICE, (YES, NO))
         for row in rows:
             question, values = self._crowd_question(predicate, row)
             signature = sign(question)
+            task = None
             if signature not in verdicts and signature not in new:
                 task = self._plan_task(predicate, question, values, stats)
                 if task is None:
@@ -979,9 +979,18 @@ class Executor:
                 else:
                     task.signature = signature
                     new.add(signature)
-                    tasks.append(task)
-            signatures.append(signature)
-        return signatures, tasks
+            yield signature, task
+
+    def _plan_questions(
+        self,
+        predicate: CrowdPredicate,
+        rows: Sequence[dict[str, Any]],
+        stats: ExecutionStats,
+    ) -> tuple[list[str], list[Task]]:
+        """Plan every row (:meth:`_plan_rows`): one signature per row, one
+        task per new signature."""
+        planned = list(self._plan_rows(predicate, rows, stats))
+        return [s for s, _ in planned], [t for _, t in planned if t is not None]
 
     def _decide(self, task: Task, answers: list[Any], stats: ExecutionStats) -> None:
         """Record the verdict of one planned *task* from its *answers*."""

@@ -1,4 +1,4 @@
-"""Streaming executor: a LIMIT over a CROWDFILTER cancels HITs it won't read.
+"""Streaming executor: a LIMIT over a CROWDFILTER plans only what it reaches.
 
 The barrier :class:`~repro.lang.executor.Executor` buys each crowd
 operator's questions in one scheduler run and hands its consumer nothing
@@ -15,15 +15,21 @@ plan), runs on the barrier executor.
 * the machine-only child is resolved vectorized up front via the columnar
   fast paths; under an ORDER BY its rows are pre-sorted, so emission order
   is final order;
-* every crowd question is planned by the barrier executor's planning step
-  (:meth:`Executor._plan_questions`) in row order, then handed to the
-  :class:`~repro.platform.batch.BatchScheduler` as *one* run;
-* cache hits are decided before the first wave, and as each batch (a
-  *wave*) lands its verdicts are emitted in planning order;
-* once the LIMIT has emitted enough rows, still-pending HITs are cancelled
-  through the scheduler's cancel seam (the one hedging refunds ride
-  through), never published, and the avoided spend is booked in
-  ``ExecutionStats``, platform stats, metrics, and the statement span.
+* crowd questions are planned on demand by the barrier executor's planner
+  (:meth:`Executor._plan_rows`), in row order, inside *one*
+  :class:`~repro.platform.batch.BatchScheduler` run: the scheduler calls
+  the stream's ``more`` hook whenever its next wave is short, and each
+  call plans rows until it lists one new task;
+* the run resolves each task against the answer cache as it takes it, so
+  cache hits are decided at once, and as each batch (a *wave*) lands its
+  verdicts are emitted in planning order;
+* once the LIMIT has emitted enough rows the stream stops planning. A
+  planned but undecided task holds the emission frontier, so the LIMIT is
+  reached only when nothing planned is pending: waves hold the tasks a
+  fully planned list would give them, and nothing is left to withdraw.
+  The candidates never reached count as cancelled at a yes/no question's
+  price, in ``ExecutionStats``, platform stats, metrics, and the
+  statement span.
 
 Every other plan runs through the inherited barrier implementation:
 without a LIMIT over a crowd filter nothing can be cancelled, so a stream
@@ -53,10 +59,10 @@ from repro.lang.planner import (
     machine_only,
 )
 from repro.obs.instrument import operator_span
-# Not called here: planning goes through Executor._plan_questions. Kept so
+# Not called here: planning goes through Executor._plan_rows. Kept so
 # perfbench's tracer, which wraps this module's signature_of, still finds it.
 from repro.platform.cache import signature_of  # noqa: F401
-from repro.platform.task import Task
+from repro.platform.task import Task, TaskType
 
 
 class _Unsupported(Exception):
@@ -73,7 +79,7 @@ class _Pipeline:
         order: ORDER BY keys above the stream (or None).
         project: Projection columns above the stream (or None).
         distinct: Whether DISTINCT applies to emitted rows.
-        limit: The LIMIT whose rows, once emitted, cancel pending HITs.
+        limit: The LIMIT whose rows, once emitted, stop the planning.
     """
 
     filter_node: CrowdFilterNode
@@ -87,8 +93,8 @@ class StreamingExecutor(Executor):
     """Drop-in for :class:`Executor` (the ``pipeline=True`` path).
 
     Construction matches :class:`Executor`. A LIMIT over a CROWDFILTER of
-    one crowd predicate streams its crowd waves and cancels the HITs the
-    LIMIT no longer needs; every other statement runs through the
+    one crowd predicate plans its questions as its crowd waves need them
+    and stops at the LIMIT; every other statement runs through the
     inherited barrier implementation.
     """
 
@@ -173,18 +179,17 @@ class StreamingExecutor(Executor):
         columns: tuple[str, ...],
         stats: ExecutionStats,
     ) -> list[dict[str, Any]]:
-        """Plan every crowd question on *rows*, then stream verdict waves."""
-        # The barrier executor's planning step: questions in row order, one
-        # signature each, one task per new signature.
-        signatures, tasks = self._plan_questions(pipe.filter_node.predicate, rows, stats)
+        """Plan crowd questions on *rows* as the waves pull them, to the LIMIT."""
+        planner = self._plan_rows(pipe.filter_node.predicate, rows, stats)
         metrics = self.platform.metrics
         labels = {"operator": "crowd_filter"}
 
         out: list[dict[str, Any]] = []
         seen: set[tuple[Any, ...]] = set()
+        signatures: list[str] = []  # one per planned row
+        tasks: list[Task] = []  # the scheduler run's list, grown by more()
         state = {"frontier": 0, "done": pipe.limit <= 0}
         resolved_ids: set[str] = set()
-        cancelled_ids: set[str] = set()
 
         def emit(row: dict[str, Any]) -> None:
             if pipe.project is not None:
@@ -211,6 +216,20 @@ class StreamingExecutor(Executor):
                 if self._verdicts[signature]:
                     emit(row)
 
+        def more() -> None:
+            # Plan rows until one new task is listed or the LIMIT is reached;
+            # a memoized, duplicate or pruned row may advance the frontier.
+            while not state["done"]:
+                planned = next(planner, None)
+                if planned is None:
+                    return
+                signature, task = planned
+                signatures.append(signature)
+                if task is not None:
+                    tasks.append(task)
+                    return
+                advance()
+
         def on_batch(batch: list[Task], run_result: Any) -> None:
             for task in batch:
                 if task.task_id in resolved_ids:
@@ -218,39 +237,29 @@ class StreamingExecutor(Executor):
                 resolved_ids.add(task.task_id)
                 self._decide(task, run_result.answers.get(task.task_id, []), stats)
             advance()
-            in_flight = len(tasks) - len(resolved_ids) - len(cancelled_ids)
+            in_flight = len(tasks) - len(resolved_ids)
             metrics.set_gauge("operators.in_flight", float(in_flight), labels=labels)
 
-        def cancel(task: Task) -> str | None:
-            if state["done"]:
-                cancelled_ids.add(task.task_id)
-                return "early_termination"
-            return None
-
-        advance()  # memoized/pruned verdicts may already decide a prefix
-
-        pstats = self.platform.stats
-        cost0 = pstats.cost_spent
-        cancelled0 = pstats.tasks_cancelled
-        refund0 = pstats.cancel_cost_refunded
+        cost0 = self.platform.stats.cost_spent
+        more()
         if tasks:
-            metrics.set_gauge("operators.in_flight", float(len(tasks)), labels=labels)
             run_result = self.platform.scheduler.run(
-                tasks,
-                redundancy=self.redundancy,
-                cancel=cancel,
-                on_batch=on_batch,
+                tasks, redundancy=self.redundancy, on_batch=on_batch, more=more
             )
             # Final drain: cache hits and landed waves were decided in
             # on_batch, but halted (breaker/budget) batches never reach it —
             # resolve what is still undecided, barrier-style.
             for task in tasks:
-                if task.task_id in resolved_ids or task.task_id in cancelled_ids:
-                    continue
-                self._decide(task, run_result.answers.get(task.task_id, []), stats)
+                if task.task_id not in resolved_ids:
+                    self._decide(task, run_result.answers.get(task.task_id, []), stats)
             advance()
             metrics.set_gauge("operators.in_flight", 0.0, labels=labels)
-        stats.crowd_cost += pstats.cost_spent - cost0
-        stats.tasks_cancelled += int(pstats.tasks_cancelled - cancelled0)
-        stats.cost_avoided += pstats.cancel_cost_refunded - refund0
+        stats.crowd_cost += self.platform.stats.cost_spent - cost0
+        # The candidates past the frontier were never planned: count them
+        # cancelled, this statement's own, at a yes/no question's price.
+        unreached = len(rows) - len(signatures)
+        stats.tasks_cancelled += unreached
+        stats.cost_avoided += self.platform.book_cancelled(
+            unreached, TaskType.SINGLE_CHOICE, self.redundancy, "early_termination"
+        )
         return out

@@ -135,11 +135,11 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
     ),
     MetricDescriptor(
         "batch.tasks_cancelled", "batch_tasks_cancelled_total", "counter",
-        "Pending HITs dropped before publication by upstream cancellation.",
+        "Crowd questions a streamed LIMIT never reached, so never published.",
     ),
     MetricDescriptor(
         "batch.cancel_cost_refunded", "batch_cancel_cost_refunded_dollars_total", "counter",
-        "Spend avoided by cancelling not-yet-published HITs.",
+        "Spend avoided by the questions a streamed LIMIT never reached.",
     ),
     MetricDescriptor(
         "operators.in_flight", "operators_in_flight", "gauge",

@@ -77,6 +77,7 @@ from repro.recovery.degrade import FailureInfo, FailurePolicy
 
 if TYPE_CHECKING:  # avoid import cycles with platform/workers
     from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+    from repro.platform.cache import CacheResolution
     from repro.platform.platform import SimulatedPlatform
     from repro.recovery.breakers import CircuitBreaker
     from repro.workers.worker import Worker
@@ -425,8 +426,8 @@ class BatchScheduler:
         redundancy: int = 3,
         complete: bool = True,
         *,
-        cancel: Callable[[Task], str | None] | None = None,
         on_batch: Callable[[list[Task], BatchRunResult], None] | None = None,
+        more: Callable[[], None] | None = None,
     ) -> BatchRunResult:
         """Gather *redundancy* answers per task, batch by batch.
 
@@ -436,17 +437,20 @@ class BatchScheduler:
         afterwards unless *complete* is False (round-structured callers keep
         them open for further answers).
 
-        *cancel*, consulted for every still-pending task at each batch
-        boundary, returns a reason string to drop the task before it is
-        ever published (its would-be spend is refunded and counted in
-        ``stats.tasks_cancelled`` / ``stats.cancel_cost_refunded``) or
-        None to keep it queued. *on_batch* is invoked with a list of tasks
-        and the running result, whose ``answers`` already hold theirs:
-        first once with the cache hits, before the first wave, then after
-        each successfully dispatched batch with the batch's tasks, letting
-        streaming callers consume answers wave-by-wave. Neither hook fires
-        when left as None, keeping the default path bit-identical to the
-        hook-free runtime.
+        The run reads *tasks* by index as it takes them, never from a
+        snapshot. Each slice it takes is resolved against the answer cache
+        into the run's one resolution: misses queue for dispatch, hits are
+        served at once. *more* lets a caller list its tasks as the run
+        needs them: once every listed task is taken and fewer than
+        ``batch_size`` misses are pending, the run calls ``more()``, which
+        appends to *tasks*; a call that appends nothing ends the taking.
+        A caller that appends one task per call gets the waves its
+        complete list would give. Without *more* the whole list is one
+        slice. *on_batch* is invoked with a list of tasks and the running
+        result, whose ``answers`` already hold theirs: with each slice's
+        cache hits as they are found, and after each successfully
+        dispatched batch with the batch's tasks, letting streaming callers
+        consume answers wave-by-wave. Neither hook fires when left as None.
 
         Failure behaviour follows ``config.failure_policy``: under
         ``"fail"`` an assignment that cannot be completed raises
@@ -477,33 +481,39 @@ class BatchScheduler:
         injector = self.platform.faults
         # Answer-cache seam: hits are served without dispatching, in-flight
         # duplicates coalesce onto one canonical task, and only the misses
-        # run below. resolution is None when no cache applies (none
+        # run below. resolution stays None when no cache applies (none
         # attached, or a complete=False round-structured caller).
-        resolution = self.platform.cache_resolve(tasks, redundancy, complete=complete)
-        run_tasks = list(tasks) if resolution is None else resolution.misses
-        if on_batch is not None and resolution is not None and resolution.hit_tasks:
-            # Hits reach a streaming caller before the first wave, so its
-            # cancel hook can drop the misses they make unnecessary.
-            result.answers.update(resolution.hits)
-            on_batch(list(resolution.hit_tasks), result)
+        resolution: CacheResolution | None = None
         halted: str | None = None
-        pending = deque(run_tasks)
+        pending: deque[Task] = deque()
+        taken = 0
         try:
-            while pending:
-                if cancel is not None:
-                    kept: list[Task] = []
-                    dropped: list[tuple[Task, str]] = []
-                    for task in pending:
-                        reason = cancel(task)
-                        if reason is None:
-                            kept.append(task)
-                        else:
-                            dropped.append((task, reason))
-                    if dropped:
-                        self._cancel_tasks(dropped, redundancy)
-                    pending = deque(kept)
-                    if not pending:
-                        break
+            while True:
+                if taken < len(tasks):
+                    # Take the newly listed tasks: misses queue, hits are served now.
+                    new = tasks[taken:] if taken else tasks
+                    taken = len(tasks)
+                    misses = len(resolution.misses) if resolution else 0
+                    hits = len(resolution.hit_tasks) if resolution else 0
+                    resolution = self.platform.cache_resolve(
+                        new, redundancy, complete=complete, into=resolution
+                    )
+                    if resolution is None:
+                        pending.extend(new)
+                    else:
+                        pending.extend(resolution.misses[misses:])
+                        served = resolution.hit_tasks[hits:]
+                        if on_batch is not None and served:
+                            for task in served:
+                                result.answers[task.task_id] = resolution.hits[task.task_id]
+                            on_batch(served, result)
+                if more is not None and len(pending) < size:
+                    more()
+                    if taken < len(tasks):
+                        continue
+                    more = None  # a pull that lists nothing ends the taking
+                if not pending:
+                    break
                 batch = [pending.popleft() for _ in range(min(size, len(pending)))]
                 if halted is None and self._budget_exhausted:
                     halted = "budget_exhausted"
@@ -616,29 +626,6 @@ class BatchScheduler:
             self.platform.tracer.annotate(
                 "task.failed", task_id=info.task_id, reason=info.reason
             )
-
-    def _cancel_tasks(self, dropped: list[tuple[Task, str]], redundancy: int) -> None:
-        """Drop still-pending tasks before publication and book the saving.
-
-        *dropped* holds one cancel pass's ``(task, reason)`` pairs. A task
-        was never published, priced, or charged, so its "refund" is spend
-        *avoided*: the price it would have cost at the requested
-        redundancy, added task by task in pass order. Counted in stats
-        once per pass, so early termination shows up in batch summaries,
-        statement spans, and Prometheus scrapes; each task's reason goes on
-        its ``batch.cancel`` trace annotation.
-        """
-        platform = self.platform
-        stats = platform.stats
-        refunded = stats.cancel_cost_refunded
-        for task, reason in dropped:
-            refunded += platform.pricing.price(task) * redundancy
-            if platform.tracer.enabled:
-                platform.tracer.annotate(
-                    "batch.cancel", task_id=task.task_id, reason=reason
-                )
-        stats.tasks_cancelled += len(dropped)
-        stats.cancel_cost_refunded = refunded
 
     # ------------------------------------------------------------------ #
     # One batch

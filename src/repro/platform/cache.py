@@ -213,6 +213,8 @@ class CacheResolution:
     signatures: dict[str, str] = field(default_factory=dict)
     # canonical task_id -> the task itself (store() needs its metadata)
     canonical: dict[str, Task] = field(default_factory=dict)
+    # signature -> canonical task_id, carried across the slices of one run
+    canonical_by_signature: dict[str, str] = field(default_factory=dict)
 
     @property
     def reused(self) -> bool:
@@ -360,16 +362,24 @@ class AnswerCache:
     # Request resolution (the platform/scheduler seam)
     # -------------------------------------------------------------- #
 
-    def resolve(self, tasks: Sequence[Task], redundancy: int) -> CacheResolution:
+    def resolve(
+        self,
+        tasks: Sequence[Task],
+        redundancy: int,
+        into: "CacheResolution | None" = None,
+    ) -> CacheResolution:
         """Partition *tasks* into hits, canonical misses, and duplicates.
 
         Uncacheable tasks pass straight through as misses without touching
         any counter. Task order within each partition is request order, so
         downstream RNG consumption for the misses is deterministic. The
         outcomes are tallied here and each counter is booked once per call.
+        *into*, the resolution of the same run's earlier tasks, is extended
+        in place and returned: its partitions grow in request order, and a
+        task whose signature an earlier slice's miss holds coalesces onto it.
         """
-        resolution = CacheResolution(redundancy=redundancy)
-        canonical_by_signature: dict[str, str] = {}
+        resolution = into if into is not None else CacheResolution(redundancy=redundancy)
+        canonical_by_signature = resolution.canonical_by_signature
         hits = misses = coalesced = reused = 0
         for task in tasks:
             signature = task_signature(task)

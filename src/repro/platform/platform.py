@@ -45,7 +45,7 @@ from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.platform.events import EventSimulator
 from repro.platform.pricing import PriceResponseModel, PricingPolicy
-from repro.platform.task import Answer, Task
+from repro.platform.task import Answer, Task, TaskType
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle with workers
     from repro.faults.injector import FaultInjector
@@ -369,22 +369,53 @@ class SimulatedPlatform:
             else:
                 self.stats.cost_spent += amount
 
+    def book_cancelled(
+        self, count: int, task_type: TaskType, redundancy: int, reason: str
+    ) -> float:
+        """Book *count* questions a caller will never ask as cancelled.
+
+        Each avoids its price as a *task_type* task at *redundancy*, added
+        one question at a time to ``stats.cancel_cost_refunded`` and to the
+        returned total; under the charge lock, so concurrent tenants lose
+        no update. One ``batch.cancel`` annotation carries count and reason.
+        """
+        if count <= 0:
+            return 0.0
+        price = self.pricing.price_of(task_type) * redundancy
+        avoided = 0.0
+        with self._charge_lock:
+            refunded = self.stats.cancel_cost_refunded
+            for _ in range(count):
+                refunded += price
+                avoided += price
+            self.stats.tasks_cancelled += count
+            self.stats.cancel_cost_refunded = refunded
+        if self.tracer.enabled:
+            self.tracer.annotate("batch.cancel", reason=reason, count=count)
+        return avoided
+
     # ------------------------------------------------------------------ #
     # Answer cache seam (consulted by the batch scheduler)
     # ------------------------------------------------------------------ #
 
     def cache_resolve(
-        self, tasks: Sequence[Task], redundancy: int, complete: bool = True
+        self,
+        tasks: Sequence[Task],
+        redundancy: int,
+        complete: bool = True,
+        into: "CacheResolution | None" = None,
     ) -> "CacheResolution | None":
         """Partition a request against the cache; None when it can't apply.
 
         Only ask-and-close requests participate: a ``complete=False``
         caller is buying *additional* evidence for tasks it keeps open, so
         serving its own earlier answers back would be self-poisoning.
+        *into*, the resolution of the run's earlier slices, is extended
+        (:meth:`AnswerCache.resolve`).
         """
         if self.cache is None or not complete:
             return None
-        return self.cache.resolve(tasks, redundancy)
+        return self.cache.resolve(tasks, redundancy, into)
 
     def cache_finish(
         self,

@@ -35,7 +35,11 @@ class PricingPolicy:
 
     def price(self, task: Task) -> float:
         """Reward for one assignment of *task*."""
-        return self.by_type.get(task.task_type, self.default)
+        return self.price_of(task.task_type)
+
+    def price_of(self, task_type: TaskType) -> float:
+        """Reward for one assignment of a *task_type* task."""
+        return self.by_type.get(task_type, self.default)
 
     def apply(self, tasks: list[Task]) -> None:
         """Stamp rewards onto *tasks* in place."""

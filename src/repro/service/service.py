@@ -50,8 +50,8 @@ class WorkUnit:
         "tasks",
         "redundancy",
         "complete",
-        "cancel",
         "on_batch",
+        "more",
         "enqueued_turn",
         "result",
         "error",
@@ -63,18 +63,18 @@ class WorkUnit:
     def __init__(
         self,
         tenant: Tenant,
-        tasks: "list[Task]",
+        tasks: "Sequence[Task]",
         redundancy: int,
         complete: bool,
-        cancel: "Callable[[Task], str | None] | None" = None,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
+        more: "Callable[[], None] | None" = None,
     ) -> None:
         self.tenant = tenant
         self.tasks = tasks
         self.redundancy = redundancy
         self.complete = complete
-        self.cancel = cancel
         self.on_batch = on_batch
+        self.more = more
         self.enqueued_turn = 0
         self.result: Any = None
         self.error: "BaseException | None" = None
@@ -84,7 +84,8 @@ class WorkUnit:
 
     @property
     def cost(self) -> int:
-        """DRR cost: assignment count this unit asks the platform for."""
+        """DRR cost: the tasks the unit lists now, times redundancy (a
+        streamed unit lists the rest as its run pulls them)."""
         return max(1, len(self.tasks) * self.redundancy)
 
     def _resolve(self) -> None:
@@ -274,21 +275,21 @@ class CrowdService:
         redundancy: int = 3,
         complete: bool = True,
         *,
-        cancel: "Callable[[Task], str | None] | None" = None,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
+        more: "Callable[[], None] | None" = None,
     ) -> "BatchRunResult":
         """Queue one crowd request and block until the dispatcher ran it.
 
         Returns the underlying
         :class:`~repro.platform.batch.BatchRunResult`. Raises whatever the
         run raised — budget exhaustion, admission rejection — in the
-        *calling* thread, mirroring the plain engine path.
+        *calling* thread, mirroring the plain engine path. *tasks* is the
+        caller's own list, not a copy, because *more* appends to it during
+        the run (:meth:`~repro.platform.batch.BatchScheduler.run`).
         """
         if isinstance(tenant, str):
             tenant = self.tenant(tenant)
-        unit = WorkUnit(
-            tenant, list(tasks), redundancy, complete, cancel=cancel, on_batch=on_batch
-        )
+        unit = WorkUnit(tenant, tasks, redundancy, complete, on_batch=on_batch, more=more)
         self._enqueue(unit)
         return unit.wait()
 
@@ -303,7 +304,7 @@ class CrowdService:
         if isinstance(tenant, str):
             tenant = self.tenant(tenant)
         loop = asyncio.get_running_loop()
-        unit = WorkUnit(tenant, list(tasks), redundancy, complete)
+        unit = WorkUnit(tenant, tasks, redundancy, complete)
         unit._loop = loop
         unit._future = loop.create_future()
         self._enqueue(unit)
@@ -395,21 +396,23 @@ class CrowdService:
             unit.fail(AdmissionRejectedError(tenant.name, reason))
             return
         self.metrics.inc("service.units_admitted", labels=labels)
-        self.metrics.inc(
-            "service.tasks_dispatched", len(unit.tasks), labels=labels
-        )
         self.metrics.observe("service.queue_wait", float(waited), labels=labels)
+        error: "BaseException | None" = None
         try:
             with self.platform.charging_account(tenant.account):
                 result = self.platform.scheduler.run(
                     unit.tasks,
                     redundancy=unit.redundancy,
                     complete=unit.complete,
-                    cancel=unit.cancel,
                     on_batch=unit.on_batch,
+                    more=unit.more,
                 )
         except BaseException as exc:  # surface in the submitting thread
-            unit.fail(exc)
+            error = exc
+        # A streamed unit's list grows during its run: count what it planned.
+        self.metrics.inc("service.tasks_dispatched", len(unit.tasks), labels=labels)
+        if error is not None:
+            unit.fail(error)
             return
         tenant.units_completed += 1
         tenant.tasks_dispatched += len(unit.tasks)

@@ -119,10 +119,11 @@ class TenantScheduler:
     """Scheduler façade: ``run`` goes through the fair-share dispatcher.
 
     The streaming executor drives crowd waves through
-    ``platform.scheduler.run(tasks, ..., cancel=..., on_batch=...)``;
-    routing that call through the service keeps the hooks intact (they
-    fire on the dispatcher thread while the session thread is blocked
-    inside ``run``, exactly the threading contract of the plain path).
+    ``platform.scheduler.run(tasks, ..., on_batch=..., more=...)``;
+    routing that call through the service forwards the hooks and the
+    caller's own task list, which ``more`` grows (they fire on the
+    dispatcher thread while the session thread is blocked inside
+    ``run``, exactly the threading contract of the plain path).
     Everything else (``simulated_clock``, config, breakers) reads the
     real shared scheduler.
     """
@@ -137,8 +138,8 @@ class TenantScheduler:
         redundancy: int = 3,
         complete: bool = True,
         *,
-        cancel: "Callable[[Task], str | None] | None" = None,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
+        more: "Callable[[], None] | None" = None,
     ) -> "BatchRunResult":
         """Queue one scheduler run through the service's fair-share lanes."""
         return self._service.submit(
@@ -146,8 +147,8 @@ class TenantScheduler:
             tasks,
             redundancy=redundancy,
             complete=complete,
-            cancel=cancel,
             on_batch=on_batch,
+            more=more,
         )
 
     def __getattr__(self, name: str) -> Any:

@@ -287,6 +287,39 @@ class TestCacheStore:
         with pytest.raises(ConfigurationError):
             AnswerCache(max_entries=0)
 
+    def test_resolving_in_slices_equals_one_resolve(self):
+        """A run that takes its tasks slice by slice extends one resolution:
+        partitions, duplicates across slices and counters equal resolving
+        the whole list at once."""
+
+        def resolved(slices):
+            cache = AnswerCache()
+            for question in ("hit 0?", "hit 1?"):
+                task = single_choice(question, ("yes", "no"))
+                cache.store(task, self.answers(task, ["yes", "no", "yes"]))
+            tasks = [
+                single_choice(q, ("yes", "no"), task_id=f"s{i}")
+                for i, q in enumerate(
+                    ["miss 0?", "hit 0?", "miss 0?", "miss 1?", "hit 1?", "miss 1?"]
+                )
+            ]
+            resolution = None
+            for lo, hi in slices:
+                resolution = cache.resolve(tasks[lo:hi], 3, into=resolution)
+            return (
+                [t.task_id for t in resolution.misses],
+                [t.task_id for t in resolution.hit_tasks],
+                {k: [t.task_id for t in v] for k, v in resolution.duplicates.items()},
+                (cache.hits, cache.misses, cache.coalesced, cache.answers_reused),
+            )
+
+        whole = resolved([(0, 6)])
+        assert whole == (
+            ["s0", "s3"], ["s1", "s4"], {"s0": ["s2"], "s3": ["s5"]}, (2, 2, 2, 6)
+        )
+        assert resolved([(i, i + 1) for i in range(6)]) == whole
+        assert resolved([(0, 2), (2, 5), (5, 6)]) == whole
+
 
 class TestPlatformIntegration:
     def test_a_platform_counts_only_the_lookups_it_served(self):
@@ -490,9 +523,11 @@ class TestCounterTotals:
             for key, counter in platform.metrics.counters.items()
             if key.startswith(("cache.", "batch.tasks_cancelled"))
         }
+        # The stream looks up only the 16 candidates it plans before the
+        # LIMIT; the 44 it never reaches are cancelled, not looked up.
         assert counters == {
             "cache.hits": 3,
-            "cache.misses": 63,
+            "cache.misses": 19,
             "cache.coalesced": 3,
             "cache.answers_reused": 18,
             "cache.cost_saved": 0.18,

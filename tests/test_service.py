@@ -17,6 +17,7 @@ Pins the concurrent-tenant invariants:
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -27,6 +28,8 @@ from repro.errors import (
     ConfigurationError,
     ServiceError,
 )
+from repro.data.schema import SchemaBuilder
+from repro.lang.executor import CrowdOracle
 from repro.lang.interpreter import CrowdSQLSession
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import render_prometheus
@@ -347,6 +350,79 @@ class TestAsyncFacade:
 
         with CrowdService(platform) as service:
             asyncio.run(drive(service))
+
+
+class TestStreamedStatements:
+    TOPK = (
+        "SELECT name, price FROM items WHERE CROWDFILTER(name, 'keep?') "
+        "ORDER BY price LIMIT 5"
+    )
+
+    @staticmethod
+    def _database() -> Database:
+        database = Database()
+        database.create_table(
+            "items",
+            SchemaBuilder().string("name").integer("price").build(),
+            rows=[{"name": f"item {i}", "price": (i * 37) % 100} for i in range(80)],
+        )
+        return database
+
+    def test_each_statement_counts_only_its_own_cancellations(self):
+        """Two tenants' streamed top-ks, queued while the dispatcher is busy,
+        each count their own cancellations: the per-statement counts sum to
+        the platform's totals."""
+        platform = make_platform(seed=43)
+        oracle = CrowdOracle(filter_fn=lambda value, _q: int(value.split()[-1]) % 3 == 0)
+        entered, release = threading.Event(), threading.Event()
+
+        def hold(batch, run):
+            entered.set()
+            release.wait(10)
+
+        results = {}
+        with CrowdService(platform) as service:
+            service.register("holder")
+            sessions = {}
+            for name in ("alice", "bob"):
+                service.register(name)
+                sessions[name] = service.session(
+                    name, database=self._database(), redundancy=3, oracle=oracle,
+                    pipeline=True,
+                )
+            holder = threading.Thread(
+                target=service.submit,
+                args=("holder", choice_tasks(1, "hold")),
+                kwargs={"redundancy": 1, "on_batch": hold},
+            )
+            holder.start()
+            assert entered.wait(10)
+            clients = [
+                threading.Thread(
+                    target=lambda name=name: results.update(
+                        {name: sessions[name].query(self.TOPK)}
+                    )
+                )
+                for name in sessions
+            ]
+            for client in clients:
+                client.start()
+            for _ in range(1000):
+                if all(service.tenant(name).queue for name in sessions):
+                    break
+                time.sleep(0.01)
+            release.set()
+            for thread in (holder, *clients):
+                thread.join(10)
+                assert not thread.is_alive()
+        stats = [results[name].stats for name in sessions]
+        assert sum(s.tasks_cancelled for s in stats) == platform.stats.tasks_cancelled > 0
+        assert sum(s.cost_avoided for s in stats) == pytest.approx(
+            platform.stats.cancel_cost_refunded
+        )
+        # A streamed unit's dispatched tasks are the ones it planned.
+        for name, s in zip(sessions, stats):
+            assert service.tenant(name).tasks_dispatched == s.crowd_questions
 
 
 class TestObservability:

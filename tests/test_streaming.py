@@ -2,11 +2,15 @@
 
 The contract under test (DESIGN.md §12): with ``pipeline=on`` and no early
 termination, rows *and* stats are bit-identical to the barrier executor at
-the same seed; TOP-K/LIMIT cancels still-pending HITs through the
-scheduler's cancel seam without double-counting spend or poisoning the
-answer cache; every other plan shape runs the barrier path; a statement
-naming an unknown column fails before any purchase under either executor.
+the same seed; TOP-K/LIMIT plans questions only as the scheduler's waves
+pull them and stops at the LIMIT, counting the candidates it never reached
+as cancelled without double-counting spend or poisoning the answer cache;
+every other plan shape runs the barrier path; a statement naming an
+unknown column fails before any purchase under either executor.
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -244,9 +248,38 @@ class TestEarlyTermination:
         assert "HITs cancelled" in summary
 
 
+class TestPlanOnDemand:
+    """A streamed LIMIT plans a candidate only when a wave needs it."""
+
+    def test_topk_plans_no_further_than_one_wave_past_its_frontier(self):
+        asked = []
+
+        def filter_fn(value, _question):
+            asked.append(value)
+            return int(str(value).split()[-1]) % 3 == 0
+
+        session = CrowdSQLSession(
+            database=make_database(),
+            platform=make_platform(accuracy=1.0),
+            oracle=CrowdOracle(filter_fn=filter_fn),
+            redundancy=3,
+            pipeline=True,
+        )
+        result = session.query(TOPK_SQL)
+        ordered = session.query("SELECT name FROM items ORDER BY price DESC").column("name")
+        # The frontier ends just past the row that completed the LIMIT.
+        frontier = ordered.index(result.rows[-1]["name"]) + 1
+        wave = session.platform.scheduler.config.batch_size
+        assert len(result.rows) == 5
+        assert frontier <= len(asked) <= frontier + wave
+        assert asked == ordered[: len(asked)]
+        assert result.stats.crowd_questions == len(asked)
+        assert result.stats.tasks_cancelled == N_ITEMS - len(asked)
+
+
 class TestCachedHitsFirst:
-    """Cache hits reach the streaming executor before the first wave, so a
-    LIMIT its cached candidates already satisfy cancels every miss."""
+    """Cache hits are decided as the stream plans them, so a LIMIT its
+    cached candidates already satisfy never plans a miss."""
 
     SQL = "SELECT k, price FROM t WHERE CROWDFILTER(k, 'q?') ORDER BY price LIMIT 10"
 
@@ -278,19 +311,20 @@ class TestCachedHitsFirst:
         got = piped.query(self.SQL)
         assert got.rows == expected.rows
         assert [r["price"] for r in got.rows] == list(range(0, 20, 2))
-        # The 20 cached candidates decide the LIMIT: nothing is bought.
+        # The first 19 cached candidates decide the LIMIT: nothing is bought,
+        # and the 20th, past the frontier, is never planned.
         assert piped.platform.stats.cost_spent == 0.0
         assert piped.platform.stats.tasks_published == 0
-        assert got.stats.tasks_cancelled == 180
-        assert got.stats.crowd_questions == 20
+        assert got.stats.tasks_cancelled == 181
+        assert got.stats.crowd_questions == 19
 
     def test_hits_are_delivered_before_the_first_wave(self):
         cache = AnswerCache()
         platform = make_platform(accuracy=1.0)
         platform.attach_cache(cache)
-        tasks = TestSchedulerCancelSeam._tasks(3)
+        tasks = TestSchedulerHooks._tasks(3)
         platform.scheduler.run(tasks[:2], redundancy=3)
-        fresh = TestSchedulerCancelSeam._tasks(3)
+        fresh = TestSchedulerHooks._tasks(3)
         delivered = []
 
         def on_batch(batch, run):
@@ -332,8 +366,9 @@ class TestCancellationAccounting:
         assert registry.gauges[key].value == 0.0
 
     def test_cancellation_counter_labeled_by_reason(self):
-        """Cancelled HITs are counted once, in ``batch.tasks_cancelled``; each
-        task's reason rides on its ``batch.cancel`` trace annotation."""
+        """Cancelled candidates are counted once, in ``batch.tasks_cancelled``;
+        the ``batch.cancel`` trace annotations carry their reason and add up
+        to the counter (a candidate never planned has no task id)."""
         registry = MetricsRegistry(enabled=True)
         piped = make_session(pipeline=True, accuracy=1.0, metrics=registry)
         sink = MemorySink()
@@ -341,11 +376,36 @@ class TestCancellationAccounting:
         piped.query(TOPK_SQL)
         cancelled = registry.counter("batch.tasks_cancelled").value
         assert cancelled > 0
-        reasons = [s["tags"]["reason"] for s in sink.spans if s["name"] == "batch.cancel"]
-        assert reasons == ["early_termination"] * cancelled
+        tags = [s["tags"] for s in sink.spans if s["name"] == "batch.cancel"]
+        assert {t["reason"] for t in tags} == {"early_termination"}
+        assert sum(t["count"] for t in tags) == cancelled
         exposition = render_prometheus(registry)
         assert "batch_tasks_cancelled_total" in exposition
         assert "operators_in_flight" in exposition
+
+    def test_concurrent_bookings_lose_no_update(self):
+        """Tenant sessions book their cancellations from their own threads;
+        the charge lock keeps every one."""
+        platform = make_platform()
+        threads, calls = 8, 500
+
+        def book() -> None:
+            for _ in range(calls):
+                platform.book_cancelled(2, TaskType.SINGLE_CHOICE, 3, "early_termination")
+
+        workers = [threading.Thread(target=book) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert platform.stats.tasks_cancelled == threads * calls * 2
+        assert platform.stats.cancel_cost_refunded == pytest.approx(threads * calls * 2 * 0.03)
 
     def test_statement_span_surfaces_cancellations(self):
         piped = make_session(pipeline=True, accuracy=1.0)
@@ -539,8 +599,8 @@ class TestWiring:
         assert main(["--pipeline", "run", str(script)]) == 0
 
 
-class TestSchedulerCancelSeam:
-    """Unit coverage for the cancel/on_batch hooks on BatchScheduler.run."""
+class TestSchedulerHooks:
+    """Unit coverage for the on_batch/more hooks on BatchScheduler.run."""
 
     @staticmethod
     def _tasks(n: int) -> list:
@@ -557,15 +617,15 @@ class TestSchedulerCancelSeam:
             for i in range(n)
         ]
 
-    def test_cancel_before_first_batch_cancels_everything(self):
-        platform = make_platform()
-        result = platform.scheduler.run(
-            self._tasks(10), redundancy=2, cancel=lambda task: "early_termination"
-        )
-        assert result.answers == {}
-        assert platform.stats.tasks_published == 0
-        assert platform.stats.tasks_cancelled == 10
-        assert platform.stats.cancel_cost_refunded > 0
+    @staticmethod
+    def _pull(tasks: list, listed: list):
+        """A ``more`` hook that lists the next of *tasks* on *listed* per call."""
+
+        def more() -> None:
+            if len(listed) < len(tasks):
+                listed.append(tasks[len(listed)])
+
+        return more
 
     def test_on_batch_fires_per_dispatched_batch(self):
         platform = make_platform()
@@ -578,15 +638,23 @@ class TestSchedulerCancelSeam:
         assert sizes == [16, 16, 2]
 
     def test_noop_hooks_leave_run_bit_identical(self):
+        """Listing one task per ``more`` call gives the waves, answers, spend
+        and clock of the complete list."""
         plain = make_platform()
         hooked = make_platform()
-        baseline = plain.scheduler.run(self._tasks(12), redundancy=3)
+        baseline = plain.scheduler.run(self._tasks(40), redundancy=3)
+        tasks = self._tasks(40)
+        listed = tasks[:1]
+        sizes = []
         observed = hooked.scheduler.run(
-            self._tasks(12),
+            listed,
             redundancy=3,
-            cancel=lambda task: None,
-            on_batch=lambda batch, run: None,
+            on_batch=lambda batch, run: sizes.append(len(batch)),
+            more=self._pull(tasks, listed),
         )
+        assert listed == tasks
+        assert sizes == [16, 16, 8]
+
         # Worker ids are allocated globally across pools; compare the run
         # dynamics (values, timings, payments) rather than the w-names.
         def fingerprint(result):
@@ -598,3 +666,46 @@ class TestSchedulerCancelSeam:
         assert fingerprint(observed) == fingerprint(baseline)
         assert plain.stats.cost_spent == hooked.stats.cost_spent
         assert plain.scheduler.simulated_clock == hooked.scheduler.simulated_clock
+
+    def test_more_is_pulled_only_for_a_short_wave(self):
+        """``more`` runs while fewer than ``batch_size`` misses are pending,
+        and a call that lists nothing ends the taking."""
+        platform = make_platform()
+        tasks = self._tasks(20)
+        listed: list = []
+        pulls = []
+        pull = self._pull(tasks, listed)
+
+        def more() -> None:
+            pulls.append(len(listed))
+            if len(listed) < 18:
+                pull()
+
+        result = platform.scheduler.run(listed, redundancy=2, more=more)
+        # 16 pulls fill the first wave, two more and an empty one the last.
+        assert pulls == list(range(19))
+        assert sorted(result.answers) == sorted(t.task_id for t in tasks[:18])
+        assert platform.stats.tasks_published == 18
+
+    def test_pulled_hits_are_delivered_as_they_are_found(self):
+        cache = AnswerCache()
+        platform = make_platform(accuracy=1.0)
+        platform.attach_cache(cache)
+        platform.scheduler.run(self._tasks(3)[1:], redundancy=3)
+        tasks = self._tasks(4)
+        listed = tasks[:1]
+        delivered = []
+
+        def on_batch(batch, run):
+            delivered.append([(t.task_id, len(run.answers[t.task_id])) for t in batch])
+
+        platform.scheduler.run(
+            listed, redundancy=3, on_batch=on_batch, more=self._pull(tasks, listed)
+        )
+        # seam-t1 and seam-t2 are served as they are taken; the misses
+        # seam-t0 and seam-t3 make one wave after the last pull.
+        assert delivered == [
+            [("seam-t1", 3)],
+            [("seam-t2", 3)],
+            [("seam-t0", 3), ("seam-t3", 3)],
+        ]
