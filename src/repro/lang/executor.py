@@ -12,13 +12,14 @@ each predicate renders its question for every row that still needs it, in
 row order, computes the content signature once (one ``question_signer``
 per call encodes all but the question, so a row costs one hash), skips
 what the statement's verdict memo already decided, and buys every new
-question in one ``platform.collect`` (one scheduler run); each verdict is
-then decided per task. An AND asks its right arm only on rows its left arm
-left not False, an OR only on rows left not True, so every row is asked
-exactly the questions a per-row short circuit would ask. The signature
-rides on the task, so the answer cache never hashes it again. The
-streaming executor (:mod:`repro.lang.streaming`) plans through the same
-step.
+question in one ``platform.collect`` (one scheduler run); one inference
+call then decides the run's verdicts, each from its own task's votes
+(:meth:`~repro.quality.truth.TruthInference.infer_each`). An AND asks its
+right arm only on rows its left arm left not False, an OR only on rows
+left not True, so every row is asked exactly the questions a per-row
+short circuit would ask. The signature rides on the task, so the answer
+cache never hashes it again. The streaming executor
+(:mod:`repro.lang.streaming`) plans and decides through the same steps.
 
 Before any of that, :meth:`Executor.execute` derives every plan node's
 output schema (:meth:`Executor._schema_of`) and checks every crowd
@@ -43,7 +44,8 @@ Per-run accounting (questions, answers, spend) is collected in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import Any
@@ -536,7 +538,9 @@ class Executor:
         The lists come straight from the column arrays when the child
         resolves to a scan/filter chain, and from the child's rows
         otherwise; either way each holds the same Python values in the same
-        row order, so every group, type check and ``sum`` is identical.
+        row order, so every group, type check and ``sum`` is identical. A
+        GROUP BY whose aggregates are all COUNT(*) needs only each group's
+        size, so it counts keys instead of listing each group's rows.
         """
         resolved = self._columnar_rows(node.child)
         if resolved is not None:
@@ -584,12 +588,23 @@ class Executor:
         out_schema = self._aggregate_schema(node, schema)
         if node.group_by is None:
             return out_schema, [compute(range(n))]
-        buckets: dict[Any, list[int]] = {}
-        for i, key in enumerate(values_of(node.group_by)):
-            bucket = buckets.get(key)
-            if bucket is None:  # a new key, or a NaN: normalize before opening
-                bucket = buckets.setdefault(group_key(key), [])
-            bucket.append(i)
+        keys = values_of(node.group_by)
+        buckets: dict[Any, Sequence[int]] = {}
+        if inputs:
+            for i, key in enumerate(keys):
+                bucket = buckets.get(key)
+                if bucket is None:  # a new key, or a NaN: normalize before opening
+                    bucket = buckets.setdefault(group_key(key), [])
+                bucket.append(i)
+        else:
+            # Only COUNT(*): a group's size is all compute() reads, so count
+            # the keys in one C pass. Counter keeps each key's first object in
+            # first-seen order, as the loop above does; NaNs merge after.
+            sizes: dict[Any, int] = {}
+            for key, size in Counter(keys).items():
+                group = group_key(key)
+                sizes[group] = sizes.get(group, 0) + size
+            buckets = {key: range(size) for key, size in sizes.items()}
         return out_schema, [
             {node.group_by: key, **compute(buckets[key])}
             for key in sorted(buckets, key=repr)
@@ -942,14 +957,6 @@ class Executor:
             truth=YES if truth else NO,
         )
 
-    def _verdict_from(self, task: Task, answers: list[Any]) -> bool:
-        """Infer the yes/no verdict for *task* from its collected votes."""
-        if answers:
-            return self.inference.infer({task.task_id: answers}).truths[task.task_id] == YES
-        # Skip/degrade failure policy: no votes came back — conservatively
-        # treat the predicate as not satisfied rather than crashing.
-        return False
-
     def _plan_rows(
         self,
         predicate: CrowdPredicate,
@@ -992,11 +999,26 @@ class Executor:
         planned = list(self._plan_rows(predicate, rows, stats))
         return [s for s, _ in planned], [t for _, t in planned if t is not None]
 
-    def _decide(self, task: Task, answers: list[Any], stats: ExecutionStats) -> None:
-        """Record the verdict of one planned *task* from its *answers*."""
-        self._verdicts[task.signature] = self._verdict_from(task, answers)
-        stats.crowd_questions += 1
-        stats.crowd_answers += len(answers)
+    def _decide(
+        self,
+        tasks: Sequence[Task],
+        answers: Mapping[str, list[Any]],
+        stats: ExecutionStats,
+    ) -> None:
+        """Record the yes/no verdicts of planned *tasks* with one inference call.
+
+        *answers* maps task ids to their collected votes. Each task is
+        decided from its own votes (:meth:`TruthInference.infer_each`); a
+        task whose votes never came back (skip/degrade failure policy) is
+        conservatively decided False.
+        """
+        evidence = {task.task_id: answers.get(task.task_id, []) for task in tasks}
+        truths = self.inference.infer_each(evidence)
+        verdicts = self._verdicts
+        for task in tasks:
+            verdicts[task.signature] = truths.get(task.task_id) == YES
+        stats.crowd_questions += len(tasks)
+        stats.crowd_answers += sum(map(len, evidence.values()))
 
     def crowd_mask(
         self, expr: Expression, rows: Sequence[dict[str, Any]], stats: ExecutionStats
@@ -1013,22 +1035,22 @@ class Executor:
     ) -> list[Any]:
         """The three-valued value of *expr* on each of *rows*.
 
-        A crowd predicate plans its question on every row it is given and
-        buys the new ones in one ``platform.collect``; a machine subtree
-        evaluates row by row. AND evaluates its right arm only on rows whose
-        left value is not False, OR only on rows whose left value is not
-        True, so each row is asked what a per-row short circuit asks. The
-        arms combine as that short circuit does: NULL poisons the row and
-        CROWD_UNKNOWN counts as satisfied under AND; NOT flips True and
-        False and keeps NULL and CROWD_UNKNOWN.
+        A crowd predicate plans its question on every row it is given, buys
+        the new ones in one ``platform.collect`` and decides them with one
+        inference call (:meth:`_decide`); a machine subtree evaluates row by
+        row. AND evaluates its right arm only on rows whose left value is
+        not False, OR only on rows whose left value is not True, so each row
+        is asked what a per-row short circuit asks. The arms combine as that
+        short circuit does: NULL poisons the row and CROWD_UNKNOWN counts as
+        satisfied under AND; NOT flips True and False and keeps NULL and
+        CROWD_UNKNOWN.
         """
         if isinstance(expr, CrowdPredicate):
             signatures, tasks = self._plan_questions(expr, rows, stats)
             if tasks:
                 before = self.platform.stats.cost_spent
                 collected = self.platform.collect(tasks, redundancy=self.redundancy)
-                for task in tasks:
-                    self._decide(task, collected.get(task.task_id, []), stats)
+                self._decide(tasks, collected, stats)
                 stats.crowd_cost += self.platform.stats.cost_spent - before
             return [self._verdicts[signature] for signature in signatures]
         if not contains_crowd_predicate(expr):

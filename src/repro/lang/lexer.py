@@ -1,13 +1,15 @@
 """Tokenizer for the CrowdSQL dialect.
 
-Hand-written scanner producing a flat token stream. Keywords are
-case-insensitive; identifiers preserve case. String literals use single
-quotes with ``''`` as the escape, SQL-style.
+Hand-written scanner producing a flat token stream; it consumes each
+token, whitespace run and comment as one slice (see :func:`tokenize`).
+Keywords are case-insensitive; identifiers preserve case. String
+literals use single quotes with ``''`` as the escape, SQL-style.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
@@ -38,8 +40,18 @@ KEYWORDS = {
     "EXPLAIN",
 }
 
-_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "*", "/")
+#: Operator text -> token value (``<>`` is normalized to ``!=``). The
+#: scanner looks up the next two characters, then the next one.
+_OPERATORS = {
+    "<=": "<=", ">=": ">=", "!=": "!=", "<>": "!=",
+    "=": "=", "<": "<", ">": ">", "+": "+", "-": "-", "*": "*", "/": "/",
+}
 _PUNCT = "(),.;"
+
+_WHITESPACE = re.compile(r"[ \t\r\n]+").match
+#: ``\w`` is exactly ``str.isalnum()`` or ``_``, the characters a word continues on.
+_WORD = re.compile(r"\w*").match
+_ASCII_DIGITS = re.compile(r"[0-9]*").match
 
 
 @dataclass(frozen=True)
@@ -57,96 +69,109 @@ class Token:
         return f"Token({self.type.value}, {self.value!r}, {self.line}:{self.column})"
 
 
+def _digit_run(text: str, i: int) -> int:
+    """End of the ``str.isdigit()`` run that starts at *i*.
+
+    ASCII digits go in one regex step; any other digit (``'²'``, ``'٣'``)
+    is stepped over on its own, so the run is exactly what a per-character
+    ``isdigit()`` scan would take.
+    """
+    j = _ASCII_DIGITS(text, i).end()
+    n = len(text)
+    while j < n and text[j].isdigit():
+        j = _ASCII_DIGITS(text, j + 1).end()
+    return j
+
+
 def tokenize(text: str) -> list[Token]:
-    """Scan *text* into tokens (always ending with an EOF token)."""
+    """Scan *text* into tokens (always ending with an EOF token).
+
+    Each token, whitespace run and comment is consumed as one slice: words
+    and runs by compiled patterns, strings and comments by ``str.find``.
+    A token's line is the number of newlines before it plus one, its column
+    its distance from the last of them. Character classes are Python's: a
+    word starts on ``isalpha()`` or ``_`` and continues on ``isalnum()`` or
+    ``_``; a number is a run of ``isdigit()`` characters with at most one
+    ``.`` that a digit follows (so ``Y12.34`` is ``Y12`` then ``.34``). A
+    digit run that ``int()`` or ``float()`` rejects, such as ``'²'``,
+    raises :class:`ParseError` at its start, as any other bad input does.
+    """
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
-    column = 1
+    line_start = 0  # index just past the last newline consumed
     i = 0
     n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, column
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            i += 1
-
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
-            advance(1)
+            j = _WHITESPACE(text, i).end()
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", i, j) + 1
+            i = j
             continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":  # line comment
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, column
-        if ch == "'":
+        column = i - line_start + 1
+        if ch in _PUNCT:
+            if ch != "." or i + 1 >= n or not text[i + 1].isdigit():
+                append(Token(TokenType.PUNCT, ch, line, column))
+                i += 1
+                continue
+        elif ch == "'":
             # SQL string literal with '' escape.
-            advance(1)
-            chunks: list[str] = []
+            end = i
             while True:
-                if i >= n:
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        chunks.append("'")
-                        advance(2)
-                        continue
-                    advance(1)
+                end = text.find("'", end + 1)
+                if end < 0:
+                    raise ParseError("unterminated string literal", line, column)
+                if not text.startswith("'", end + 1):
                     break
-                chunks.append(text[i])
-                advance(1)
-            tokens.append(Token(TokenType.STRING, "".join(chunks), start_line, start_col))
+                end += 1  # an escaped quote: step over its second half
+            append(Token(TokenType.STRING, text[i + 1 : end].replace("''", "'"), line, column))
+            newlines = text.count("\n", i, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", i, end) + 1
+            i = end + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A dot not followed by a digit is punctuation (t.col).
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            literal = text[i:j]
-            value: Any = float(literal) if "." in literal else int(literal)
-            advance(j - i)
-            tokens.append(Token(TokenType.NUMBER, value, start_line, start_col))
+        elif ch == "-" and i + 1 < n and text[i + 1] == "-":  # line comment
+            end = text.find("\n", i)
+            i = n if end < 0 else end
             continue
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = _WORD(text, i + 1).end()
             word = text[i:j]
-            advance(j - i)
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start_line, start_col))
+                append(Token(TokenType.KEYWORD, upper, line, column))
             else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, start_line, start_col))
+                append(Token(TokenType.IDENTIFIER, word, line, column))
+            i = j
             continue
-        matched_operator = None
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                matched_operator = op
-                break
-        if matched_operator:
-            advance(len(matched_operator))
-            normalized = "!=" if matched_operator == "<>" else matched_operator
-            tokens.append(Token(TokenType.OPERATOR, normalized, start_line, start_col))
+        if ch.isdigit() or ch == ".":  # a "." here has a digit after it
+            j = _digit_run(text, i)
+            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+                j = _digit_run(text, j + 1)
+            literal = text[i:j]
+            try:
+                value: Any = float(literal) if "." in literal else int(literal)
+            except ValueError:
+                raise ParseError(f"invalid number {literal!r}", line, column) from None
+            append(Token(TokenType.NUMBER, value, line, column))
+            i = j
             continue
-        if ch in _PUNCT:
-            advance(1)
-            tokens.append(Token(TokenType.PUNCT, ch, start_line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
+        pair = text[i : i + 2]
+        if pair in _OPERATORS:
+            append(Token(TokenType.OPERATOR, _OPERATORS[pair], line, column))
+            i += len(pair)
+        elif ch in _OPERATORS:
+            append(Token(TokenType.OPERATOR, _OPERATORS[ch], line, column))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, column)
 
-    tokens.append(Token(TokenType.EOF, None, line, column))
+    append(Token(TokenType.EOF, None, line, n - line_start + 1))
     return tokens
 
 

@@ -22,7 +22,8 @@ plan), runs on the barrier executor.
   call plans rows until it lists one new task;
 * the run resolves each task against the answer cache as it takes it, so
   cache hits are decided at once, and as each batch (a *wave*) lands its
-  verdicts are emitted in planning order;
+  verdicts are decided with one inference call and emitted in planning
+  order;
 * once the LIMIT has emitted enough rows the stream stops planning. A
   planned but undecided task holds the emission frontier, so the LIMIT is
   reached only when nothing planned is pending: waves hold the tasks a
@@ -231,11 +232,13 @@ class StreamingExecutor(Executor):
                 advance()
 
         def on_batch(batch: list[Task], run_result: Any) -> None:
+            undecided = []
             for task in batch:
-                if task.task_id in resolved_ids:
-                    continue
-                resolved_ids.add(task.task_id)
-                self._decide(task, run_result.answers.get(task.task_id, []), stats)
+                if task.task_id not in resolved_ids:
+                    resolved_ids.add(task.task_id)
+                    undecided.append(task)
+            if undecided:
+                self._decide(undecided, run_result.answers, stats)
             advance()
             in_flight = len(tasks) - len(resolved_ids)
             metrics.set_gauge("operators.in_flight", float(in_flight), labels=labels)
@@ -248,10 +251,10 @@ class StreamingExecutor(Executor):
             )
             # Final drain: cache hits and landed waves were decided in
             # on_batch, but halted (breaker/budget) batches never reach it —
-            # resolve what is still undecided, barrier-style.
-            for task in tasks:
-                if task.task_id not in resolved_ids:
-                    self._decide(task, run_result.answers.get(task.task_id, []), stats)
+            # decide what is still undecided, barrier-style.
+            undecided = [task for task in tasks if task.task_id not in resolved_ids]
+            if undecided:
+                self._decide(undecided, run_result.answers, stats)
             advance()
             metrics.set_gauge("operators.in_flight", 0.0, labels=labels)
         stats.crowd_cost += self.platform.stats.cost_spent - cost0

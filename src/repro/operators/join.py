@@ -123,20 +123,19 @@ class CrowdJoin:
     def _verify_batch(
         self, records: Sequence[Any], pairs: Sequence[tuple[int, int]]
     ) -> list[bool]:
-        """Buy *redundancy* votes on each pair as one batch and aggregate."""
+        """Buy *redundancy* votes on each pair as one batch and decide them.
+
+        One inference call decides the batch, each pair from its own votes
+        (:meth:`~repro.quality.truth.TruthInference.infer_each`). A pair
+        whose votes never came back (skip/degrade failure policy) is
+        conservatively a non-match.
+        """
         tasks = [self._pair_task(records, i, j) for i, j in pairs]
         collected = self.platform.collect(tasks, redundancy=self.redundancy)
-        verdicts: list[bool] = []
-        for task in tasks:
-            answers = collected.get(task.task_id, [])
-            if not answers:
-                # Skip/degrade failure policy: no evidence — conservatively
-                # treat the pair as a non-match rather than crashing.
-                verdicts.append(False)
-                continue
-            result = self.inference.infer({task.task_id: answers})
-            verdicts.append(result.truths[task.task_id] == YES)
-        return verdicts
+        truths = self.inference.infer_each(
+            {task.task_id: collected.get(task.task_id, []) for task in tasks}
+        )
+        return [truths.get(task.task_id) == YES for task in tasks]
 
     # ------------------------------------------------------------------ #
 
@@ -267,8 +266,6 @@ def _crossing_join(
             for j in range(len(right))
         ]
         report = None
-    matched: set[tuple[int, int]] = set()
-    questions = 0
     tasks = []
     for pair in pairs:
         a, b = left[pair.left_index], right[pair.right_index]
@@ -281,13 +278,16 @@ def _crossing_join(
             )
         )
     collected = platform.collect(tasks, redundancy=redundancy) if tasks else {}
-    for pair, task in zip(pairs, tasks):
-        questions += 1
-        # Skip/degrade failure policy: an unanswered pair gets no verdict
-        # and is not matched.
-        verdict = inference.infer_answered({task.task_id: collected.get(task.task_id, [])})
-        if verdict.truths.get(task.task_id) == YES:
-            matched.add((pair.left_index, len(left) + pair.right_index))
+    # Skip/degrade failure policy: an unanswered pair gets no verdict and
+    # is not matched.
+    truths = inference.infer_each(
+        {task.task_id: collected.get(task.task_id, []) for task in tasks}
+    )
+    matched = {
+        (pair.left_index, len(left) + pair.right_index)
+        for pair, task in zip(pairs, tasks)
+        if truths.get(task.task_id) == YES
+    }
     clusters_resolver = TransitiveResolver(strict=False)
     for i, j in matched:
         clusters_resolver.record_match(i, j)
@@ -296,7 +296,7 @@ def _crossing_join(
         matched_pairs=matched,
         clusters=clusters,
         pairs_considered=len(pairs),
-        questions_asked=questions,
+        questions_asked=len(tasks),
         answers_bought=platform.stats.answers_collected - before_answers,
         cost=platform.stats.cost_spent - before_cost,
         pruning_report=report,

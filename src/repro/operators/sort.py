@@ -132,7 +132,9 @@ class CrowdComparator:
         Returns the number of comparisons purchased. Callers that know a
         round of comparisons up front, and read every one of them (all-pairs
         sort, tournament rounds), use this so one round costs one batch of
-        simulated latency, at every lane count.
+        simulated latency, at every lane count. One inference call decides
+        the round, each pair from its own votes
+        (:meth:`~repro.quality.truth.TruthInference.infer_each`).
         """
         todo: list[tuple[int, int]] = []
         queued: set[tuple[int, int]] = set()
@@ -151,20 +153,15 @@ class CrowdComparator:
             return 0
         tasks = {key: self._pair_task(key) for key in todo}
         collected = self.platform.collect(list(tasks.values()), redundancy=self.redundancy)
-        bought = 0
+        evidence = {task.task_id: collected.get(task.task_id, []) for task in tasks.values()}
+        winners = self.inference.infer_each(evidence)
         for key, task in tasks.items():
-            answers = collected.get(task.task_id, [])
-            bought += len(answers)
-            if not answers:
-                # Skip/degrade failure policy: leave the pair uncached; a
-                # later above() call retries it individually.
-                continue
-            winner = self.inference.infer(
-                {task.task_id: answers}
-            ).truths[task.task_id]
-            self._store(key, winner == "left")
+            # Skip/degrade failure policy: an unanswered pair has no winner
+            # and stays uncached; a later above() call retries it on its own.
+            if task.task_id in winners:
+                self._store(key, winners[task.task_id] == "left")
         self.comparisons_asked += len(todo)
-        self.answers_bought += bought
+        self.answers_bought += sum(map(len, evidence.values()))
         return len(todo)
 
     def above(self, i: int, j: int) -> bool:

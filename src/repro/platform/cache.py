@@ -179,14 +179,8 @@ class CachedAnswer:
 
     def replay(self, task_id: str) -> Answer:
         """Materialize as an answer for *task_id*: $0 paid, zero latency."""
-        return Answer(
-            task_id=task_id,
-            worker_id=self.worker_id,
-            value=self.value,
-            submitted_at=0.0,
-            duration=0.0,
-            reward_paid=0.0,
-        )
+        # Answer's defaults are the zero time, duration and reward.
+        return Answer(task_id, self.worker_id, self.value)
 
 
 @dataclass

@@ -127,6 +127,23 @@ class TruthInference:
             return InferenceResult(truths={})
         return self.infer(evidence)
 
+    def infer_each(self, answers_by_task: Mapping[str, Sequence[Answer]]) -> dict[str, Any]:
+        """The truth of each answered task, decided from its own votes alone.
+
+        One call decides a whole crowd run: task id -> truth for every task
+        with at least one answer, in mapping order; a task with no answers
+        (no key, or an empty list) gets no entry, as in
+        :meth:`infer_answered`. The result equals one :meth:`infer` call per
+        answered task, and this base implementation is exactly that loop, so
+        an EM method keeps its per-question verdicts, spans and metrics.
+        Methods with a cheaper per-question rule override it.
+        """
+        return {
+            task_id: self.infer({task_id: answers}).truths[task_id]
+            for task_id, answers in answers_by_task.items()
+            if answers
+        }
+
     def export_state(self) -> dict[str, Any]:
         """JSON-serializable warm-start state for checkpointing.
 

@@ -5,12 +5,15 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import Any
 
+from repro.errors import InferenceError
 from repro.platform.task import Answer
 from repro.quality.truth.base import InferenceResult, TruthInference, votes_by_task
 
 
 def _break_tie(counts: dict[Any, int]) -> Any:
     """Deterministic tie-break: highest count, then smallest repr."""
+    if len(counts) == 1:  # a unanimous task
+        return next(iter(counts))
     best = max(counts.values())
     tied = [label for label, c in counts.items() if c == best]
     return min(tied, key=repr)
@@ -52,6 +55,23 @@ class MajorityVote(TruthInference):
             worker_quality=worker_quality,
             posteriors=posteriors,
         )
+
+    def infer_each(self, answers_by_task: Mapping[str, Sequence[Answer]]) -> dict[str, Any]:
+        # One tally pass: the winners infer() would pick, without the
+        # posteriors, confidences and worker quality it builds around them.
+        truths: dict[str, Any] = {}
+        for task_id, answers in answers_by_task.items():
+            if not answers:
+                continue
+            counts: dict[Any, int] = {}
+            for a in answers:
+                if a.task_id != task_id:
+                    raise InferenceError(
+                        f"answer for task {a.task_id!r} filed under {task_id!r}"
+                    )
+                counts[a.value] = counts.get(a.value, 0) + 1
+            truths[task_id] = _break_tie(counts)
+        return truths
 
 
 class WeightedMajorityVote(TruthInference):

@@ -121,12 +121,38 @@ class TestRepl:
         repl(session, stdin=stdin, out=out)
         assert "t" in session.database
 
+    def test_piped_bad_number_is_an_error_line(self, monkeypatch, capsys):
+        """'SELECT ²;' ('²' is a digit int() rejects) is reported as
+        'SELECT @;' is, and the REPL goes on to the next statement."""
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("SELECT ²;\nSELECT @;\nCREATE TABLE t (a STRING);\n")
+        )
+        assert main(["repl"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "error: invalid number '²' at line 1, column 8",
+            "error: unexpected character '@' at line 1, column 8",
+            "-- created table t",
+        ]
+
 
 class TestMain:
     def test_demo_exits_zero(self, capsys):
         assert main(["--seed", "3", "demo"]) == 0
         captured = capsys.readouterr()
         assert "The Iron Giant" in captured.out
+
+    @pytest.mark.parametrize("inference", ["mv", "ds"])
+    def test_demo_prints_its_recorded_output(self, capsys, inference):
+        """``--seed 3 --inference M demo`` prints tests/data/demo-seed3-M.txt.
+
+        Every crowd question is decided from its own votes, so Dawid-Skene
+        prints what majority vote prints. Estimating worker quality across a
+        run's questions would change the CROWDJOIN's 2 rows; a change that
+        does so must re-record these files and say why.
+        """
+        assert main(["--seed", "3", "--inference", inference, "demo"]) == 0
+        recorded = (DATA / f"demo-seed3-{inference}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == recorded
 
     def test_run_script_file(self, tmp_path, capsys):
         script = tmp_path / "s.sql"

@@ -118,6 +118,9 @@ def test_group_by_matches_python_reference(rows):
         expected[k] = (count + 1, total + v)
     got = {r["k"]: (r["count"], r["sum_v"]) for r in result.rows}
     assert got == expected
+    # COUNT(*) alone only counts keys; the groups are the same.
+    counted = session.query("SELECT k, COUNT(*) FROM t GROUP BY k").rows
+    assert counted == [{"k": r["k"], "count": r["count"]} for r in result.rows]
 
 
 @given(rows=ROWS, limit=st.integers(1, 30))
@@ -209,8 +212,31 @@ def test_nan_keys_group_and_dedupe_as_one_value(rows):
     grouped = session.query("SELECT g, COUNT(*), SUM(v) FROM f GROUP BY g").rows
     assert [repr(r["g"]) for r in grouped] == sorted(expected)
     assert {repr(r["g"]): (r["count"], r["sum_v"]) for r in grouped} == expected
+    counted = session.query("SELECT g, COUNT(*) FROM f GROUP BY g").rows
+    assert [(repr(r["g"]), r["count"]) for r in counted] == [
+        (repr(r["g"]), r["count"]) for r in grouped
+    ]
     distinct = session.query("SELECT DISTINCT g FROM f").rows
     assert [repr(r["g"]) for r in distinct] == list(dict.fromkeys(repr(g) for g, _v in rows))
+
+
+@pytest.mark.parametrize(
+    "keys", [[-0.0, 0.0, 1.5, -0.0], [0.0, -0.0], [float("nan"), None, float("nan"), 0.0]]
+)
+def test_count_only_group_by_keeps_each_groups_first_key(keys):
+    """GROUP BY with only COUNT(*) counts keys instead of listing rows, and
+    keeps the same groups, in the same order, under each group's first key:
+    -0.0 and 0.0 share a group, every NaN shares one."""
+    session = CrowdSQLSession()
+    session.execute("CREATE TABLE f (g FLOAT, v INTEGER)")
+    table = session.database.table("f")
+    for v, g in enumerate(keys):
+        table.insert({"g": g, "v": v})
+    listed = session.query("SELECT g, COUNT(*), SUM(v) FROM f GROUP BY g").rows
+    counted = session.query("SELECT g, COUNT(*) FROM f GROUP BY g").rows
+    assert [(repr(r["g"]), r["count"]) for r in counted] == [
+        (repr(r["g"]), r["count"]) for r in listed
+    ]
 
 
 SIDE = st.lists(

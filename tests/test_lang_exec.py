@@ -1,5 +1,7 @@
 """Unit tests for CrowdSQL planning, optimization, and execution."""
 
+from collections import Counter
+
 import pytest
 
 from repro.data.database import Database
@@ -618,7 +620,9 @@ class TestOneRunPerOperator:
 _QUESTION_TRUTH = {"a?": lambda n: n % 2 == 0, "b?": lambda n: n % 3 == 0}
 
 
-def _sixty_session(optimize: bool = True, filter_oracle: bool = True) -> CrowdSQLSession:
+def _sixty_session(
+    optimize: bool = True, filter_oracle: bool = True, pipeline: bool = False
+) -> CrowdSQLSession:
     """60 distinct items "item <n>" with w = n % 7, and perfect workers."""
     database = Database()
     database.create_table(
@@ -636,7 +640,96 @@ def _sixty_session(optimize: bool = True, filter_oracle: bool = True) -> CrowdSQ
         oracle=CrowdOracle(filter_fn=filter_fn if filter_oracle else None),
         redundancy=3,
         optimize=optimize,
+        pipeline=pipeline,
     )
+
+
+def _count_verdict_calls(monkeypatch) -> Counter:
+    """Count majority vote's ``infer`` and ``infer_each`` calls and scheduler runs."""
+    from repro.platform.batch import BatchScheduler
+    from repro.quality.truth import MajorityVote
+
+    calls: Counter = Counter()
+    for owner, name in (
+        (MajorityVote, "infer"),
+        (MajorityVote, "infer_each"),
+        (BatchScheduler, "run"),
+    ):
+        original = getattr(owner, name, None)
+        if original is None:
+            continue
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneInferenceCallPerRun:
+    """Every crowd run's verdicts are decided with one ``infer_each`` call:
+    no crowd operator infers question by question."""
+
+    @pytest.mark.parametrize(
+        "pipeline, batch_size",
+        # The stream decides per landed wave: one wave of 64 holds all 60.
+        [(False, 32), (True, 64)],
+        ids=["barrier", "streamed_limit"],
+    )
+    def test_crowdfilter(self, monkeypatch, pipeline, batch_size):
+        from repro.platform.batch import BatchConfig
+
+        session = _sixty_session(pipeline=pipeline)
+        session.platform.attach_scheduler(BatchConfig(batch_size=batch_size))
+        calls = _count_verdict_calls(monkeypatch)
+        result = session.query("SELECT k FROM t WHERE CROWDFILTER(k, 'a?') LIMIT 100")
+        assert [r["k"] for r in result.rows] == [f"item {n}" for n in range(0, 60, 2)]
+        assert result.stats.crowd_questions == 60
+        assert calls == {"run": 1, "infer_each": 1}
+
+    def test_streamed_limit_decides_each_wave_once(self, monkeypatch):
+        session = _sixty_session(pipeline=True)
+        calls = _count_verdict_calls(monkeypatch)
+        waves = session.platform.scheduler.batches_run
+        result = session.query("SELECT k FROM t WHERE CROWDFILTER(k, 'a?') LIMIT 100")
+        waves = session.platform.scheduler.batches_run - waves
+        assert result.stats.crowd_questions == 60
+        assert waves == 2  # 32 + 28 questions
+        assert calls == {"run": 1, "infer_each": waves}
+
+    def test_crowdjoin(self, monkeypatch):
+        session = _sixty_session()
+        session.execute("CREATE TABLE u (name STRING); INSERT INTO u VALUES ('item 3'), ('x')")
+        calls = _count_verdict_calls(monkeypatch)
+        result = session.query("SELECT k, name FROM t CROWDJOIN u ON CROWDEQUAL(k, name)")
+        assert result.rows == [{"k": "item 3", "name": "item 3"}]
+        assert result.stats.crowd_questions == 120
+        assert calls == {"run": 1, "infer_each": 1}
+
+    def test_crowdorder_by(self, monkeypatch):
+        session = _sixty_session()
+        session.execute(
+            "CREATE TABLE s (label STRING, points INTEGER);"
+            "INSERT INTO s VALUES ('c', 3), ('a', 9), ('e', 1), ('b', 7), ('d', 5)"
+        )
+        calls = _count_verdict_calls(monkeypatch)
+        result = session.query("SELECT label FROM s CROWDORDER BY points")
+        assert sorted(r["label"] for r in result.rows) == ["a", "b", "c", "d", "e"]
+        assert calls["infer"] == 0
+        assert calls["run"] > 1  # merge sort buys one comparison per run
+        assert calls["infer_each"] == calls["run"]
+
+    def test_crowd_join_verify_batch(self, monkeypatch):
+        from repro.operators.join import CrowdJoin
+
+        platform = SimulatedPlatform(WorkerPool.uniform(6, 1.0, seed=1), seed=2)
+        records = [f"r{n % 20}" for n in range(60)]
+        join = CrowdJoin(platform, truth_fn=lambda a, b: a == b)
+        calls = _count_verdict_calls(monkeypatch)
+        pairs = [(n, n + 20) for n in range(40)]
+        assert join._verify_batch(records, pairs) == [True] * 40
+        assert calls == {"run": 1, "infer_each": 1}
 
 
 class TestOneRunPerCrowdPredicate:

@@ -1,6 +1,9 @@
 """Unit tests for the CrowdSQL lexer and parser."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from lexer_oracle import reference_tokenize
 
 from repro.data.expressions import (
     And,
@@ -15,7 +18,7 @@ from repro.data.expressions import (
 from repro.data.schema import CNULL
 from repro.errors import ParseError
 from repro.lang.ast_nodes import CreateTable, DropTable, Insert, Select
-from repro.lang.lexer import TokenType, tokenize
+from repro.lang.lexer import Token, TokenType, tokenize
 from repro.lang.parser import parse, parse_one
 
 
@@ -68,6 +71,105 @@ class TestLexer:
     def test_line_column_tracking(self):
         tokens = tokenize("a\n  b")
         assert (tokens[1].line, tokens[1].column) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "text, literal",
+        [("SELECT ²", "²"), ("SELECT 1.²", "1.²"), ("SELECT 12²3", "12²3")],
+    )
+    def test_a_digit_int_rejects_is_a_parse_error(self, text, literal):
+        """``str.isdigit()`` holds for '²', but ``int()`` and ``float()``
+        reject it: the literal is a ParseError at its start, not a crash."""
+        with pytest.raises(ParseError) as raised:
+            tokenize(text)
+        assert (raised.value.line, raised.value.column) == (1, 8)
+        assert str(raised.value) == f"invalid number {literal!r} at line 1, column 8"
+
+    def test_unicode_decimal_digits_are_numbers(self):
+        assert [t.value for t in tokenize("٣ 1.٣")[:-1]] == [3, 1.3]
+
+    def test_multiline_string_moves_the_line(self):
+        tokens = tokenize("x 'a\nbc'  y\n'it''s' z")
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("x", 1, 1),
+            ("a\nbc", 1, 3),
+            ("y", 2, 6),
+            ("it's", 3, 1),
+            ("z", 3, 9),
+            (None, 3, 10),
+        ]
+
+    def test_multi_row_insert_tokens(self):
+        rows = [(1, "ann's café", 2.5), (22, "", 0.125), (333, "''", 10.0)]
+        sql = "INSERT INTO t (id, name, score) VALUES " + ", ".join(
+            f"({i}, '{name.replace(chr(39), chr(39) * 2)}', {score!r})"
+            for i, name, score in rows
+        )
+        assert sql == (
+            "INSERT INTO t (id, name, score) VALUES (1, 'ann''s café', 2.5), "
+            "(22, '', 0.125), (333, '''''', 10.0)"
+        )
+        K, I, N, S, P = (
+            TokenType.KEYWORD,
+            TokenType.IDENTIFIER,
+            TokenType.NUMBER,
+            TokenType.STRING,
+            TokenType.PUNCT,
+        )
+        expected = [
+            (K, "INSERT", 1), (K, "INTO", 8), (I, "t", 13), (P, "(", 15),
+            (I, "id", 16), (P, ",", 18), (I, "name", 20), (P, ",", 24),
+            (I, "score", 26), (P, ")", 31), (K, "VALUES", 33),
+            (P, "(", 40), (N, 1, 41), (P, ",", 42), (S, "ann's café", 44),
+            (P, ",", 57), (N, 2.5, 59), (P, ")", 62), (P, ",", 63),
+            (P, "(", 65), (N, 22, 66), (P, ",", 68), (S, "", 70),
+            (P, ",", 72), (N, 0.125, 74), (P, ")", 79), (P, ",", 80),
+            (P, "(", 82), (N, 333, 83), (P, ",", 86), (S, "''", 88),
+            (P, ",", 94), (N, 10.0, 96), (P, ")", 100),
+            (TokenType.EOF, None, 101),
+        ]
+        tokens = tokenize(sql)
+        assert [(t.type, t.value, t.column) for t in tokens] == expected
+        assert {t.line for t in tokens} == {1}
+        assert [type(t.value) for t in tokens if t.type is N] == [int, float] * 3
+        assert tokens == [Token(kind, value, 1, column) for kind, value, column in expected]
+
+
+#: Characters and fragments the scanner treats specially, plus Unicode
+#: letters and digits: 'é' is a letter, '²' a digit int() rejects, '٣' a
+#: decimal digit, '½' numeric but neither alpha nor a digit.
+_LEXER_ALPHABET = [
+    *"aZ_ 0189.'\n\t\r-<>=!+*/(),;@",
+    "''", "--", "é", "²", "٣", "½", "SELECT", "Y12.34", "1.5",
+]
+
+
+def _lex(scan, text):
+    """*scan*'s tokens as ``(type, value, line, column)``, or its error."""
+    try:
+        return [(t.type, t.value, t.line, t.column) for t in scan(text)]
+    except ParseError as error:
+        return ("ParseError", str(error), error.line, error.column)
+    except ValueError:
+        return ("ValueError",)
+
+
+class TestLexerMatchesReferenceScanner:
+    """The slice scanner gives the per-character scanner's tokens, positions
+    and errors. The one difference is a fix, tested in :class:`TestLexer`:
+    where ``int()``/``float()`` rejects a digit run the reference scanner
+    crashes with ValueError and the slice scanner raises ParseError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_LEXER_ALPHABET), max_size=40).map("".join))
+    @example("Y12.34")  # Y12, then .34
+    @example("1.2.3 .5. t.col 7.")
+    @example("'open\n-- not a comment'\n-- a comment\nx")
+    @example("a<>b<=c>=d!=e!f")
+    @example("é½2 ½")
+    def test_same_tokens_and_errors(self, text):
+        expected = _lex(reference_tokenize, text)
+        if expected != ("ValueError",):
+            assert _lex(tokenize, text) == expected
 
 
 class TestCreateParse:

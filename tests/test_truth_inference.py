@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InferenceError
 from repro.platform.platform import SimulatedPlatform
@@ -60,6 +62,58 @@ class TestValidation:
         result = MajorityVote().infer(_manual({"t1": [("w1", "a")]}))
         with pytest.raises(InferenceError):
             result.accuracy_against({"other": "a"})
+
+
+_WORKERS = ("w1", "w2", "w3", "w4", "w5")
+_LABELS = ("a", "b", "c", "d")
+
+#: One task's votes: up to five workers, each answering once, any label.
+_votes = st.lists(
+    st.tuples(st.sampled_from(_WORKERS), st.sampled_from(_LABELS)),
+    max_size=5,
+    unique_by=lambda vote: vote[0],
+)
+
+
+class TestInferEach:
+    """``infer_each`` decides each answered task as one ``infer`` call on
+    that task alone would, for every categorical method."""
+
+    @pytest.mark.parametrize("method", sorted(CATEGORICAL_METHODS))
+    @settings(max_examples=40, deadline=None)
+    @given(per_task=st.lists(_votes, max_size=5))
+    @example(per_task=[[("w1", "b"), ("w2", "a")]])  # a tie
+    @example(per_task=[[("w1", "a"), ("w2", "b"), ("w3", "c"), ("w4", "d")]])  # four labels
+    @example(per_task=[[("w1", "c")], [], [("w1", "a"), ("w2", "a"), ("w3", "b")]])
+    def test_equals_one_infer_per_answered_task(self, method, per_task):
+        evidence = _manual({f"t{i}": votes for i, votes in enumerate(per_task)})
+        inference = CATEGORICAL_METHODS[method]()
+        expected = [
+            (task_id, inference.infer({task_id: answers}).truths[task_id])
+            for task_id, answers in evidence.items()
+            if answers
+        ]
+        assert list(inference.infer_each(evidence).items()) == expected
+
+    @pytest.mark.parametrize("method", sorted(CATEGORICAL_METHODS))
+    def test_misfiled_answer_raises_what_infer_raises(self, method):
+        good = _manual({"t1": [("w1", "a")]})
+        misfiled = [Answer(task_id="t9", worker_id="w2", value="b")]
+        inference = CATEGORICAL_METHODS[method]()
+        with pytest.raises(InferenceError) as per_task:
+            inference.infer({"t2": misfiled})
+        with pytest.raises(InferenceError) as per_run:
+            inference.infer_each({**good, "t2": misfiled})
+        assert str(per_run.value) == str(per_task.value)
+
+    def test_majority_vote_builds_no_inference_result(self, monkeypatch):
+        """Majority vote tallies in one pass instead of calling ``infer``."""
+        def refuse(self, answers_by_task):
+            raise AssertionError("infer_each called infer")
+
+        monkeypatch.setattr(MajorityVote, "infer", refuse)
+        evidence = _manual({"t1": [("w1", "b"), ("w2", "a"), ("w3", "b")], "t2": []})
+        assert MajorityVote().infer_each(evidence) == {"t1": "b"}
 
 
 class TestHelpers:
