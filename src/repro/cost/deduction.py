@@ -71,8 +71,6 @@ class TransitiveResolver:
         # Non-match edges between cluster roots; kept root-normalized lazily.
         self._nonmatch: dict[Hashable, set[Hashable]] = defaultdict(set)
         self.conflicts: list[tuple[Hashable, Hashable, str]] = []
-        self.matches_recorded = 0
-        self.nonmatches_recorded = 0
 
     # ------------------------------------------------------------------ #
     # Evidence
@@ -100,7 +98,6 @@ class TransitiveResolver:
             self._nonmatch[new_root].add(other)
             self._nonmatch[other].discard(old_root)
             self._nonmatch[other].add(new_root)
-        self.matches_recorded += 1
 
     def record_nonmatch(self, a: Hashable, b: Hashable) -> None:
         """Record crowd-confirmed 'different entities' evidence for (a, b)."""
@@ -114,7 +111,6 @@ class TransitiveResolver:
             return
         self._nonmatch[ra].add(rb)
         self._nonmatch[rb].add(ra)
-        self.nonmatches_recorded += 1
 
     # ------------------------------------------------------------------ #
     # Inference

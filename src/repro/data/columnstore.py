@@ -222,9 +222,6 @@ class ColumnStore:
     # Cell access
     # ------------------------------------------------------------------ #
 
-    def _slot(self, rowid: int) -> int:
-        return self._slot_of[rowid]
-
     def cell(self, rowid: int, column: str) -> Any:
         """One cell as a plain Python value (or None / CNULL)."""
         return self._columns[column].get(self._slot_of[rowid])

@@ -1,8 +1,8 @@
 """Chaos harness: run the crowd pipeline under randomized fault plans.
 
 One :func:`run_chaos` call builds a fully deterministic world (explicit
-worker and task ids — nothing leaks from process-global counters),
-attaches a :func:`~repro.faults.plan.random_plan` derived from the seed,
+worker and task ids — nothing leaks from process-global counters) with a
+:func:`~repro.faults.plan.random_plan` derived from the seed attached,
 and runs a degrade-policy batch collection behind budget and deadline
 circuit breakers. It then asserts the *survival contract*:
 
@@ -11,6 +11,13 @@ circuit breakers. It then asserts the *survival contract*:
   money spent all agree);
 * the coverage report sums correctly;
 * the same seed reproduces a bit-identical outcome digest.
+
+:func:`verify_kill_resume` builds the same world (on three lanes, with no
+breakers) three times to check that a run killed at a chunk boundary and
+resumed from its checkpoint ends as the uninterrupted run does. Both
+compare one outcome digest (:func:`_digest`): answers, failure records and
+stats counters, to which a chaos report adds its coverage and fault
+counts. ``tests/data/chaos-digests.json`` records the reports' digests.
 
 CI runs this over a handful of seeds (``python -m repro chaos``); local
 hunts can turn ``intensity`` up and sweep wider seed ranges.
@@ -98,12 +105,21 @@ class ChaosReport:
         return line + f"; digest {self.digest[:12]}"
 
 
-def _build_world(seed: int, n_workers: int, budget: float) -> SimulatedPlatform:
+def _build_world(
+    seed: int,
+    n_workers: int,
+    budget: float,
+    plan: FaultPlan,
+    hedge: bool,
+    lanes: int,
+) -> SimulatedPlatform:
     """A platform whose every identity is derived from the seed.
 
     Worker ids are explicit (``cw0``, ``cw1``, ...) so two chaos runs in
     the same process — where the global worker-id counter has advanced —
-    still produce byte-identical outcomes.
+    still produce byte-identical outcomes. The scheduler degrades instead
+    of raising, runs *lanes* simulated-clock lanes and hedges when *hedge*;
+    *plan*'s faults are attached.
     """
     import numpy as np
 
@@ -115,13 +131,23 @@ def _build_world(seed: int, n_workers: int, budget: float) -> SimulatedPlatform:
         )
         for i in range(n_workers)
     ]
-    pool = WorkerPool(workers, seed=seed)
     platform = SimulatedPlatform(
-        pool,
+        WorkerPool(workers, seed=seed),
         budget=budget,
         seed=seed + 1,
+        batch=BatchConfig(
+            batch_size=8,
+            max_parallel=lanes,
+            retry_limit=2,
+            assignment_timeout=240.0,
+            abandon_rate=0.05,
+            seed=seed + 2,
+            failure_policy="degrade",
+            hedge_enabled=hedge,
+        ),
         metrics=MetricsRegistry(enabled=True),
     )
+    platform.attach_faults(plan)
     return platform
 
 
@@ -164,20 +190,7 @@ def run_chaos(
     """
     hedge = _check_mitigation(mitigation)
     plan = plan if plan is not None else random_plan(seed, intensity)
-    platform = _build_world(seed, n_workers, budget)
-    platform.attach_scheduler(
-        BatchConfig(
-            batch_size=8,
-            max_parallel=4,
-            retry_limit=2,
-            assignment_timeout=240.0,
-            abandon_rate=0.05,
-            seed=seed + 2,
-            failure_policy="degrade",
-            hedge_enabled=hedge,
-        )
-    )
-    platform.attach_faults(plan)
+    platform = _build_world(seed, n_workers, budget, plan, hedge, lanes=4)
     scheduler = platform.scheduler
     scheduler.breakers = [
         BudgetBreaker(reserve=budget * 0.02),
@@ -220,13 +233,26 @@ def run_chaos(
     fault_counts = {
         name: int(platform.metrics.counter(name).value) for name in _FAULT_METRICS
     }
+    coverage = result.coverage
     return ChaosReport(
         seed=seed,
         plan=plan,
         result=result,
         fault_counts=fault_counts,
         checks=checks,
-        digest=_digest(result, stats, fault_counts),
+        digest=_digest(
+            result.answers,
+            result.failures,
+            stats,
+            coverage=[
+                coverage.requested,
+                coverage.completed,
+                coverage.partial,
+                coverage.failed,
+                coverage.answers_collected,
+            ],
+            faults=fault_counts,
+        ),
         mitigation=mitigation,
         makespan=stats.batch_makespan,
         cost=stats.cost_spent,
@@ -234,28 +260,25 @@ def run_chaos(
     )
 
 
-def _digest(result: DegradedResult, stats, fault_counts: dict[str, int]) -> str:
-    """Deterministic digest of a chaos outcome (excludes wall-clock)."""
+def _digest(answers: dict, failures: dict, stats, **sections) -> str:
+    """Deterministic digest of a chaos outcome (excludes wall-clock).
+
+    Covers every task's answers and failure record and the platform's
+    stats counters, plus any further *sections* (JSON-safe values).
+    """
     payload = {
         "answers": {
             task_id: [
                 [a.worker_id, repr(a.value), round(a.submitted_at, 9),
                  round(a.duration, 9), a.reward_paid]
-                for a in answers
+                for a in task_answers
             ]
-            for task_id, answers in sorted(result.answers.items())
+            for task_id, task_answers in sorted(answers.items())
         },
         "failures": {
             task_id: [info.reason, info.attempts, list(info.outcomes)]
-            for task_id, info in sorted(result.failures.items())
+            for task_id, info in sorted(failures.items())
         },
-        "coverage": [
-            result.coverage.requested,
-            result.coverage.completed,
-            result.coverage.partial,
-            result.coverage.failed,
-            result.coverage.answers_collected,
-        ],
         "stats": {
             "answers_collected": stats.answers_collected,
             "cost_spent": round(stats.cost_spent, 9),
@@ -272,67 +295,10 @@ def _digest(result: DegradedResult, stats, fault_counts: dict[str, int]) -> str:
             "hedges_cancelled": stats.hedges_cancelled,
             "hedge_cost_refunded": round(stats.hedge_cost_refunded, 9),
         },
-        "faults": fault_counts,
+        **sections,
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def _outcome_fingerprint(platform: SimulatedPlatform, outcome) -> str:
-    """Digest of a checkpointed run's answers/failures/stats (no wall-clock)."""
-    stats = platform.stats
-    payload = {
-        "answers": {
-            task_id: [
-                [a.worker_id, repr(a.value), round(a.submitted_at, 9),
-                 round(a.duration, 9), a.reward_paid]
-                for a in answers
-            ]
-            for task_id, answers in sorted(outcome.answers.items())
-        },
-        "failures": {
-            task_id: [info.reason, info.attempts, list(info.outcomes)]
-            for task_id, info in sorted(outcome.failures.items())
-        },
-        "stats": {
-            "answers_collected": stats.answers_collected,
-            "cost_spent": round(stats.cost_spent, 9),
-            "assignments_dispatched": stats.assignments_dispatched,
-            "assignments_retried": stats.assignments_retried,
-            "assignments_timed_out": stats.assignments_timed_out,
-            "assignments_abandoned": stats.assignments_abandoned,
-            "batch_makespan": round(stats.batch_makespan, 6),
-            "batch_outage_wait": round(stats.batch_outage_wait, 6),
-            "hedges_launched": stats.hedges_launched,
-            "hedges_won": stats.hedges_won,
-            "hedges_lost": stats.hedges_lost,
-            "hedges_cancelled": stats.hedges_cancelled,
-            "hedge_cost_refunded": round(stats.hedge_cost_refunded, 9),
-        },
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _resumable_world(
-    seed: int, n_workers: int, budget: float, plan: FaultPlan, hedge: bool = False
-) -> SimulatedPlatform:
-    """A chaos world with a degrade-policy scheduler and faults attached."""
-    platform = _build_world(seed, n_workers, budget)
-    platform.attach_scheduler(
-        BatchConfig(
-            batch_size=8,
-            max_parallel=3,
-            retry_limit=2,
-            assignment_timeout=240.0,
-            abandon_rate=0.05,
-            seed=seed + 2,
-            failure_policy="degrade",
-            hedge_enabled=hedge,
-        )
-    )
-    platform.attach_faults(plan)
-    return platform
 
 
 def verify_kill_resume(
@@ -362,30 +328,30 @@ def verify_kill_resume(
 
     hedge = _check_mitigation(mitigation)
     plan = random_plan(seed, intensity)
-    budget = 50.0
     tasks = _make_tasks(seed, n_tasks)
 
-    baseline_platform = _resumable_world(seed, n_workers, budget, plan, hedge=hedge)
+    def world() -> SimulatedPlatform:
+        return _build_world(seed, n_workers, 50.0, plan, hedge, lanes=3)
+
+    baseline_platform = world()
     baseline = CheckpointingRunner(
         baseline_platform, Path(workdir) / "baseline", redundancy=redundancy
     ).run(tasks)
 
     crash_dir = Path(workdir) / "crashed"
-    crashed_platform = _resumable_world(seed, n_workers, budget, plan, hedge=hedge)
     try:
-        CheckpointingRunner(
-            crashed_platform, crash_dir, redundancy=redundancy
-        ).run(tasks, kill_after=kill_after)
+        CheckpointingRunner(world(), crash_dir, redundancy=redundancy).run(
+            tasks, kill_after=kill_after
+        )
     except SimulatedCrash:
         pass
-    resumed_platform = _resumable_world(seed, n_workers, budget, plan, hedge=hedge)
+    resumed_platform = world()
     resumed = CheckpointingRunner(
         resumed_platform, crash_dir, redundancy=redundancy
     ).run(_make_tasks(seed, n_tasks), resume=True)
 
-    return _outcome_fingerprint(baseline_platform, baseline) == _outcome_fingerprint(
-        resumed_platform, resumed
-    )
+    uninterrupted = _digest(baseline.answers, baseline.failures, baseline_platform.stats)
+    return uninterrupted == _digest(resumed.answers, resumed.failures, resumed_platform.stats)
 
 
 def chaos_suite(

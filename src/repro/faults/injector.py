@@ -37,7 +37,6 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._joined = 0  # info only; reconstructed deterministically on resume
 
     def _rng(self, domain: int, key: int) -> np.random.Generator:
         return np.random.default_rng([self.plan.seed, domain, key])
@@ -110,7 +109,6 @@ class FaultInjector:
             from repro.workers.models import OneCoinModel
 
             pool.add_worker(Worker(model=OneCoinModel(accuracy), worker_id=worker_id))
-            self._joined += 1
             events.append(f"worker {worker_id} joined (accuracy {accuracy:.2f})")
             platform.metrics.inc("faults.worker_joins")
         return events

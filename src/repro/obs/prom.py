@@ -220,10 +220,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "Tasks recorded as failed under skip/degrade policies.",
     ),
     MetricDescriptor(
-        "recovery.deadline_escalations", "recovery_deadline_escalations_total", "counter",
-        "Stage advances of adaptive deadline breakers (hedge|shrink).",
-    ),
-    MetricDescriptor(
         "faults.outage_delays", "faults_outage_delays_total", "counter",
         "Batches stalled by an injected platform outage.",
     ),

@@ -15,13 +15,20 @@ Two kinds of record exist:
 
 Tracing off is the default: :data:`NULL_TRACER` satisfies the same
 interface with constant no-ops, so instrumented code pays one method call
-and an attribute check on the hot path. Spans must be opened and closed on
-the thread that owns the tracer (the batch runtime plans and commits on
-the caller's thread, so this holds throughout the library).
+and an attribute check on the hot path.
+
+Each thread nests its spans on its own stack, so concurrent sessions on
+one tracer keep separate trees. A span is closed on the thread that
+opened it. Work handed to another thread (a service session's crowd run,
+which the dispatcher thread executes) runs between :meth:`Tracer.adopt`
+and :meth:`Tracer.release` of the span current where it was handed off,
+so the spans it opens nest under that span.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from typing import Any
 
@@ -136,6 +143,13 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _Stacks(threading.local):
+    """The open spans of each thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
 class Tracer:
     """Hierarchical span recorder.
 
@@ -144,15 +158,16 @@ class Tracer:
 
     Span ids are assigned from a per-tracer counter starting at 1, so two
     runs with identical control flow produce identical trees (timestamps
-    aside) — the determinism the trace tests pin down.
+    aside) — the determinism the trace tests pin down. Nesting is per
+    thread (see the module docstring).
     """
 
     enabled = True
 
     def __init__(self, sink: TraceSink | None = None) -> None:
         self.sink = sink if sink is not None else MemorySink()
-        self._stack: list[Span] = []
-        self._next_id = 1
+        self._stacks = _Stacks()
+        self._ids = itertools.count(1)
         self._closed = False
 
     # -------------------------------------------------------------- #
@@ -161,58 +176,79 @@ class Tracer:
 
     @property
     def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, if any."""
+        stack = self._stacks.stack
+        return stack[-1] if stack else None
 
     def span(self, name: str, sim_start: float | None = None, **tags: Any) -> Span:
         """Open a child span of the current span; use as a context manager."""
-        parent = self._stack[-1].span_id if self._stack else None
+        stack = self._stacks.stack
         span = Span(
             self,
             name,
-            span_id=self._next_id,
-            parent_id=parent,
+            span_id=next(self._ids),
+            parent_id=stack[-1].span_id if stack else None,
             sim_start=sim_start,
             tags=tags,
         )
-        self._next_id += 1
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def end_span(self, span: Span) -> None:
         """Close *span* (and any forgotten children still open inside it)."""
-        if span not in self._stack:
+        stack = self._stacks.stack
+        if span not in stack:
             return  # already closed (idempotent)
-        while self._stack:
-            top = self._stack.pop()
+        while stack:
+            top = stack.pop()
             top.end_wall = time.perf_counter()
             self.sink.emit(top.to_dict())
             if top is span:
                 return
 
+    def adopt(self, span: Span) -> None:
+        """Make *span*, open on another thread, this thread's current span.
+
+        Spans this thread opens until :meth:`release` become its children.
+        The adopted span stays its own thread's to close.
+        """
+        self._stacks.stack.append(span)
+
+    def release(self, span: Span) -> None:
+        """Close what this thread left open above an adopted *span*, then
+        drop *span* from this thread's stack without closing it."""
+        stack = self._stacks.stack
+        while stack:
+            top = stack.pop()
+            if top is span:
+                return
+            top.end_wall = time.perf_counter()
+            self.sink.emit(top.to_dict())
+
     def annotate(self, name: str, sim_time: float | None = None, **tags: Any) -> None:
         """Record a zero-duration point event under the current span."""
-        parent = self._stack[-1].span_id if self._stack else None
+        stack = self._stacks.stack
         span = Span(
             self,
             name,
-            span_id=self._next_id,
-            parent_id=parent,
+            span_id=next(self._ids),
+            parent_id=stack[-1].span_id if stack else None,
             kind="annotation",
             sim_start=sim_time,
             tags=tags,
         )
-        self._next_id += 1
         span.end_wall = span.start_wall
         span.sim_end = sim_time
         self.sink.emit(span.to_dict())
 
     def close(self) -> None:
-        """End every open span (outermost last) and close the sink."""
+        """End the calling thread's open spans (outermost last) and close
+        the sink."""
         if self._closed:
             return
-        while self._stack:
-            self.end_span(self._stack[-1])
+        stack = self._stacks.stack
+        while stack:
+            self.end_span(stack[-1])
         self.sink.close()
         self._closed = True
 
@@ -221,18 +257,22 @@ class NullTracer(Tracer):
     """Tracing disabled: every operation is a constant no-op."""
 
     enabled = False
+    #: A plain attribute, so handing work to another thread reads one.
+    current = None
 
     def __init__(self) -> None:  # no sink, no stack
         pass
-
-    @property
-    def current(self) -> Span | None:
-        return None
 
     def span(self, name: str, sim_start: float | None = None, **tags: Any) -> Span:
         return NULL_SPAN  # type: ignore[return-value]
 
     def end_span(self, span: Span) -> None:
+        pass
+
+    def adopt(self, span: Span) -> None:
+        pass
+
+    def release(self, span: Span) -> None:
         pass
 
     def annotate(self, name: str, sim_time: float | None = None, **tags: Any) -> None:

@@ -280,11 +280,9 @@ class HedgeState:
     any parallelism); thresholds come from a *robust* lognormal fit
     (:func:`repro.latency.statistical.fit_completion_model` with
     ``robust=True``) so an already-contaminated observation window still
-    recognizes stragglers instead of chasing them. Under deadline pressure
-    the escalation ladder lowers the detection percentile via
-    :meth:`set_pressure`; pressure is *not* part of the exported state — it
-    is recomputed from the simulated clock on every batch, which keeps
-    kill-and-resume runs bit-identical.
+    recognizes stragglers instead of chasing them. The observation windows
+    are the whole state: :meth:`export_state` carries them through a
+    checkpoint, so a resumed run refits the same thresholds.
     """
 
     def __init__(
@@ -304,21 +302,8 @@ class HedgeState:
         self.min_samples = min_samples
         self.window = window
         self._observations: dict[str, deque[float]] = {}
-        self._pressure: float | None = None
         self._version = 0
         self._cache: dict[str, tuple[int, float]] = {}
-
-    @property
-    def effective_percentile(self) -> float:
-        """The detection percentile currently in force (pressure-aware)."""
-        return self._pressure if self._pressure is not None else self.percentile
-
-    def set_pressure(self, active: bool, percentile: float) -> None:
-        """Lower (or restore) the detection percentile under deadline pressure."""
-        pressure = percentile if active else None
-        if pressure != self._pressure:
-            self._pressure = pressure
-            self._version += 1
 
     def observe(self, task_type: str, duration: float) -> None:
         """Record one effective task duration for *task_type*."""
@@ -340,7 +325,7 @@ class HedgeState:
         if cached is not None and cached[0] == self._version:
             return cached[1]
         model = self._fit(list(window), robust=True)
-        value = self._quantile(model, percentile=self.effective_percentile)
+        value = self._quantile(model, percentile=self.percentile)
         self._cache[task_type] = (self._version, value)
         return value
 
@@ -385,8 +370,6 @@ class BatchScheduler:
             if self.config.hedge_enabled
             else None
         )
-        self._shrink_redundancy = False
-        self._deadline_stage = "normal"  # advanced by AdaptiveDeadlineBreaker
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -401,24 +384,6 @@ class BatchScheduler:
     def simulated_clock(self) -> float:
         """Total simulated seconds consumed by every batch dispatched so far."""
         return self._clock
-
-    def apply_deadline_pressure(
-        self, *, hedge: bool, shrink: bool, percentile: float
-    ) -> None:
-        """Escalation hook for adaptive deadline breakers.
-
-        Idempotent, and derived by the caller purely from the simulated
-        clock — safe to re-apply every batch, including the first batch
-        after a checkpoint resume. ``hedge`` turns hedging on (creating a
-        cold :class:`HedgeState` when the config left it off) and lowers
-        the detection percentile to *percentile*; ``shrink`` additionally
-        halves the effective redundancy of subsequent batches.
-        """
-        self._shrink_redundancy = shrink
-        if hedge and self.hedge_state is None:
-            self.hedge_state = HedgeState(min_samples=self.config.hedge_min_samples)
-        if self.hedge_state is not None:
-            self.hedge_state.set_pressure(hedge, percentile)
 
     def run(
         self,
@@ -523,24 +488,9 @@ class BatchScheduler:
                     for task in batch:
                         self._record_failure(result, FailureInfo(task.task_id, reason=halted))
                     continue
-                # Advisory escalation pass (all policies): adaptive breakers may
-                # tighten hedging or shrink redundancy *before* tripping. Plain
-                # breakers inherit a no-op escalate(), so this is RNG-silent and
-                # bit-identical for legacy configurations.
-                for breaker in self.breakers:
-                    stage = breaker.escalate(self.platform, self)
-                    if stage is not None:
-                        self.platform.metrics.inc("recovery.deadline_escalations")
-                        if tracer.enabled:
-                            tracer.annotate(
-                                "breaker.escalate", breaker=breaker.name, stage=stage
-                            )
-                eff_redundancy = (
-                    max(1, -(-redundancy // 2)) if self._shrink_redundancy else redundancy
-                )
                 if injector is not None:
                     for event in injector.on_batch_start(
-                        self.batches_run, self.platform, eff_redundancy
+                        self.batches_run, self.platform, redundancy
                     ):
                         if tracer.enabled:
                             tracer.annotate("fault.injected", batch=self.batches_run, event=event)
@@ -551,7 +501,7 @@ class BatchScheduler:
                     index=record.index,
                     tasks=len(batch),
                 ) as span:
-                    self._run_batch(batch, eff_redundancy, record, result, complete, policy)
+                    self._run_batch(batch, redundancy, record, result, complete, policy)
                     span.set_tag("dispatched", record.dispatched)
                     span.set_tag("retried", record.retried)
                     span.set_tag("timed_out", record.timed_out)

@@ -3,19 +3,15 @@
 * :mod:`repro.recovery.degrade` — failure policies, coverage accounting,
   and :class:`DegradedResult` (partial answers with explicit uncertainty).
 * :mod:`repro.recovery.breakers` — budget/deadline circuit breakers
-  consulted at batch boundaries.
+  checked at batch boundaries; an open breaker stops the run and changes
+  nothing else about it.
 * :mod:`repro.recovery.checkpoint` — snapshot/restore of engine,
   platform, scheduler, and EM state.
 * :mod:`repro.recovery.runner` — checkpoint-at-batch-boundary runner and
   the kill-and-resume harness.
 """
 
-from repro.recovery.breakers import (
-    AdaptiveDeadlineBreaker,
-    BudgetBreaker,
-    CircuitBreaker,
-    DeadlineBreaker,
-)
+from repro.recovery.breakers import BudgetBreaker, CircuitBreaker, DeadlineBreaker
 from repro.recovery.checkpoint import Checkpoint
 from repro.recovery.degrade import (
     CoverageReport,
@@ -26,7 +22,6 @@ from repro.recovery.degrade import (
 from repro.recovery.runner import CheckpointingRunner, RunOutcome
 
 __all__ = [
-    "AdaptiveDeadlineBreaker",
     "BudgetBreaker",
     "Checkpoint",
     "CheckpointingRunner",

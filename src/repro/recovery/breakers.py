@@ -36,19 +36,6 @@ class CircuitBreaker:
         """Trip reason when the next batch must not be dispatched."""
         raise NotImplementedError
 
-    def escalate(
-        self, platform: "SimulatedPlatform", scheduler: "BatchScheduler"
-    ) -> str | None:
-        """Advisory hook consulted before every batch, under every policy.
-
-        Adaptive breakers use it to apply pressure (hedge harder, shrink
-        redundancy) *before* the trip condition is reached. Returns the
-        name of a newly entered escalation stage, or None when nothing
-        changed. The default is a no-op so plain threshold breakers keep
-        their exact legacy behaviour.
-        """
-        return None
-
     def reset(self) -> None:
         """Close the breaker again (e.g. after a budget top-up)."""
         self.tripped = None
@@ -101,71 +88,4 @@ class DeadlineBreaker(CircuitBreaker):
                 f">= deadline {self.deadline:.1f}s"
             )
             return self.tripped
-        return None
-
-
-class AdaptiveDeadlineBreaker(DeadlineBreaker):
-    """A deadline breaker that escalates instead of just blowing through.
-
-    As the simulated clock eats into the deadline, the scheduler is pushed
-    up the recovery ladder *before* the trip:
-
-    * past ``hedge_at`` of the deadline — hedge harder: hedging is forced
-      on (even when the config left it off) and the straggler-detection
-      percentile drops to ``pressure_percentile``;
-    * past ``shrink_at`` — additionally shrink redundancy: subsequent
-      batches gather ``ceil(redundancy / 2)`` answers per task;
-    * at the deadline itself — trip exactly like :class:`DeadlineBreaker`,
-      which under ``degrade`` yields a
-      :class:`~repro.recovery.degrade.CoverageReport` for the remainder.
-
-    The stage is a pure function of ``simulated_clock / deadline`` and is
-    re-derived (and re-applied, idempotently) every batch, so a resumed
-    run lands in the same stage without any breaker state in the
-    checkpoint; the last *announced* stage lives on the scheduler, which
-    the checkpoint does carry.
-    """
-
-    name = "breaker:deadline"
-
-    def __init__(
-        self,
-        deadline: float,
-        hedge_at: float = 0.5,
-        shrink_at: float = 0.8,
-        pressure_percentile: float = 0.75,
-    ):
-        super().__init__(deadline)
-        if not 0.0 < hedge_at <= shrink_at < 1.0:
-            raise ConfigurationError(
-                f"need 0 < hedge_at <= shrink_at < 1, got {hedge_at}/{shrink_at}"
-            )
-        if not 0.0 < pressure_percentile < 1.0:
-            raise ConfigurationError(
-                f"pressure_percentile must be in (0, 1), got {pressure_percentile}"
-            )
-        self.hedge_at = hedge_at
-        self.shrink_at = shrink_at
-        self.pressure_percentile = pressure_percentile
-
-    def escalate(
-        self, platform: "SimulatedPlatform", scheduler: "BatchScheduler"
-    ) -> str | None:
-        used = scheduler.simulated_clock / self.deadline
-        if used >= self.shrink_at:
-            stage = "shrink"
-        elif used >= self.hedge_at:
-            stage = "hedge"
-        else:
-            stage = "normal"
-        scheduler.apply_deadline_pressure(
-            hedge=stage != "normal",
-            shrink=stage == "shrink",
-            percentile=self.pressure_percentile,
-        )
-        # The clock is monotonic, so stages only ever advance; announcing
-        # via scheduler state keeps resumed runs from re-announcing.
-        if stage != scheduler._deadline_stage:
-            scheduler._deadline_stage = stage
-            return stage
         return None

@@ -22,8 +22,9 @@ Design constraints that shaped the format:
   objects raise :class:`~repro.errors.CheckpointError` instead of being
   silently mangled.
 * **Older snapshots still load.** Earlier releases also wrote each
-  worker's earnings and a per-worker answer tally; both copied the answer
-  log, and restore ignores them.
+  worker's earnings and a per-worker answer tally, which copied the answer
+  log, and the scheduler's ``deadline_stage``, which nothing reads now;
+  restore ignores all three.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ if TYPE_CHECKING:
     from repro.workers.pool import WorkerPool
 
 FORMAT_VERSION = 1
-
-# Stats counters that are *real* wall-clock measurements: restored for
-# continuity of reporting but never part of determinism comparisons.
-WALL_CLOCK_STATS = ("batch_wall_clock",)
 
 
 # ---------------------------------------------------------------------- #
@@ -332,17 +329,14 @@ def restore_platform(platform: "SimulatedPlatform", state: dict) -> None:
 def snapshot_scheduler(scheduler: "BatchScheduler") -> dict:
     """Serialize the scheduler's simulated clock and stream/batch counters.
 
-    When hedging is live, the per-task-type observation windows ride along
-    so a resumed run re-fits the exact same completion models (and hence
-    makes the exact same hedge decisions). Deadline pressure itself is
-    *not* persisted — it is a pure function of the restored clock and is
-    re-derived on the first post-resume batch.
+    When the config hedges, the per-task-type observation windows ride
+    along so a resumed run re-fits the exact same completion models (and
+    hence makes the exact same hedge decisions).
     """
     state = {
         "clock": scheduler._clock,
         "streams": scheduler._streams,
         "batches_run": scheduler.batches_run,
-        "deadline_stage": scheduler._deadline_stage,
     }
     if scheduler.hedge_state is not None:
         state["hedge"] = scheduler.hedge_state.export_state()
@@ -350,17 +344,24 @@ def snapshot_scheduler(scheduler: "BatchScheduler") -> dict:
 
 
 def restore_scheduler(scheduler: "BatchScheduler", state: dict) -> None:
-    """Rewind a scheduler's clock, stream counter, and lifetime batch count."""
+    """Rewind a scheduler's clock, stream counter, and lifetime batch count.
+
+    Hedge windows restore only into a scheduler whose config hedges: the
+    config alone decides whether a run hedges, so a snapshot that carries
+    windows into one that does not is a mismatch. Keys this release no
+    longer reads (an earlier release's ``deadline_stage``) are ignored.
+    """
+    hedge = state.get("hedge")
+    if hedge is not None and scheduler.hedge_state is None:
+        raise CheckpointError(
+            "checkpoint carries hedge windows, but this scheduler does not hedge "
+            "(BatchConfig.hedge_enabled=False); resume with the hedging setting "
+            "of the checkpointed run"
+        )
     scheduler._clock = state["clock"]
     scheduler._streams = state["streams"]
     scheduler.batches_run = state["batches_run"]
-    scheduler._deadline_stage = state.get("deadline_stage", "normal")
-    hedge = state.get("hedge")
     if hedge is not None:
-        if scheduler.hedge_state is None:
-            from repro.platform.batch import HedgeState
-
-            scheduler.hedge_state = HedgeState(min_samples=scheduler.config.hedge_min_samples)
         scheduler.hedge_state.restore_state(hedge)
 
 
@@ -448,12 +449,14 @@ class Checkpoint:
 
         The caller must have built *platform* (and its pool/scheduler) with
         the same configuration and seeds as the checkpointed run; restore
-        then rewinds RNG streams, bookkeeping, and counters on top.
+        then rewinds RNG streams, bookkeeping, and counters on top. The
+        scheduler goes first, so a hedging mismatch is refused before
+        anything else is rewound.
         """
+        restore_scheduler(platform.scheduler, self.state["scheduler"])
         restore_pool(platform.pool, self.state["pool"])
         restore_platform(platform, self.state["platform"])
         if platform.cache is not None and "cache" in self.state:
             platform.cache.import_entries(self.state["cache"])
-        restore_scheduler(platform.scheduler, self.state["scheduler"])
         if inference is not None and "inference" in self.state:
             inference.warm_start(self.state["inference"])

@@ -19,14 +19,14 @@ clock, pool membership) — see ``tests/test_recovery.py``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import CheckpointError, SimulatedCrash
 from repro.recovery.checkpoint import Checkpoint
-from repro.recovery.degrade import DegradedResult, FailureInfo, FailurePolicy
+from repro.recovery.degrade import FailureInfo, FailurePolicy
 
 if TYPE_CHECKING:
     from repro.platform.platform import SimulatedPlatform
@@ -42,18 +42,6 @@ class RunOutcome:
     failures: dict[str, FailureInfo] = field(default_factory=dict)
     chunks_done: int = 0
     resumed: bool = False
-
-    def degraded_result(
-        self,
-        tasks: "Sequence[Task]",
-        redundancy: int,
-        inference: "TruthInference | None" = None,
-    ) -> DegradedResult:
-        """Coverage-accounted view of this outcome (see :class:`DegradedResult`)."""
-        result = inference.infer_answered(self.answers) if inference is not None else None
-        return DegradedResult.from_answers(
-            tasks, self.answers, self.failures, redundancy, inference=result
-        )
 
 
 class CheckpointingRunner:

@@ -36,6 +36,7 @@ from repro.service.tenancy import Tenant, TenantPlatform, TenantSpec
 
 if TYPE_CHECKING:
     from repro.lang.interpreter import CrowdSQLSession
+    from repro.obs.tracer import Span
     from repro.platform.batch import BatchRunResult
     from repro.platform.platform import SimulatedPlatform
     from repro.platform.task import Task
@@ -52,6 +53,7 @@ class WorkUnit:
         "complete",
         "on_batch",
         "more",
+        "parent",
         "enqueued_turn",
         "result",
         "error",
@@ -68,6 +70,7 @@ class WorkUnit:
         complete: bool,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
         more: "Callable[[], None] | None" = None,
+        parent: "Span | None" = None,
     ) -> None:
         self.tenant = tenant
         self.tasks = tasks
@@ -75,6 +78,8 @@ class WorkUnit:
         self.complete = complete
         self.on_batch = on_batch
         self.more = more
+        # The submitter's current span: the dispatcher runs the unit under it.
+        self.parent = parent
         self.enqueued_turn = 0
         self.result: Any = None
         self.error: "BaseException | None" = None
@@ -289,7 +294,10 @@ class CrowdService:
         """
         if isinstance(tenant, str):
             tenant = self.tenant(tenant)
-        unit = WorkUnit(tenant, tasks, redundancy, complete, on_batch=on_batch, more=more)
+        unit = WorkUnit(
+            tenant, tasks, redundancy, complete, on_batch=on_batch, more=more,
+            parent=self.platform.tracer.current,
+        )
         self._enqueue(unit)
         return unit.wait()
 
@@ -315,7 +323,8 @@ class CrowdService:
 
         Statement parsing/planning runs on a bounded thread pool; crowd
         waits block that worker thread (not the event loop), so hundreds
-        of concurrent sessions need only ``max_sessions`` OS threads.
+        of concurrent sessions need only ``max_sessions`` OS threads. The
+        script's spans nest under the caller's current span.
         """
         loop = asyncio.get_running_loop()
         if self._session_pool is None:
@@ -323,7 +332,19 @@ class CrowdService:
                 max_workers=self.max_sessions,
                 thread_name_prefix="repro-service-session",
             )
-        return await loop.run_in_executor(self._session_pool, session.execute, sql)
+        tracer = self.platform.tracer
+        parent = tracer.current
+        if parent is None:
+            return await loop.run_in_executor(self._session_pool, session.execute, sql)
+
+        def execute() -> "list[Any]":
+            tracer.adopt(parent)
+            try:
+                return session.execute(sql)
+            finally:
+                tracer.release(parent)
+
+        return await loop.run_in_executor(self._session_pool, execute)
 
     # ------------------------------------------------------------------ #
     # Dispatcher
@@ -398,6 +419,9 @@ class CrowdService:
         self.metrics.inc("service.units_admitted", labels=labels)
         self.metrics.observe("service.queue_wait", float(waited), labels=labels)
         error: "BaseException | None" = None
+        parent = unit.parent
+        if parent is not None:
+            self.platform.tracer.adopt(parent)
         try:
             with self.platform.charging_account(tenant.account):
                 result = self.platform.scheduler.run(
@@ -409,6 +433,8 @@ class CrowdService:
                 )
         except BaseException as exc:  # surface in the submitting thread
             error = exc
+        if parent is not None:
+            self.platform.tracer.release(parent)
         # A streamed unit's list grows during its run: count what it planned.
         self.metrics.inc("service.tasks_dispatched", len(unit.tasks), labels=labels)
         if error is not None:

@@ -613,7 +613,8 @@ class TestRobustnessFlags:
     ):
         # tests/data/demo-seed3-checkpoint: the demo's first seven statements
         # at --seed 3, written by an earlier release (its snapshot still
-        # carries each worker's ``earned`` and ``answers_by_worker``). A
+        # carries each worker's ``earned`` and ``answers_by_worker``, and
+        # the scheduler's ``deadline_stage``). A
         # fresh process numbers tasks from t1, and must not hand out the
         # restored t1-t15 again: the resumed run ends as an uninterrupted
         # one does.
@@ -627,6 +628,17 @@ class TestRobustnessFlags:
         assert head == f"-- resumed from {ck}: skipping 7 statement(s)"
         assert tail == uninterrupted[-len(tail):]
         assert tail[-1].endswith(", 23 tasks published")
+
+    def test_a_hedging_checkpoint_resumes_only_with_hedging(self, tmp_path, capsys):
+        # The config alone decides whether a run hedges: resuming without
+        # --hedge is refused instead of hedging behind the flag's back.
+        ck = tmp_path / "ck"
+        assert main(["--seed", "3", "--hedge", "--checkpoint", str(ck), "demo"]) == 0
+        capsys.readouterr()
+        assert main(["--seed", "3", "--resume", str(ck), "demo"]) == 1
+        assert "hedge_enabled=False" in capsys.readouterr().out
+        assert main(["--seed", "3", "--hedge", "--resume", str(ck), "demo"]) == 0
+        assert "skipping 8 statement(s)" in capsys.readouterr().out
 
 
 class TestChaosCommand:

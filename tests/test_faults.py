@@ -1,6 +1,7 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +17,16 @@ from repro.faults import (
     chaos_suite,
     random_plan,
     run_chaos,
+    verify_kill_resume,
 )
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import single_choice
 from repro.workers.pool import WorkerPool
+
+#: ``run_chaos(seed, mitigation=m).digest`` as recorded, keyed by seed, then m.
+CHAOS_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "chaos-digests.json").read_text(encoding="utf-8")
+)
 
 
 def full_plan(seed=3):
@@ -186,3 +193,24 @@ class TestChaosHarness:
         assert [r.seed for r in reports] == [0, 1]
         summaries = [r.summary() for r in reports]
         assert all("coverage" in s for s in summaries)
+
+
+class TestPinnedChaosOutcomes:
+    """A chaos run's outcome is a function of its seed and mitigation alone:
+    the same inputs reproduce the recorded digest, and a killed-and-resumed
+    run reproduces the uninterrupted one."""
+
+    CASES = [
+        (int(seed), mitigation)
+        for seed, digests in CHAOS_DIGESTS.items()
+        for mitigation in digests
+    ]
+
+    @pytest.mark.parametrize("seed,mitigation", CASES)
+    def test_digest_matches_the_record(self, seed, mitigation):
+        report = run_chaos(seed, mitigation=mitigation)
+        assert report.digest == CHAOS_DIGESTS[str(seed)][mitigation]
+
+    @pytest.mark.parametrize("seed,mitigation", CASES)
+    def test_kill_and_resume_is_bit_identical(self, seed, mitigation, tmp_path):
+        assert verify_kill_resume(seed, str(tmp_path), mitigation=mitigation)

@@ -1,15 +1,14 @@
-"""Tests for hedged execution and adaptive deadlines (PR 8).
+"""Tests for hedged execution.
 
-Covers the tentpole contract end-to-end: online completion models and
-straggler detection, first-answer-wins hedge resolution with cancellation
-refunds, seed-replay and kill-and-resume bit-identity, cache/hedge
-interaction, the per-outcome ``batch.hedges_*`` counters, and the
-deadline escalation ladder (hedge harder -> shrink redundancy -> trip).
+Covers the contract end-to-end: online completion models and straggler
+detection, first-answer-wins hedge resolution with cancellation refunds,
+seed-replay and kill-and-resume bit-identity, cache/hedge interaction,
+and the per-outcome ``batch.hedges_*`` counters.
 """
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.faults import straggler_spike_plan
 from repro.faults.chaos import run_chaos, verify_kill_resume
 from repro.obs.metrics import MetricsRegistry
@@ -18,7 +17,6 @@ from repro.platform.batch import BatchConfig, HedgeState
 from repro.platform.cache import AnswerCache
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import single_choice
-from repro.recovery.breakers import AdaptiveDeadlineBreaker, DeadlineBreaker
 from repro.recovery.checkpoint import restore_scheduler, snapshot_scheduler
 from repro.workers.pool import WorkerPool
 
@@ -98,7 +96,7 @@ class TestHedgeConfig:
         state = platform.scheduler.hedge_state
         assert isinstance(state, HedgeState)
         assert state.min_samples == 8
-        assert state.effective_percentile == pytest.approx(0.9)
+        assert state.percentile == pytest.approx(0.9)
 
 
 class TestHedgeState:
@@ -115,17 +113,6 @@ class TestHedgeState:
             state.observe("single_choice", d)
         threshold = state.threshold("single_choice")
         assert threshold is not None and threshold > 13.0
-
-    def test_pressure_lowers_the_threshold(self):
-        state = HedgeState(min_samples=5, percentile=0.95)
-        for d in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
-            state.observe("single_choice", d)
-        relaxed = state.threshold("single_choice")
-        state.set_pressure(True, 0.6)
-        assert state.effective_percentile == pytest.approx(0.6)
-        assert state.threshold("single_choice") < relaxed
-        state.set_pressure(False, 0.6)
-        assert state.threshold("single_choice") == pytest.approx(relaxed)
 
     def test_nonfinite_observations_ignored(self):
         state = HedgeState(min_samples=2)
@@ -246,7 +233,6 @@ class TestHedgeOutcomes:
             "batch.hedges_lost",
             "batch.hedges_cancelled",
             "batch.hedge_cost_refunded",
-            "recovery.deadline_escalations",
         ):
             assert name in DESCRIPTOR_INDEX, name
         assert DESCRIPTOR_INDEX["batch.hedges_won"].prom_name == "batch_hedges_won_total"
@@ -295,30 +281,31 @@ class TestHedgeCheckpoint:
         scheduler = platform.scheduler
         for d in (10.0, 20.0, 30.0):
             scheduler.hedge_state.observe("single_choice", d)
-        scheduler._deadline_stage = "hedge"
         state = snapshot_scheduler(scheduler)
         assert state["hedge"]["observations"]["single_choice"] == [10.0, 20.0, 30.0]
-        assert state["deadline_stage"] == "hedge"
 
-    def test_restore_builds_hedge_state_lazily(self):
-        # The escalation ladder can force hedging on mid-run even when the
-        # config left it off; the resumed scheduler must accept that state.
+    def test_restore_refuses_hedge_windows_without_hedging(self):
+        # The config alone decides whether a run hedges: a snapshot of a
+        # hedging run cannot turn hedging on, and nothing is rewound.
         donor = make_platform(batch=BatchConfig(seed=1, **HEDGE_CFG)).scheduler
         for d in (10.0, 20.0, 30.0):
             donor.hedge_state.observe("single_choice", d)
-        donor._deadline_stage = "shrink"
+        donor._clock = 42.0
         target = make_platform(batch=BatchConfig(seed=1)).scheduler
+        with pytest.raises(CheckpointError, match="hedge_enabled=False"):
+            restore_scheduler(target, snapshot_scheduler(donor))
         assert target.hedge_state is None
-        restore_scheduler(target, snapshot_scheduler(donor))
-        assert target.hedge_state is not None
-        assert target.hedge_state.export_state() == donor.hedge_state.export_state()
-        assert target._deadline_stage == "shrink"
+        assert target.simulated_clock == 0.0
 
     def test_legacy_snapshot_restores_cleanly(self):
         target = make_platform(batch=BatchConfig(seed=1)).scheduler
-        restore_scheduler(target, {"clock": 5.0, "streams": 3, "batches_run": 1})
+        # An earlier release also wrote the scheduler's deadline stage.
+        restore_scheduler(
+            target,
+            {"clock": 5.0, "streams": 3, "batches_run": 1, "deadline_stage": "normal"},
+        )
         assert target.hedge_state is None
-        assert target._deadline_stage == "normal"
+        assert (target.simulated_clock, target.batches_run) == (5.0, 1)
 
 
 class TestKillResumeWithHedging:
@@ -360,85 +347,3 @@ class TestChaosMitigation:
         assert hedged.hedges > 0
         assert hedged.survived
         assert "cost_spent equals the sum of rewards paid" in hedged.checks
-
-
-class TestAdaptiveDeadline:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveDeadlineBreaker(deadline=100.0, hedge_at=0.9, shrink_at=0.5)
-        with pytest.raises(ConfigurationError):
-            AdaptiveDeadlineBreaker(deadline=100.0, hedge_at=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveDeadlineBreaker(deadline=100.0, pressure_percentile=1.5)
-        with pytest.raises(ConfigurationError):
-            AdaptiveDeadlineBreaker(deadline=0.0)
-
-    def test_stages_advance_with_the_clock(self):
-        platform = make_platform(batch=BatchConfig(seed=1))
-        scheduler = platform.scheduler
-        breaker = AdaptiveDeadlineBreaker(
-            deadline=1000.0, hedge_at=0.5, shrink_at=0.8, pressure_percentile=0.7
-        )
-        assert breaker.escalate(platform, scheduler) is None  # still normal
-        assert scheduler.hedge_state is None
-        scheduler._clock = 600.0
-        assert breaker.escalate(platform, scheduler) == "hedge"
-        assert breaker.escalate(platform, scheduler) is None  # idempotent
-        assert scheduler.hedge_state is not None  # forced on, config was off
-        assert scheduler.hedge_state.effective_percentile == pytest.approx(0.7)
-        assert not scheduler._shrink_redundancy
-        scheduler._clock = 850.0
-        assert breaker.escalate(platform, scheduler) == "shrink"
-        assert scheduler._shrink_redundancy
-        assert breaker.check(platform, scheduler) is None  # not tripped yet
-        scheduler._clock = 1000.0
-        assert breaker.check(platform, scheduler) is not None
-
-    def test_resumed_scheduler_does_not_reannounce(self):
-        platform = make_platform(batch=BatchConfig(seed=1))
-        scheduler = platform.scheduler
-        scheduler._clock = 600.0
-        scheduler._deadline_stage = "hedge"  # as a restored checkpoint would
-        breaker = AdaptiveDeadlineBreaker(deadline=1000.0)
-        assert breaker.escalate(platform, scheduler) is None
-        assert scheduler.hedge_state is not None  # pressure still re-applied
-
-    def test_ladder_runs_end_to_end_and_degrades(self):
-        platform = make_platform(
-            seed=21,
-            batch=BatchConfig(
-                seed=71, batch_size=5, max_parallel=2, failure_policy="degrade"
-            ),
-            metrics=True,
-        )
-        scheduler = platform.scheduler
-        scheduler.breakers = [AdaptiveDeadlineBreaker(deadline=500.0)]
-        tasks = make_tasks(30)
-        result = scheduler.run(tasks, redundancy=2)
-        escalations = platform.metrics.counter("recovery.deadline_escalations").value
-        assert escalations >= 1
-        assert scheduler._deadline_stage in ("hedge", "shrink")
-        assert result.failures  # the deadline eventually tripped
-        assert any(
-            info.reason == "breaker:deadline" for info in result.failures.values()
-        )
-        # degrade keeps a key for every requested task
-        assert set(result.answers) == {t.task_id for t in tasks}
-
-    def test_shrink_halves_effective_redundancy(self):
-        platform = make_platform(
-            seed=22,
-            batch=BatchConfig(
-                seed=72, batch_size=4, max_parallel=2, failure_policy="degrade"
-            ),
-        )
-        scheduler = platform.scheduler
-        # Pre-escalated to shrink: every batch gathers ceil(4/2)=2 answers.
-        scheduler.apply_deadline_pressure(hedge=True, shrink=True, percentile=0.7)
-        result = scheduler.run(make_tasks(8), redundancy=4)
-        assert all(len(a) == 2 for a in result.answers.values())
-
-    def test_plain_breakers_escalate_as_noop(self):
-        platform = make_platform(batch=BatchConfig(seed=1))
-        breaker = DeadlineBreaker(deadline=10.0)
-        assert breaker.escalate(platform, platform.scheduler) is None

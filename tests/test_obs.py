@@ -1,6 +1,7 @@
 """Tests for the observability layer (repro.obs)."""
 
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,9 @@ class TestTracer:
         span.sim_end = 9.0  # silently dropped
         assert span.sim_end is None
         NULL_TRACER.annotate("nothing")
+        assert NULL_TRACER.current is None
+        NULL_TRACER.adopt(span)
+        NULL_TRACER.release(span)
         NULL_TRACER.close()
         assert not NULL_TRACER.enabled
 
@@ -119,6 +123,46 @@ class TestTracer:
             ]
 
         assert run() == run()
+
+    def test_each_thread_nests_on_its_own_stack(self):
+        tracer = Tracer(MemorySink())
+        seen = {}
+
+        def other():
+            with tracer.span("other") as span:
+                seen["parent"] = span.parent_id
+                seen["current"] = tracer.current
+
+        with tracer.span("main") as main:
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+            assert tracer.current is main  # the other thread popped nothing here
+        assert seen["parent"] is None
+        assert seen["current"].name == "other"
+        ids = [s["span_id"] for s in tracer.sink.spans]
+        assert sorted(ids) == [1, 2]  # one id counter for every thread
+
+    def test_adopted_span_parents_another_threads_spans(self):
+        tracer = Tracer(MemorySink())
+
+        def handed_off(parent):
+            tracer.adopt(parent)
+            with tracer.span("batch"):
+                pass
+            tracer.span("forgotten")
+            tracer.release(parent)  # ends "forgotten", leaves the parent open
+            assert tracer.current is None
+
+        with tracer.span("statement") as statement:
+            thread = threading.Thread(target=handed_off, args=(statement,))
+            thread.start()
+            thread.join()
+            assert tracer.current is statement
+            assert [s["name"] for s in tracer.sink.spans] == ["batch", "forgotten"]
+        spans = tracer.sink.spans
+        assert [s["name"] for s in spans] == ["batch", "forgotten", "statement"]
+        assert [s["parent_id"] for s in spans[:2]] == [statement.span_id] * 2
 
 
 class TestJsonlRoundTrip:

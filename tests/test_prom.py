@@ -7,9 +7,11 @@ terminator, and bit-identical re-renders of a fixed registry.
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs import MetricsRegistry
 from repro.obs.prom import (
     CONTENT_TYPE,
@@ -66,6 +68,25 @@ class TestDescriptorTable:
 
     def test_sanitize_handles_leading_digit(self):
         assert sanitize_metric_name("9lives") == "_9lives"
+
+    def test_every_descriptor_is_recorded_by_src(self):
+        """A descriptor outlives its metric when no other module names it."""
+        package = Path(repro.__file__).parent
+        table = package / "obs" / "prom.py"
+        sources = [
+            path.read_text(encoding="utf-8")
+            for path in sorted(package.rglob("*.py"))
+            if path != table
+        ]
+        unrecorded = [
+            descriptor.name
+            for descriptor in DESCRIPTORS
+            if not any(
+                f'"{descriptor.name}"' in text or f"'{descriptor.name}'" in text
+                for text in sources
+            )
+        ]
+        assert unrecorded == []
 
 
 class TestFormatting:

@@ -33,6 +33,8 @@ from repro.lang.executor import CrowdOracle
 from repro.lang.interpreter import CrowdSQLSession
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import render_prometheus
+from repro.obs.sinks import MemorySink
+from repro.obs.tracer import Tracer
 from repro.platform.batch import BatchConfig
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
@@ -470,3 +472,62 @@ class TestObservability:
         service.stop()
         worker.join(timeout=10)
         assert results and len(results[0].answers) == 2
+
+
+class TestTracedSessions:
+    """Concurrent tenant sessions on one traced platform keep their spans apart."""
+
+    @staticmethod
+    def script(table):
+        rows = ", ".join(f"('{table} {i}')" for i in range(40))
+        return (
+            f"CREATE TABLE {table} (name STRING NOT NULL, PRIMARY KEY (name));\n"
+            f"INSERT INTO {table} VALUES {rows};\n"
+            f"SELECT name FROM {table} WHERE CROWDFILTER(name, 'is it fresh?');\n"
+            f"SELECT name FROM {table} WHERE CROWDFILTER(name, 'is it cheap?');\n"
+        )
+
+    def test_statement_spans_nest_only_under_their_own_session(self):
+        sink = MemorySink()
+        platform = SimulatedPlatform(
+            WorkerPool.uniform(16, 0.9, seed=31),
+            seed=32,
+            batch=BatchConfig(batch_size=8, max_parallel=4, seed=33),
+            tracer=Tracer(sink),
+        )
+
+        oracle = CrowdOracle(filter_fn=lambda value, _q: int(value.split()[-1]) % 2 == 0)
+
+        async def drive(service):
+            sessions = [
+                service.session(
+                    service.register(f"t{i}"), database=Database(), redundancy=2, oracle=oracle
+                )
+                for i in range(2)
+            ]
+            await asyncio.gather(
+                *(
+                    service.aexecute(session, self.script(f"items{i}"))
+                    for i, session in enumerate(sessions)
+                )
+            )
+
+        with CrowdService(platform) as service:
+            asyncio.run(drive(service))
+        spans = {s["span_id"]: s for s in sink.spans if s["kind"] == "span"}
+
+        def ancestors(span):
+            parent = spans.get(span["parent_id"])
+            while parent is not None:
+                yield parent
+                parent = spans.get(parent["parent_id"])
+
+        statements = [s for s in spans.values() if s["name"] == "statement"]
+        batches = [s for s in spans.values() if s["name"] == "batch"]
+        assert len(statements) == 8 and batches
+        for statement in statements:
+            assert not any(a["name"] == "statement" for a in ancestors(statement)), statement
+        for batch in batches:
+            owner = [a for a in ancestors(batch) if a["name"] == "statement"]
+            assert len(owner) == 1, batch
+            assert owner[0]["tags"]["statement"].startswith("SELECT"), owner
