@@ -162,23 +162,23 @@ class FaultInjector:
         delivered = answer
         if faults:
             delivered = Answer(
-                task_id=answer.task_id,
-                worker_id=answer.worker_id,
-                value=value,
-                submitted_at=submitted_at,
-                duration=answer.duration,
-                reward_paid=answer.reward_paid,
+                answer.task_id,
+                answer.worker_id,
+                value,
+                submitted_at,
+                answer.duration,
+                answer.reward_paid,
             )
         duplicates: list[Answer] = []
         if delivery.duplicate_rate > 0 and rng.random() < delivery.duplicate_rate:
             duplicates.append(
                 Answer(
-                    task_id=delivered.task_id,
-                    worker_id=delivered.worker_id,
-                    value=delivered.value,
-                    submitted_at=delivered.submitted_at,
-                    duration=delivered.duration,
-                    reward_paid=0.0,
+                    delivered.task_id,
+                    delivered.worker_id,
+                    delivered.value,
+                    delivered.submitted_at,
+                    delivered.duration,
+                    0.0,
                 )
             )
             faults.append("duplicated")

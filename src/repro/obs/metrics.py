@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 #: Default histogram bucket upper bounds (seconds-flavoured, covering both
@@ -111,6 +111,11 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one sample."""
         self.values.append(float(value))
+        self._sorted = None
+
+    def observe_many(self, values: "Iterable[float]") -> None:
+        """Record samples in order, as one :meth:`observe` call each would."""
+        self.values.extend(map(float, values))
         self._sorted = None
 
     @property
@@ -305,8 +310,7 @@ class MetricsRegistry:
             self.gauge(gauge.name, dict(gauge.labels)).set(gauge.value)
         for hist in histograms.values():
             target = self.histogram(hist.name, dict(hist.labels), buckets=hist.buckets)
-            for value in hist.values:
-                target.observe(value)
+            target.observe_many(hist.values)
 
     # -------------------------------------------------------------- #
     # Export

@@ -259,9 +259,7 @@ class _BatchInstruments:
         latency sample each, in commit order."""
         if self._latency is None:
             self._latency = self._metrics.histogram("batch.assignment_latency")
-        observe = self._latency.observe
-        for seconds in latencies:
-            observe(seconds)
+        self._latency.observe_many(latencies)
         self.outcome("ok", len(latencies))
 
     def outcome(self, outcome: str, count: int = 1) -> None:
@@ -631,9 +629,9 @@ class BatchScheduler:
             )
             order += len(wave)
         if instruments is not None:
-            retries_per_task = metrics.histogram("batch.retries_per_task")
-            for task in batch:
-                retries_per_task.observe(retry_counts.get(task.task_id, 0))
+            metrics.histogram("batch.retries_per_task").observe_many(
+                [retry_counts.get(task.task_id, 0) for task in batch]
+            )
         if complete:
             for task in batch:
                 if task.is_open:
@@ -687,9 +685,10 @@ class BatchScheduler:
             planned.append(task)
             requests.append((eligible, k))
         wave: list[_Assignment] = []
+        assignment = self._assignment
         for task, workers in zip(planned, pool.draw(requests)):
             for worker in workers:
-                wave.append(self._assignment(task, worker, len(wave)))
+                wave.append(assignment(task, worker, len(wave)))
         if short is not None:
             raise short
         return wave
@@ -793,8 +792,8 @@ class BatchScheduler:
 
     def _assignment(self, task: Task, worker: "Worker", order: int, attempt: int = 0) -> _Assignment:
         stream = self._streams
-        self._streams += 1
-        return _Assignment(task=task, worker=worker, order=order, stream=stream, attempt=attempt)
+        self._streams = stream + 1
+        return _Assignment(task, worker, order, stream, attempt)
 
     def _retry(self, failed: _Assignment, attempted: set[str], order: int) -> _Assignment:
         attempt = failed.attempt + 1
@@ -931,21 +930,19 @@ class BatchScheduler:
                     if self._budget_exhausted:
                         record_failure(result, FailureInfo(task_id, reason="budget_exhausted"))
                         continue
+                    reward = task.reward
                     try:
-                        charge(task.reward)
+                        charge(reward)
                     except BudgetExceededError:
                         if policy is FailurePolicy.FAIL:
                             raise
                         self._budget_exhausted = True
                         record_failure(result, FailureInfo(task_id, reason="budget_exhausted"))
                         continue
+                    duration = winner.duration
+                    # submitted_at is the Worker.submit stamp at now=0: the duration.
                     answer = Answer(
-                        task_id=task_id,
-                        worker_id=winner.worker.worker_id,
-                        value=winner.value,
-                        submitted_at=winner.duration,  # the Worker.submit stamp at now=0
-                        duration=winner.duration,
-                        reward_paid=task.reward,
+                        task_id, winner.worker.worker_id, winner.value, duration, duration, reward
                     )
                     deliveries = (answer,) if faults is None else self._deliver(answer, winner)
                     landed = answers.get(task_id)
@@ -955,12 +952,13 @@ class BatchScheduler:
                         record_answer(delivery, counted=False)
                         landed.append(delivery)
                     delivered += len(deliveries)
-                    completion_times[task_id] = max(
-                        completion_times.get(task_id, 0.0), run_offset + finished
-                    )
+                    done = run_offset + finished
+                    previous = completion_times.get(task_id)
+                    if previous is None or done > previous:
+                        completion_times[task_id] = done
                     if hedge_state is not None:
                         hedge_state.observe(task.task_type.value, effective)
-                    latencies.append(winner.duration)
+                    latencies.append(duration)
                     continue
                 if a.fault == "timeout":
                     record.timed_out += 1

@@ -50,7 +50,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import CacheError, CheckpointError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry
@@ -170,9 +170,11 @@ def task_signature(task: Task) -> "str | None":
     )
 
 
-@dataclass(frozen=True)
-class CachedAnswer:
-    """One stored worker response, stripped of its original task binding."""
+class CachedAnswer(NamedTuple):
+    """One stored worker response, stripped of its original task binding.
+
+    A named tuple, like :class:`~repro.platform.task.Answer`.
+    """
 
     worker_id: str
     value: Any
@@ -443,15 +445,9 @@ class AnswerCache:
         for canonical_id, dups in resolution.duplicates.items():
             source = answers.get(canonical_id, [])
             for dup in dups:
-                answers[dup.task_id] = [
-                    Answer(
-                        task_id=dup.task_id,
-                        worker_id=a.worker_id,
-                        value=a.value,
-                        submitted_at=a.submitted_at,
-                        duration=a.duration,
-                        reward_paid=0.0,
-                    )
+                dup_id = dup.task_id
+                answers[dup_id] = [
+                    Answer(dup_id, a.worker_id, a.value, a.submitted_at, a.duration, 0.0)
                     for a in source
                 ]
                 fanned_out += len(source)
@@ -492,11 +488,14 @@ class AnswerCache:
         """Replace the cache contents with *entries*; returns the count kept.
 
         Entries beyond ``max_entries`` are dropped oldest-first (without
-        counting evictions — nothing was ever cached in this process).
+        counting evictions — nothing was ever cached in this process). A
+        malformed entry — a missing key, a wrong type, or an answer value
+        the checkpoint codec cannot decode — raises :class:`CacheError` and
+        leaves the cache as it was.
         """
         from repro.recovery.checkpoint import decode_value
 
-        self._entries.clear()
+        loaded: "OrderedDict[str, CacheEntry]" = OrderedDict()
         kept = entries if self.max_entries is None else entries[-self.max_entries :]
         for data in kept:
             try:
@@ -505,16 +504,15 @@ class AnswerCache:
                     task_type=data["task_type"],
                     question=data["question"],
                     answers=[
-                        CachedAnswer(
-                            worker_id=a["worker_id"], value=decode_value(a["value"])
-                        )
+                        CachedAnswer(a["worker_id"], decode_value(a["value"]))
                         for a in data["answers"]
                     ],
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, CheckpointError) as exc:
                 raise CacheError(f"malformed cache entry: {exc}") from exc
-            self._entries[entry.signature] = entry
-        return len(self._entries)
+            loaded[entry.signature] = entry
+        self._entries = loaded
+        return len(loaded)
 
     def save(self, path: "Path | str") -> Path:
         """Spill to JSONL atomically (one entry per line; empty cache = empty file)."""

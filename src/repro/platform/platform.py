@@ -239,6 +239,9 @@ class SimulatedPlatform:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self.stats = PlatformStats(metrics=self.metrics)
+        # The registry counter behind stats.cost_spent, bound once: every
+        # charge reads and writes it without the view's two lookups.
+        self._cost_spent = self.metrics.counter(_STAT_METRICS["cost_spent"])
         self.answers: list[Answer] = []
         self._answers_by_task: dict[str, list[Answer]] = defaultdict(list)
         self._tasks: dict[str, Task] = {}
@@ -356,18 +359,19 @@ class SimulatedPlatform:
         # Both ledgers (global and tenant) are checked before either is
         # mutated, so a failed charge leaves no partial booking.
         with self._charge_lock:
-            if self.stats.cost_spent + amount > self.budget + 1e-12:
+            spent = self._cost_spent
+            if spent.value + amount > self.budget + 1e-12:
                 raise BudgetExceededError(
                     f"budget {self.budget:.4f} exhausted "
-                    f"(spent {self.stats.cost_spent:.4f}, need {amount:.4f} more)"
+                    f"(spent {spent.value:.4f}, need {amount:.4f} more)"
                 )
             account = self._active_account
             if account is not None:
                 account.check(amount)
-                self.stats.cost_spent += amount
+                spent.value += amount
                 account.add(amount)
             else:
-                self.stats.cost_spent += amount
+                spent.value += amount
 
     def book_cancelled(
         self, count: int, task_type: TaskType, redundancy: int, reason: str
@@ -548,12 +552,7 @@ class SimulatedPlatform:
                         value = task.options[int(self.rng.integers(len(task.options)))]
                         duration = worker.latency.service_time(self.rng)
                         answer = Answer(
-                            task_id=task.task_id,
-                            worker_id=worker.worker_id,
-                            value=value,
-                            submitted_at=duration,
-                            duration=duration,
-                            reward_paid=task.reward,
+                            task.task_id, worker.worker_id, value, duration, duration, task.reward
                         )
                     else:
                         answer = worker.submit(task, self.rng)

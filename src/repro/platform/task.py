@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.errors import TaskStateError
 
@@ -66,9 +66,12 @@ def reserve_task_ids(task_ids: Iterable[str]) -> None:
         _task_counter = itertools.count(max(next(_task_counter), max(taken) + 1))
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One unit of crowd work.
+
+    Slotted: a task holds exactly the fields below, and setting any other
+    attribute raises :class:`AttributeError`.
 
     Attributes:
         task_id: Unique id (auto-generated when omitted).
@@ -129,9 +132,16 @@ class Task:
         return self.state is TaskState.OPEN
 
 
-@dataclass(frozen=True)
-class Answer:
-    """One worker's response to one task."""
+class Answer(NamedTuple):
+    """One worker's response to one task.
+
+    A named tuple, so building one costs a tuple: the scheduler builds one
+    per delivered assignment. It is immutable and compares and hashes by
+    its fields like the record it is. That it also acts as a plain tuple
+    (it equals the tuple of its fields, orders, and ``json.dumps`` writes
+    it as a list) is incidental, not part of the record: read an answer
+    by field name.
+    """
 
     task_id: str
     worker_id: str

@@ -274,12 +274,12 @@ def _snapshot_answer(answer: Answer) -> dict:
 
 def _restore_answer(data: dict) -> Answer:
     return Answer(
-        task_id=data["task_id"],
-        worker_id=data["worker_id"],
-        value=decode_value(data["value"]),
-        submitted_at=data["submitted_at"],
-        duration=data["duration"],
-        reward_paid=data["reward_paid"],
+        data["task_id"],
+        data["worker_id"],
+        decode_value(data["value"]),
+        data["submitted_at"],
+        data["duration"],
+        data["reward_paid"],
     )
 
 

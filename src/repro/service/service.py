@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import AdmissionRejectedError, ServiceError
-from repro.service.tenancy import Tenant, TenantPlatform, TenantSpec
+from repro.service.tenancy import UNIT_COUNTERS, Tenant, TenantPlatform, TenantSpec
 
 if TYPE_CHECKING:
     from repro.lang.interpreter import CrowdSQLSession
@@ -422,6 +422,10 @@ class CrowdService:
         parent = unit.parent
         if parent is not None:
             self.platform.tracer.adopt(parent)
+        # Units run one at a time, so what the shared counters gain over
+        # this run is the unit's own: fold it into its tenant's totals.
+        stats = self.platform.stats
+        counts0 = [getattr(stats, attr) for attr in UNIT_COUNTERS]
         try:
             with self.platform.charging_account(tenant.account):
                 result = self.platform.scheduler.run(
@@ -433,6 +437,9 @@ class CrowdService:
                 )
         except BaseException as exc:  # surface in the submitting thread
             error = exc
+        counts = tenant.account.counts
+        for attr, count0 in zip(UNIT_COUNTERS, counts0, strict=True):
+            counts[attr] += getattr(stats, attr) - count0
         if parent is not None:
             self.platform.tracer.release(parent)
         # A streamed unit's list grows during its run: count what it planned.

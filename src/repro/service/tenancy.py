@@ -17,12 +17,23 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import BudgetExceededError, ConfigurationError
+from repro.obs.instrument import STATEMENT_COUNTERS
 
 if TYPE_CHECKING:
     from repro.platform.batch import BatchRunResult
     from repro.platform.platform import PlatformStats
-    from repro.platform.task import Answer, Task
+    from repro.platform.task import Answer, Task, TaskType
     from repro.service.service import CrowdService
+
+#: The :class:`PlatformStats` counters a statement span takes deltas of
+#: (:data:`~repro.obs.instrument.STATEMENT_COUNTERS`) that a tenant keeps
+#: its own totals of; its spend is the account's ledger.
+TENANT_COUNTERS = tuple(attr for attr in STATEMENT_COUNTERS.values() if attr != "cost_spent")
+#: Of those, the ones the service folds in from each of the tenant's work
+#: units; :meth:`TenantPlatform.book_cancelled` books the cancellations.
+UNIT_COUNTERS = tuple(
+    attr for attr in TENANT_COUNTERS if attr not in ("tasks_cancelled", "cancel_cost_refunded")
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,8 @@ class TenantAccount:
         self.budget = budget
         self.spent = 0.0
         self.cost_saved = 0.0
+        # The tenant's own totals of the TENANT_COUNTERS, by attribute name.
+        self.counts: dict[str, float] = dict.fromkeys(TENANT_COUNTERS, 0)
 
     @property
     def remaining(self) -> float:
@@ -95,7 +108,9 @@ class _TenantStats:
 
     ``cost_spent`` reads the tenant's own ledger — the executor derives
     per-statement crowd cost from before/after deltas of this attribute,
-    which must not see other tenants' concurrent spend. Everything else
+    which must not see other tenants' concurrent spend. The other
+    counters a statement span takes deltas of (:data:`TENANT_COUNTERS`)
+    read the tenant's own totals for the same reason. Everything else
     delegates to the shared platform stats.
     """
 
@@ -112,6 +127,9 @@ class _TenantStats:
         return self._account.cost_saved
 
     def __getattr__(self, name: str) -> Any:
+        counts = self._account.counts
+        if name in counts:
+            return counts[name]
         return getattr(self._stats, name)
 
 
@@ -201,6 +219,21 @@ class TenantPlatform:
         return self._service.submit(
             self._tenant, tasks, redundancy=redundancy, complete=complete
         ).answers
+
+    def book_cancelled(
+        self, count: int, task_type: "TaskType", redundancy: int, reason: str
+    ) -> float:
+        """Book cancelled questions on the shared platform
+        (:meth:`~repro.platform.platform.SimulatedPlatform.book_cancelled`)
+        and in this tenant's own counts; returns the cost avoided."""
+        platform = self._service.platform
+        avoided = platform.book_cancelled(count, task_type, redundancy, reason)
+        if count > 0:
+            counts = self._tenant.account.counts
+            with platform._charge_lock:  # two sessions of one tenant lose no update
+                counts["tasks_cancelled"] += count
+                counts["cancel_cost_refunded"] += avoided
+        return avoided
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._service.platform, name)

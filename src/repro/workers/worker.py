@@ -71,11 +71,4 @@ class Worker:
         """Answer *task*: draw a service time, then a value from the model."""
         duration = self.latency.service_time(rng)
         value = self.model.answer(task, rng)
-        return Answer(
-            task_id=task.task_id,
-            worker_id=self.worker_id,
-            value=value,
-            submitted_at=now + duration,
-            duration=duration,
-            reward_paid=task.reward,
-        )
+        return Answer(task.task_id, self.worker_id, value, now + duration, duration, task.reward)

@@ -603,6 +603,32 @@ class TestPersistence:
         with pytest.raises(CacheError):
             AnswerCache().load(malformed)
 
+    def test_an_unknown_encoded_value_is_a_cache_error(self, tmp_path):
+        """A value the checkpoint codec rejects is a malformed entry, so a
+        caller that catches CacheError sees it."""
+        entry = {
+            "signature": "x",
+            "task_type": "single_choice",
+            "question": "q",
+            "answers": [{"worker_id": "w0", "value": {"__kind__": "bogus"}}],
+        }
+        with pytest.raises(CacheError, match="malformed cache entry: .*bogus"):
+            AnswerCache().import_entries([entry])
+        spill = tmp_path / "bogus.jsonl"
+        spill.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        with pytest.raises(CacheError, match="malformed cache entry"):
+            AnswerCache().load(spill)
+
+    def test_a_failed_import_leaves_the_cache_as_it_was(self):
+        cache = AnswerCache()
+        tasks = make_tasks(3, prefix="keep")
+        for task in tasks:
+            cache.store(task, [Answer(task.task_id, "w0", "yes")])
+        before = cache.export_entries()
+        with pytest.raises(CacheError):
+            cache.import_entries(before[:1] + [{"signature": "x"}])
+        assert cache.export_entries() == before
+
     def test_import_respects_max_entries(self, tmp_path):
         cache = AnswerCache()
         tasks = make_tasks(5, prefix="cap")

@@ -16,6 +16,7 @@ Pins the concurrent-tenant invariants:
 """
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -40,6 +41,7 @@ from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
 from repro.recovery.breakers import BudgetBreaker
 from repro.service import CrowdService, TenantSpec, WorkUnit
+from repro.service.tenancy import TenantPlatform
 from repro.workers.pool import WorkerPool
 
 SCRIPT = """
@@ -426,6 +428,34 @@ class TestStreamedStatements:
         for name, s in zip(sessions, stats):
             assert service.tenant(name).tasks_dispatched == s.crowd_questions
 
+    def test_concurrent_cancellations_of_one_tenant_lose_no_update(self):
+        """Sessions of one tenant book cancellations from their own threads;
+        the tenant's counts and the platform's agree with every booking."""
+        platform = make_platform(seed=47)
+        service = CrowdService(platform)
+        tenant = service.register("alice")
+        view = TenantPlatform(service, tenant)
+
+        def book():
+            for _ in range(200):
+                view.book_cancelled(1, TaskType.SINGLE_CHOICE, 3, "early_termination")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=book) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        counts = tenant.account.counts
+        assert counts["tasks_cancelled"] == platform.stats.tasks_cancelled == 1600
+        assert counts["cancel_cost_refunded"] == pytest.approx(platform.stats.cancel_cost_refunded)
+        assert view.stats.tasks_cancelled == 1600
+
 
 class TestObservability:
     def test_per_tenant_labeled_metrics_and_exposition(self):
@@ -531,3 +561,76 @@ class TestTracedSessions:
             owner = [a for a in ancestors(batch) if a["name"] == "statement"]
             assert len(owner) == 1, batch
             assert owner[0]["tags"]["statement"].startswith("SELECT"), owner
+
+    def test_statement_tags_count_only_their_own_tenants_work(self):
+        """Two tenants' streamed top-ks queue behind a held unit, so each
+        statement span is open while the other tenant's unit runs; their
+        counter tags still sum to what the platform booked for them."""
+        sink = MemorySink()
+        platform = SimulatedPlatform(
+            WorkerPool.uniform(16, 0.9, seed=31),
+            seed=32,
+            batch=BatchConfig(batch_size=8, max_parallel=4, seed=33),
+            tracer=Tracer(sink),
+        )
+        oracle = CrowdOracle(filter_fn=lambda value, _q: int(value.split()[-1]) % 3 == 0)
+        entered, release = threading.Event(), threading.Event()
+        held = choice_tasks(1, "hold")
+
+        def hold(batch, run):
+            entered.set()
+            release.wait(10)
+
+        with CrowdService(platform) as service:
+            service.register("holder")
+            sessions = [
+                service.session(
+                    service.register(name),
+                    database=TestStreamedStatements._database(),
+                    redundancy=3,
+                    oracle=oracle,
+                    pipeline=True,
+                )
+                for name in ("alice", "bob")
+            ]
+            holder = threading.Thread(
+                target=service.submit,
+                args=("holder", held),
+                kwargs={"redundancy": 1, "on_batch": hold},
+            )
+            holder.start()
+            assert entered.wait(10)
+            clients = [
+                threading.Thread(target=session.query, args=(TestStreamedStatements.TOPK,))
+                for session in sessions
+            ]
+            for client in clients:
+                client.start()
+            for _ in range(1000):
+                if all(service.tenant(name).queue for name in ("alice", "bob")):
+                    break
+                time.sleep(0.01)
+            release.set()
+            for thread in (holder, *clients):
+                thread.join(10)
+                assert not thread.is_alive()
+        statements = [s["tags"] for s in sink.spans if s["name"] == "statement"]
+        assert len(statements) == 2
+        stats = platform.stats
+        held_answers = platform.answers_for(held[0].task_id)
+        booked = {
+            "answers": stats.answers_collected - len(held_answers),
+            "published": stats.tasks_published - len(held),
+            "cancelled": stats.tasks_cancelled,
+            "hedges": 0,
+            "cache_hits": 0,
+        }
+        assert booked["answers"] > 0 and booked["cancelled"] > 0
+        for tag, total in booked.items():
+            assert sum(tags[tag] for tags in statements) == total, tag
+        assert sum(tags["cancel_refunded"] for tags in statements) == pytest.approx(
+            stats.cancel_cost_refunded
+        )
+        assert sum(tags["cost"] for tags in statements) == pytest.approx(
+            stats.cost_spent - sum(a.reward_paid for a in held_answers)
+        )
