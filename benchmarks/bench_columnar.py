@@ -7,6 +7,13 @@ asserts the two paths produce bit-identical results — same rowids, same
 order, same materialized values, same CNULL cells — and emits the
 measurements as ``BENCH_columnar.json`` for the CI artifact. The scan
 speedup is gated: >=20x full, >=5x quick.
+
+It also runs the executor's machine reads at that size and checks each
+result, without a speed floor: an integer-keyed and a STRING-keyed hash
+join against the nested loop, and two GROUP BYs against a per-row Python
+reference — ``city`` (a STRING key) with COUNT(*), COUNT, AVG and MIN
+over ``score`` (5% NULL, so every aggregate filters its cells), and a
+COUNT(*)-only ``grp`` (a NULL-free INTEGER key).
 """
 
 import json
@@ -29,8 +36,9 @@ from repro.data.expressions import (
 from repro.data.schema import CNULL, SchemaBuilder, is_cnull
 from repro.data.table import Table
 from repro.experiments.harness import quick_mode
+from repro.lang.ast_nodes import AggregateSpec
 from repro.lang.executor import Executor
-from repro.lang.planner import JoinNode, LogicalPlan, ScanNode
+from repro.lang.planner import AggregateNode, JoinNode, LogicalPlan, ScanNode
 from repro.platform.platform import SimulatedPlatform
 from repro.workers.pool import WorkerPool
 
@@ -82,6 +90,43 @@ def _build_dim(name: str, n_groups: int, seed: int, database: Database | None = 
     return table
 
 
+def _build_cities(name: str, database: Database) -> Table:
+    """One row per city name (and one no item names), keyed by the name."""
+    schema = SchemaBuilder().string("cname").string("country").build()
+    table = database.create_table(name, schema)
+    names = list(CITIES) + ["lima"]
+    table.insert_columns({"cname": names, "country": [f"c-{c[::-1]}" for c in names]})
+    return table
+
+
+def _reference_groups(table: Table, key: str, column: str | None) -> list[dict]:
+    """GROUP BY *key* row by row: COUNT(*), and COUNT/AVG/MIN of *column*."""
+    groups: dict = {}
+    store = table.store
+    for rowid in table.rowids().tolist():
+        row = store.row_dict(rowid)
+        cells = groups.setdefault(row[key], [0, []])
+        cells[0] += 1
+        if column is not None and row[column] is not None:
+            cells[1].append(row[column])
+    out = []
+    for value in sorted(groups, key=repr):
+        size, cells = groups[value]
+        row = {key: value, "count": size}
+        if column is not None:
+            row[f"count_{column}"] = len(cells)
+            row[f"avg_{column}"] = sum(cells) / len(cells) if cells else None
+            row[f"min_{column}"] = min(cells) if cells else None
+        out.append(row)
+    return out
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
 def _predicates(n: int):
     c = ColumnRef
     lit = Literal
@@ -111,11 +156,12 @@ def test_b3_columnar_scan_filter_join(benchmark, report):
     floor = 5.0 if quick_mode() else 20.0
     join_n = 2_000 if quick_mode() else 8_000
 
-    items = _build_items("items", n, seed=7)
+    items_db = Database()
+    items = _build_items("items", n, seed=7, database=items_db)
     store = items.store
 
     def sweep():
-        out = {"scan_filter": {}, "join": {}, "cnull": {}}
+        out = {"scan_filter": {}, "join": {}, "cnull": {}, "groupby": {}}
 
         # -- scan/filter: row path vs vectorized path, bit-identical -- #
         row_total = vec_total = 0.0
@@ -193,6 +239,56 @@ def test_b3_columnar_scan_filter_join(benchmark, report):
             "hash_s": hash_s,
             "speedup": nested_s / hash_s,
         }
+
+        # -- STRING-keyed equi-join: dict probe vs nested loop -- #
+        _build_cities("cities", db)
+        plan = LogicalPlan(
+            JoinNode(
+                ScanNode("items_small"),
+                ScanNode("cities"),
+                Comparison("=", ColumnRef("city"), ColumnRef("cname")),
+            )
+        )
+        hashed, hash_s = _timed(lambda: hash_ex.execute(plan))
+        nested, nested_s = _timed(lambda: nested_ex.execute(plan))
+        assert hashed.rows == nested.rows, "STRING-keyed hash join diverges from nested loop"
+        assert len(hashed.rows) == join_n  # every item's city is in the table once
+        out["string_join"] = {
+            "left": join_n,
+            "right": len(CITIES) + 1,
+            "matched": len(hashed.rows),
+            "nested_s": nested_s,
+            "hash_s": hash_s,
+            "speedup": nested_s / hash_s,
+        }
+
+        # -- GROUP BY over the full table vs a per-row reference -- #
+        group_ex = Executor(items_db, None)
+        for label, key, specs, column in (
+            (
+                "city",
+                "city",
+                (("COUNT", None), ("COUNT", "score"), ("AVG", "score"), ("MIN", "score")),
+                "score",
+            ),
+            ("grp_count_only", "grp", (("COUNT", None),), None),
+        ):
+            plan = LogicalPlan(
+                AggregateNode(
+                    ScanNode("items"), tuple(AggregateSpec(f, c) for f, c in specs), key
+                )
+            )
+            grouped, group_s = _timed(lambda plan=plan: group_ex.execute(plan).rows)
+            reference, reference_s = _timed(
+                lambda key=key, column=column: _reference_groups(items, key, column)
+            )
+            assert grouped == reference, f"GROUP BY {key} diverges from the per-row reference"
+            out["groupby"][label] = {
+                "rows": n,
+                "groups": len(grouped),
+                "group_s": group_s,
+                "reference_s": reference_s,
+            }
         return out
 
     result = run_once(benchmark, sweep)
@@ -203,8 +299,13 @@ def test_b3_columnar_scan_filter_join(benchmark, report):
         float_format="{:.4f}",
     )
     report.table(
-        [result["join"]],
+        [{"key": "grp (int)", **result["join"]}, {"key": "city (string)", **result["string_join"]}],
         title="B3: columnar hash join vs nested loop",
+        float_format="{:.4f}",
+    )
+    report.table(
+        [{"group_by": k, **v} for k, v in result["groupby"].items()],
+        title=f"B3: GROUP BY vs a per-row reference ({n} rows)",
         float_format="{:.4f}",
     )
     report.note(

@@ -73,12 +73,19 @@ class ColumnVector:
             return CNULL
         if self.null[index]:
             return None
-        value = self.values[index]
-        return value if self.values.dtype == object else value.item()
+        return self.values.item(index)
 
     def to_list(self) -> list[Any]:
-        """Materialize as Python values (None / CNULL markers included)."""
-        return [self.cell(i) for i in range(len(self.values))]
+        """Materialize as Python values (None / CNULL markers included).
+
+        The values :meth:`cell` would return, gathered in one ``tolist``.
+        """
+        values = self.values.tolist()
+        for mask, marker in ((self.null, None), (self.cnull, CNULL)):
+            if mask.any():
+                for i in np.flatnonzero(mask).tolist():
+                    values[i] = marker
+        return values
 
 
 class _Column:
@@ -129,8 +136,7 @@ class _Column:
             return CNULL
         if self.null[slot]:
             return None
-        value = self.values[slot]
-        return value if self.values.dtype == object else value.item()
+        return self.values.item(slot)
 
 
 def _encode_values(
@@ -235,21 +241,19 @@ class ColumnStore:
         slot = self._slot_of[rowid]
         return {name: col.get(slot) for name, col in self._columns.items()}
 
+    def vector_at(self, name: str, positions: np.ndarray) -> ColumnVector:
+        """One column's cells at live-order *positions*, gathered once."""
+        col = self._columns[name]
+        slots = self.live_slots()[positions]
+        return ColumnVector(col.values[slots], col.null[slots], col.cnull[slots])
+
     def column_values(self, name: str, positions: np.ndarray) -> list[Any]:
         """One column's cells at live-order *positions* as Python values.
 
         The values :meth:`cell` would return, gathered in one pass: NULL
         cells read ``None`` and CNULL cells read :data:`CNULL`.
         """
-        col = self._columns[name]
-        slots = self.live_slots()[positions]
-        values = col.values[slots].tolist()
-        for mask, marker in ((col.null, None), (col.cnull, CNULL)):
-            hit = mask[slots]
-            if hit.any():
-                for i in np.flatnonzero(hit).tolist():
-                    values[i] = marker
-        return values
+        return self.vector_at(name, positions).to_list()
 
     def rows_at(self, positions: np.ndarray) -> list[dict[str, Any]]:
         """Schema-ordered row dicts for live-order *positions*.

@@ -30,7 +30,8 @@ fails before it buys a crowd answer.
 Machine-side work runs on the column store's arrays where the plan shape
 allows it: scan/filter chains over a base table evaluate one fused
 predicate, machine equi-joins build/probe on key arrays, and aggregates
-group and reduce per-column value lists. Row dicts are built only for rows
+code their group keys in one pass and reduce each group's slice of the
+per-column value lists. Row dicts are built only for rows
 a node returns or hands to the crowd, one column at a time
 (:meth:`~repro.data.columnstore.ColumnStore.rows_at`); the hash join
 still builds its matched rows through ``row_dict``. Every fast path
@@ -44,10 +45,10 @@ Per-run accounting (questions, answers, spend) is collected in
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, product
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -115,6 +116,13 @@ _CROWD_OPERANDS = {
 #: The one key every NaN groups under: NaN != NaN, so hashing the cells
 #: themselves would open a GROUP BY group (or DISTINCT row) per NaN.
 _NAN = float("nan")
+
+#: Group codes up to this many fit ``uint16``, which numpy sorts stably by
+#: radix sort (~10x faster than its stable sort of wider integers).
+_RADIX_GROUPS = 1 << 16
+
+#: Arrays whose defined cells ``tolist`` into plain ints or floats only.
+_CLEAN_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
 def group_key(value: Any) -> Any:
@@ -400,29 +408,34 @@ class Executor:
         for name in expr.columns():
             if name not in table.schema:
                 continue
-            vec = table.column_vector(name)
-            if not full:
-                vec = ColumnVector(vec.values[pos], vec.null[pos], vec.cnull[pos])
-            batch[name] = vec
+            batch[name] = table.column_vector(name) if full else table.store.vector_at(name, pos)
         return batch, int(pos.size)
 
     @staticmethod
     def _apply_order(
         rows: list[dict[str, Any]], keys: tuple[tuple[str, bool], ...]
     ) -> list[dict[str, Any]]:
-        """Stable multi-key sort: apply keys minor-to-major; NULL/CNULL
-        always sorts last regardless of direction."""
+        """Stable multi-key sort: apply keys minor-to-major.
+
+        In either direction NaN cells follow every other value and NULL/CNULL
+        cells follow those, each in input order: NaN compares False both
+        ways, so sorting it with the numbers would leave it where it stood.
+        """
         ordered = list(rows)
         for column, ascending in reversed(keys):
-
-            def missing(row: dict[str, Any], column=column) -> bool:
+            present: list[dict[str, Any]] = []
+            nans: list[dict[str, Any]] = []
+            absent: list[dict[str, Any]] = []
+            for row in ordered:
                 value = row[column]
-                return value is None or is_cnull(value)
-
-            present = [r for r in ordered if not missing(r)]
-            absent = [r for r in ordered if missing(r)]
-            present.sort(key=lambda r: r[column], reverse=not ascending)
-            ordered = present + absent
+                if value is None or value is CNULL:
+                    absent.append(row)
+                elif value != value:
+                    nans.append(row)
+                else:
+                    present.append(row)
+            present.sort(key=itemgetter(column), reverse=not ascending)
+            ordered = present + nans + absent
         return ordered
 
     def _vectorized_filter(self, node: FilterNode) -> tuple[Schema, list[dict[str, Any]]] | None:
@@ -493,7 +506,11 @@ class Executor:
 
     @staticmethod
     def _aggregate_value(func: str, values: list[Any]) -> Any:
-        """Compute one aggregate over non-NULL/non-CNULL values."""
+        """Compute one aggregate over non-NULL/non-CNULL values.
+
+        MIN and MAX skip NaN unless every value is NaN: NaN compares False
+        both ways, so ``min``/``max`` would otherwise depend on row order.
+        """
         if func == "COUNT":
             return len(values)
         if not values:
@@ -502,10 +519,9 @@ class Executor:
             return sum(values)
         if func == "AVG":
             return sum(values) / len(values)
-        if func == "MIN":
-            return min(values)
-        if func == "MAX":
-            return max(values)
+        if func in ("MIN", "MAX"):
+            numbers = [v for v in values if v == v]
+            return (min if func == "MIN" else max)(numbers or values)
         raise ExecutionError(f"unknown aggregate {func!r}")
 
     @staticmethod
@@ -530,85 +546,117 @@ class Executor:
             columns.append(Column(spec.output_name, ctype))
         return Schema(columns)
 
+    @staticmethod
+    def _code_groups(
+        keys: ColumnVector | list[Any], sort: bool
+    ) -> tuple[list[Any], np.ndarray, np.ndarray | None]:
+        """The groups of *keys*, each group's size, and (if *sort*) the row
+        order that puts each group's rows in one slice, in row order.
+
+        The coder follows the keys. An ``int64`` array with no NULL or CNULL
+        cell is coded by ``np.unique``: distinct ints have no first object
+        or NaN to keep. Every other key, a row path's list among them, is
+        coded in first-seen order: ``dict.fromkeys`` deduplicates with the
+        ``==``/hash a dict of buckets uses and keeps each key's first object,
+        and :func:`group_key` folds every NaN into one group.
+        """
+        if (
+            isinstance(keys, ColumnVector)
+            and keys.values.dtype == np.int64
+            and not (keys.null.any() or keys.cnull.any())
+        ):
+            unique, sizes = np.unique(keys.values, return_counts=True)
+            order = np.argsort(keys.values, kind="stable") if sort else None
+            return unique.tolist(), sizes, order
+        if isinstance(keys, ColumnVector):
+            keys = keys.to_list()
+        codes_of_groups: dict[Any, int] = {}
+        code_of = {
+            key: codes_of_groups.setdefault(group_key(key), len(codes_of_groups))
+            for key in dict.fromkeys(keys)
+        }
+        codes = np.fromiter(map(code_of.__getitem__, keys), dtype=np.intp, count=len(keys))
+        sizes = np.bincount(codes, minlength=len(codes_of_groups))
+        order = None
+        if sort:
+            if len(codes_of_groups) <= _RADIX_GROUPS:
+                codes = codes.astype(np.uint16)  # numpy sorts these stably by radix
+            order = np.argsort(codes, kind="stable")
+        return list(codes_of_groups), sizes, order
+
     def _run_aggregate(
         self, node: AggregateNode, stats: ExecutionStats
     ) -> tuple[Schema, list[dict[str, Any]]]:
-        """Group and aggregate per-column value lists.
+        """Group in one pass: code the keys, order the rows by code, reduce slices.
 
-        The lists come straight from the column arrays when the child
-        resolves to a scan/filter chain, and from the child's rows
-        otherwise; either way each holds the same Python values in the same
-        row order, so every group, type check and ``sum`` is identical. A
-        GROUP BY whose aggregates are all COUNT(*) needs only each group's
-        size, so it counts keys instead of listing each group's rows.
+        :meth:`_code_groups` codes the keys and sizes the groups. When an
+        aggregate reads a column, each aggregated column is gathered once in
+        group order: from the column arrays when the child resolves to a
+        scan/filter chain, from the child's rows otherwise. COUNT(*) is a
+        slice's length. ``SUM``/``AVG`` are Python ``sum`` over the same
+        values in the same order as a per-group loop, so every float is the
+        same. The None/CNULL filter and the numeric type check are skipped
+        only for an ``int64`` or ``float64`` array with no NULL or CNULL
+        cell selected, where both are no-ops. Groups are reduced in ``repr``
+        order, the order the rows are returned in, so the first error raised
+        is the first group's.
         """
         resolved = self._columnar_rows(node.child)
         if resolved is not None:
             table, pos = resolved
-            schema, n = table.schema, int(pos.size)
-
-            def values_of(name: str) -> list[Any]:
-                return table.store.column_values(name, pos)
-
+            schema, n, store = table.schema, int(pos.size), table.store
         else:
             schema, rows = self._run(node.child, stats)
             n = len(rows)
-
-            def values_of(name: str) -> list[Any]:
-                return [row[name] for row in rows]
-
-        inputs = {
-            spec.column: values_of(spec.column)
-            for spec in node.aggregates
-            if spec.column is not None
-        }
-
-        def compute(indices: Sequence[int]) -> dict[str, Any]:
-            out: dict[str, Any] = {}
-            for spec in node.aggregates:
-                if spec.column is None:
-                    out[spec.output_name] = len(indices)
-                    continue
-                column = inputs[spec.column]
-                values = [
-                    v
-                    for v in (column[i] for i in indices)
-                    if v is not None and v is not CNULL
-                ]
-                if spec.func in ("SUM", "AVG") and any(
-                    not issubclass(t, (int, float)) or issubclass(t, bool)
-                    for t in {type(v) for v in values}
-                ):
-                    raise ExecutionError(
-                        f"{spec.func} requires numeric values in {spec.column!r}"
-                    )
-                out[spec.output_name] = self._aggregate_value(spec.func, values)
-            return out
-
         out_schema = self._aggregate_schema(node, schema)
-        if node.group_by is None:
-            return out_schema, [compute(range(n))]
-        keys = values_of(node.group_by)
-        buckets: dict[Any, Sequence[int]] = {}
-        if inputs:
-            for i, key in enumerate(keys):
-                bucket = buckets.get(key)
-                if bucket is None:  # a new key, or a NaN: normalize before opening
-                    bucket = buckets.setdefault(group_key(key), [])
-                bucket.append(i)
+        specs = [(spec.output_name, spec.func, spec.column) for spec in node.aggregates]
+        read = list(dict.fromkeys(column for _, _, column in specs if column is not None))
+        group_by = node.group_by
+        if group_by is None:
+            groups, sizes, order = [None], np.array([n]), None
         else:
-            # Only COUNT(*): a group's size is all compute() reads, so count
-            # the keys in one C pass. Counter keeps each key's first object in
-            # first-seen order, as the loop above does; NaNs merge after.
-            sizes: dict[Any, int] = {}
-            for key, size in Counter(keys).items():
-                group = group_key(key)
-                sizes[group] = sizes.get(group, 0) + size
-            buckets = {key: range(size) for key, size in sizes.items()}
-        return out_schema, [
-            {node.group_by: key, **compute(buckets[key])}
-            for key in sorted(buckets, key=repr)
-        ]
+            keys = (
+                store.vector_at(group_by, pos)
+                if resolved is not None
+                else [row[group_by] for row in rows]
+            )
+            groups, sizes, order = self._code_groups(keys, sort=bool(read))
+        columns: dict[str, list[Any]] = {}
+        checked: set[str] = set()  # columns whose cells need the None/CNULL filter
+        if resolved is not None:
+            gathered = pos if order is None else pos[order]
+            for name in read:
+                vec = store.vector_at(name, gathered)
+                columns[name] = vec.to_list()
+                if vec.values.dtype not in _CLEAN_DTYPES or vec.null.any() or vec.cnull.any():
+                    checked.add(name)
+        else:
+            ordered = rows if order is None else [rows[i] for i in order.tolist()]
+            columns = {name: [r[name] for r in ordered] for name in read}
+            checked.update(read)
+        stops = np.cumsum(sizes).tolist()
+        counts = sizes.tolist()
+        reprs = list(map(repr, groups))
+        out = []
+        for g in sorted(range(len(groups)), key=reprs.__getitem__):
+            stop = stops[g]
+            start = stop - counts[g]
+            row: dict[str, Any] = {} if group_by is None else {group_by: groups[g]}
+            for name, func, column in specs:
+                if column is None:
+                    row[name] = counts[g]
+                    continue
+                values = columns[column][start:stop]
+                if column in checked:
+                    values = [v for v in values if v is not None and v is not CNULL]
+                    if func in ("SUM", "AVG") and any(
+                        not issubclass(t, (int, float)) or issubclass(t, bool)
+                        for t in {type(v) for v in values}
+                    ):
+                        raise ExecutionError(f"{func} requires numeric values in {column!r}")
+                row[name] = self._aggregate_value(func, values)
+            out.append(row)
+        return out_schema, out
 
     # ------------------------------------------------------------------ #
     # Crowd-powered pieces
@@ -743,7 +791,8 @@ class Executor:
         else:
             lmatch, rmatch = self._probe_dict(lkeys, rkeys)
         # Matched pairs are still built row by row through row_dict, one dict
-        # per distinct input row: perfbench's data.materialize_ms wraps only
+        # per distinct input row, each cell one ``ndarray.item`` (~2 us for a
+        # six-column row): perfbench's data.materialize_ms wraps only
         # row_dict, so this loop moves to rows_at with the benchmark change
         # that counts rows_at (ROADMAP item 9).
         res_expr = conjoin(residual) if residual else None
@@ -756,10 +805,10 @@ class Executor:
         for lp, rp in zip(lmatch.tolist(), rmatch.tolist(), strict=True):
             lrow = lcache.get(lp)
             if lrow is None:
-                lrow = lcache[lp] = lstore.row_dict(int(lrids[lp]))
+                lrow = lcache[lp] = lstore.row_dict(lrids.item(lp))
             rrow = rcache.get(rp)
             if rrow is None:
-                rrow = rcache[rp] = rstore.row_dict(int(rrids[rp]))
+                rrow = rcache[rp] = rstore.row_dict(rrids.item(rp))
             merged = {**lrow, **rrow}
             if res_expr is None or res_expr.evaluate(merged) is True:
                 out.append(merged)
@@ -777,9 +826,8 @@ class Executor:
         out = []
         full = pos.size == len(table)
         for name in cols:
-            vec = table.column_vector(name)
-            values = vec.values if full else vec.values[pos]
-            usable = vec.defined if full else vec.defined[pos]
+            vec = table.column_vector(name) if full else table.store.vector_at(name, pos)
+            values, usable = vec.values, vec.defined
             if values.dtype.kind == "f":
                 usable = usable & ~np.isnan(values)
             out.append((values, usable))
@@ -821,26 +869,31 @@ class Executor:
         lkeys: list[tuple[np.ndarray, np.ndarray]],
         rkeys: list[tuple[np.ndarray, np.ndarray]],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Composite/mixed-type build/probe through a Python dict.
+        """Build/probe through a Python dict (strings, mixed types, composites).
 
-        Tuple keys bucket by Python ``==``/``hash``, the same equality the
-        row path's ``=`` comparator uses (so 1 and 1.0 share a bucket).
+        A one-column key probes the column's raw values, a composite key
+        tuples of them; either way keys bucket by Python ``==``/``hash``,
+        the equality the row path's ``=`` comparator uses (so 1 and 1.0
+        share a bucket).
         """
-        rok = rkeys[0][1]
-        for _, usable in rkeys[1:]:
-            rok = rok & usable
-        rlists = [values.tolist() for values, _ in rkeys]
-        index: dict[tuple[Any, ...], list[int]] = {}
-        for i in np.flatnonzero(rok).tolist():
-            index.setdefault(tuple(lst[i] for lst in rlists), []).append(i)
-        lok = lkeys[0][1]
-        for _, usable in lkeys[1:]:
-            lok = lok & usable
-        llists = [values.tolist() for values, _ in lkeys]
+
+        def probe_keys(keys: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[Any], list[int]]:
+            ok = keys[0][1]
+            for _, usable in keys[1:]:
+                ok = ok & usable
+            lists = [values.tolist() for values, _ in keys]
+            sequence = lists[0] if len(lists) == 1 else list(zip(*lists))
+            return sequence, np.flatnonzero(ok).tolist()
+
+        rseq, rrows = probe_keys(rkeys)
+        index: dict[Any, list[int]] = {}
+        for i in rrows:
+            index.setdefault(rseq[i], []).append(i)
+        lseq, lrows = probe_keys(lkeys)
         lmatch: list[int] = []
         rmatch: list[int] = []
-        for i in np.flatnonzero(lok).tolist():
-            bucket = index.get(tuple(lst[i] for lst in llists))
+        for i in lrows:
+            bucket = index.get(lseq[i])
             if bucket:
                 lmatch.extend([i] * len(bucket))
                 rmatch.extend(bucket)

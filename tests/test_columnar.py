@@ -9,6 +9,9 @@ Covers the invariants the columnar rebuild must preserve:
 - property-style equivalence between the row-at-a-time reference scan and
   the vectorized ``filter_rowids`` path over randomized expression trees,
   and between batched ``rows_at`` and per-row ``row_dict``;
+- every cell read (``cell``, ``row_dict``, ``rows_at``, ``column_values``,
+  ``ColumnVector.cell``/``to_list``) returns a plain Python value of the
+  column's type, or None / CNULL, never a numpy scalar;
 - the CrowdSQL executor's columnar fast paths (machine filter, hash
   join, aggregates, filters the optimizer pushed below a join) against
   the row-path fallback, comparing result rows, execution stats,
@@ -19,6 +22,7 @@ Covers the invariants the columnar rebuild must preserve:
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -327,6 +331,61 @@ def test_rows_at_matches_row_dict(n, seed, delete_share, picks):
     reference = [store.row_dict(int(rowids[p])) for p in positions]
     assert _canon(store.rows_at(positions)) == _canon(reference)
     assert _canon(table.to_dicts()) == _canon(row.as_dict() for row in table)
+
+
+class TestCellsArePlainPythonValues:
+    """Every cell read returns a value of exactly its column type's Python
+    class, or None / CNULL: never a numpy scalar. (``repr`` cannot tell:
+    under numpy 1.x ``repr(np.float64(1.0))`` is ``'1.0'``.)"""
+
+    _TYPES = {"i": int, "big": int, "f": float, "b": bool, "s": str}
+
+    @pytest.fixture
+    def table(self):
+        schema = (
+            SchemaBuilder()
+            .crowd_integer("i")
+            .crowd_integer("big")
+            .crowd_float("f")
+            .crowd_boolean("b")
+            .crowd_string("s")
+            .build()
+        )
+        table = Table("plain", schema)
+        rows = [
+            {"i": 3, "big": 2**70, "f": 0.5, "b": True, "s": "ünï"},
+            {"i": None, "big": None, "f": None, "b": None, "s": None},
+            {"i": CNULL, "big": CNULL, "f": CNULL, "b": CNULL, "s": CNULL},
+            {"i": -(2**63), "big": -1, "f": float("nan"), "b": False, "s": ""},
+        ]
+        for row in rows:
+            table.insert(row)
+        table.insert_columns({name: [row[name] for row in rows] for name in self._TYPES})
+        table.delete(table.rowids().tolist()[0])  # reads go through live slots
+        assert table.store.column_vector("big").values.dtype == object
+        return table
+
+    def _check(self, name, values):
+        for value in values:
+            assert value is None or value is CNULL or type(value) is self._TYPES[name], (
+                name, type(value)
+            )
+
+    def test_every_read_path(self, table):
+        store = table.store
+        rowids = table.rowids().tolist()
+        positions = np.arange(len(table))
+        rows = [store.row_dict(rowid) for rowid in rowids] + store.rows_at(positions)
+        for name in self._TYPES:
+            vec = table.column_vector(name)
+            self._check(name, [store.cell(rowid, name) for rowid in rowids])
+            self._check(name, [row[name] for row in rows])
+            self._check(name, [vec.cell(i) for i in range(len(vec))])
+            self._check(name, vec.to_list())
+            self._check(name, store.column_values(name, positions))
+            self._check(name, store.vector_at(name, positions[::-1]).to_list())
+            assert list(map(repr, vec.to_list())) == [repr(vec.cell(i)) for i in range(len(vec))]
+            assert {None, CNULL} <= set(vec.to_list())
 
 
 # --------------------------------------------------------------------- #

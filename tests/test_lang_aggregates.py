@@ -202,6 +202,56 @@ class TestNanKeys:
         assert [repr(r["g"]) for r in result.rows] == ["nan", "1.5", "None"]
 
 
+@pytest.fixture
+def floats():
+    """FLOAT cells NaN, 3.0, NaN, 1.0, 2.0, NaN, 0.5 and a NULL, ids 1-8."""
+    s = CrowdSQLSession()
+    s.execute("CREATE TABLE f (id INTEGER, g STRING, x FLOAT)")
+    table = s.database.table("f")
+    nan = float("nan")
+    cells = (("b", nan), ("a", 3.0), ("a", nan), ("a", 1.0), ("b", 2.0), ("c", nan),
+             ("b", 0.5), ("b", None))
+    for rowid, (group, x) in enumerate(cells, start=1):
+        table.insert({"id": rowid, "g": group, "x": x})
+    return s
+
+
+class TestNanOrdering:
+    """NaN compares False both ways: in ORDER BY it follows every number in
+    either direction, in input order, and precedes NULL; MIN and MAX skip it
+    unless every value is NaN."""
+
+    @pytest.mark.parametrize(
+        "direction, ids",
+        [("", [7, 4, 5, 2, 1, 3, 6, 8]), ("DESC", [2, 5, 4, 7, 1, 3, 6, 8])],
+    )
+    def test_order_by_puts_nan_after_the_numbers(self, floats, direction, ids):
+        rows = floats.query(f"SELECT id, x FROM f ORDER BY x {direction}").rows
+        assert [r["id"] for r in rows] == ids
+
+    def test_streamed_top_k_puts_nan_after_the_numbers(self, floats):
+        platform = SimulatedPlatform(WorkerPool.uniform(6, 1.0, seed=1), seed=2)
+        session = CrowdSQLSession(
+            database=floats.database,
+            platform=platform,
+            oracle=CrowdOracle(filter_fn=lambda value, question: True),
+            redundancy=1,
+            pipeline=True,
+        )
+        rows = session.query(
+            "SELECT id FROM f WHERE CROWDFILTER(id, 'keep?') ORDER BY x DESC LIMIT 6"
+        ).rows
+        assert [r["id"] for r in rows] == [2, 5, 4, 7, 1, 3]
+
+    def test_min_max_skip_nan_in_any_row_order(self, floats):
+        # Group a holds 3.0, NaN, 1.0 in that order; group b NaN, 2.0, 0.5.
+        rows = floats.query("SELECT g, MIN(x), MAX(x) FROM f GROUP BY g").rows
+        got = [(r["g"], repr(r["min_x"]), repr(r["max_x"])) for r in rows]
+        assert got == [("a", "1.0", "3.0"), ("b", "0.5", "2.0"), ("c", "nan", "nan")]
+        whole = floats.query("SELECT MIN(x), MAX(x) FROM f").rows
+        assert (whole[0]["min_x"], whole[0]["max_x"]) == (0.5, 3.0)
+
+
 class TestAggregatesOverCrowdPredicates:
     def test_count_after_crowd_filter(self):
         platform = SimulatedPlatform(WorkerPool.uniform(10, 0.95, seed=3), seed=4)
