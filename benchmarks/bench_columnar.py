@@ -10,10 +10,12 @@ speedup is gated: >=20x full, >=5x quick.
 
 It also runs the executor's machine reads at that size and checks each
 result, without a speed floor: an integer-keyed and a STRING-keyed hash
-join against the nested loop, and two GROUP BYs against a per-row Python
-reference — ``city`` (a STRING key) with COUNT(*), COUNT, AVG and MIN
-over ``score`` (5% NULL, so every aggregate filters its cells), and a
-COUNT(*)-only ``grp`` (a NULL-free INTEGER key).
+join against the nested loop, a projection over the hash join (which
+builds only the projected columns) against the full join's rows projected
+in Python, and two GROUP BYs against a per-row Python reference —
+``city`` (a STRING key) with COUNT(*), COUNT, AVG and MIN over ``score``
+(5% NULL, so every aggregate filters its cells), and a COUNT(*)-only
+``grp`` (a NULL-free INTEGER key).
 """
 
 import json
@@ -38,7 +40,7 @@ from repro.data.table import Table
 from repro.experiments.harness import quick_mode
 from repro.lang.ast_nodes import AggregateSpec
 from repro.lang.executor import Executor
-from repro.lang.planner import AggregateNode, JoinNode, LogicalPlan, ScanNode
+from repro.lang.planner import AggregateNode, JoinNode, LogicalPlan, ProjectNode, ScanNode
 from repro.platform.platform import SimulatedPlatform
 from repro.workers.pool import WorkerPool
 
@@ -222,7 +224,7 @@ def test_b3_columnar_scan_filter_join(benchmark, report):
         )
         hash_ex = Executor(db, platform)
         nested_ex = Executor(db, platform)
-        nested_ex._columnar_join = lambda node: None
+        nested_ex._columnar_join = lambda node, columns: None
         nested_ex._equi_split = lambda *args: None
         start = time.perf_counter()
         hashed = hash_ex.execute(plan)
@@ -260,6 +262,23 @@ def test_b3_columnar_scan_filter_join(benchmark, report):
             "nested_s": nested_s,
             "hash_s": hash_s,
             "speedup": nested_s / hash_s,
+        }
+
+        # -- Project over the hash join: only the projected columns built -- #
+        join = plan.root
+        projected_columns = ("uid", "country")
+        projected, projected_s = _timed(
+            lambda: hash_ex.execute(LogicalPlan(ProjectNode(join, projected_columns)))
+        )
+        assert projected.rows == [
+            {c: row[c] for c in projected_columns} for row in hashed.rows
+        ], "projected hash join diverges from the full join projected in Python"
+        out["projected_join"] = {
+            "left": join_n,
+            "right": len(CITIES) + 1,
+            "columns": len(projected_columns),
+            "full_s": hash_s,
+            "projected_s": projected_s,
         }
 
         # -- GROUP BY over the full table vs a per-row reference -- #
@@ -301,6 +320,11 @@ def test_b3_columnar_scan_filter_join(benchmark, report):
     report.table(
         [{"key": "grp (int)", **result["join"]}, {"key": "city (string)", **result["string_join"]}],
         title="B3: columnar hash join vs nested loop",
+        float_format="{:.4f}",
+    )
+    report.table(
+        [result["projected_join"]],
+        title="B3: Project(uid, country) over the STRING-keyed hash join vs the full join",
         float_format="{:.4f}",
     )
     report.table(

@@ -20,7 +20,7 @@ nothing downstream ever sees a numpy scalar.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -236,10 +236,18 @@ class ColumnStore:
         """Overwrite one cell with an already-validated value."""
         self._columns[column].set(self._slot_of[rowid], value)
 
-    def row_dict(self, rowid: int) -> dict[str, Any]:
-        """Materialize one row as a schema-ordered dict of Python values."""
+    def row_dict(
+        self, rowid: int, columns: Collection[str] | None = None
+    ) -> dict[str, Any]:
+        """Materialize one row as a schema-ordered dict of Python values.
+
+        With *columns*, the dict holds only the cells of those columns,
+        still in schema order; names the schema lacks are ignored.
+        """
         slot = self._slot_of[rowid]
-        return {name: col.get(slot) for name, col in self._columns.items()}
+        if columns is None:
+            return {name: col.get(slot) for name, col in self._columns.items()}
+        return {name: col.get(slot) for name, col in self._columns.items() if name in columns}
 
     def vector_at(self, name: str, positions: np.ndarray) -> ColumnVector:
         """One column's cells at live-order *positions*, gathered once."""
@@ -255,16 +263,20 @@ class ColumnStore:
         """
         return self.vector_at(name, positions).to_list()
 
-    def rows_at(self, positions: np.ndarray) -> list[dict[str, Any]]:
+    def rows_at(
+        self, positions: np.ndarray, columns: Collection[str] | None = None
+    ) -> list[dict[str, Any]]:
         """Schema-ordered row dicts for live-order *positions*.
 
-        Equal, value for value, to calling :meth:`row_dict` once per row,
-        but built one column at a time.
+        Equal, value for value, to calling :meth:`row_dict` once per row
+        with the same *columns*, but built one column at a time.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        names = list(self._columns)
-        columns = [self.column_values(name, positions) for name in names]
-        return [dict(zip(names, cells, strict=True)) for cells in zip(*columns, strict=True)]
+        names = [name for name in self._columns if columns is None or name in columns]
+        if not names:
+            return [{} for _ in range(positions.size)]
+        cells = [self.column_values(name, positions) for name in names]
+        return [dict(zip(names, row, strict=True)) for row in zip(*cells, strict=True)]
 
     def row_has_cnull(self, rowid: int) -> bool:
         """True if any cell of the row is crowd-unknown."""

@@ -15,7 +15,7 @@ mask scan instead of a full-table walk).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -350,9 +350,13 @@ class Table:
             return 1.0
         return 1.0 - self.cnull_count() / total
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Materialize all rows as plain dicts (CNULL markers preserved)."""
-        return self._store.rows_at(np.arange(len(self._store), dtype=np.int64))
+    def to_dicts(self, columns: Collection[str] | None = None) -> list[dict[str, Any]]:
+        """Materialize all rows as plain dicts (CNULL markers preserved).
+
+        With *columns*, each dict holds only those cells, in schema order
+        (:meth:`~repro.data.columnstore.ColumnStore.rows_at`).
+        """
+        return self._store.rows_at(np.arange(len(self._store), dtype=np.int64), columns)
 
     def copy(self, name: str | None = None) -> Table:
         """Independent copy sharing nothing with the original.

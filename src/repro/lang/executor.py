@@ -34,7 +34,10 @@ code their group keys in one pass and reduce each group's slice of the
 per-column value lists. Row dicts are built only for rows
 a node returns or hands to the crowd, one column at a time
 (:meth:`~repro.data.columnstore.ColumnStore.rows_at`); the hash join
-still builds its matched rows through ``row_dict``. Every fast path
+still builds its matched rows through ``row_dict``. Either way a row
+holds only the columns the nodes above it read (:func:`input_columns`):
+a scan or fused filter chain builds its consumer's columns, the hash
+join its consumer's plus its residual's. Every fast path
 produces bit-identical rows, ordering, and crowd purchase sequences to the
 row-at-a-time code, which stays in place as the fallback for plan shapes
 the columnar resolver does not cover.
@@ -135,6 +138,47 @@ def group_key(value: Any) -> Any:
 def distinct_key(row: dict[str, Any], columns: Sequence[str]) -> tuple[Any, ...]:
     """The key DISTINCT deduplicates *row* on (its *columns*, in order)."""
     return tuple(group_key(row[c]) for c in columns)
+
+
+#: The columns a node's consumer reads: a set of names, or None for every
+#: column of the node's output.
+Columns = frozenset[str] | None
+
+
+def input_columns(node: PlanNode, columns: Columns) -> Columns:
+    """The columns *node* reads of its input when its consumer reads *columns*.
+
+    One rule per node kind. A projection reads its own columns; DISTINCT
+    and FILL read every column; an aggregate reads its GROUP BY and
+    aggregated columns. Otherwise the node adds what it reads itself: a
+    filter or crowd filter its predicate's columns, a join or crowd join
+    its condition's (residual included; the set spans both inputs), ORDER
+    BY its keys and CROWDORDER BY its column. LIMIT reads what its consumer
+    reads.
+    """
+    if isinstance(node, ProjectNode):
+        return frozenset(node.columns)
+    if isinstance(node, (DistinctNode, FillNode)):
+        return None
+    if isinstance(node, AggregateNode):
+        read = {spec.column for spec in node.aggregates if spec.column is not None}
+        return frozenset(read if node.group_by is None else read | {node.group_by})
+    if columns is None:
+        return None
+    if isinstance(node, (FilterNode, CrowdFilterNode)):
+        return columns | node.predicate.columns()
+    if isinstance(node, (JoinNode, CrowdJoinNode)):
+        return columns | node.condition.columns()
+    if isinstance(node, OrderNode):
+        return columns.union(column for column, _ascending in node.keys)
+    if isinstance(node, CrowdOrderNode):
+        return columns | {node.column}
+    return columns
+
+
+def _side(columns: Columns, schema: Schema) -> Columns:
+    """The part of *columns* a join input with *schema* supplies."""
+    return None if columns is None else frozenset(c for c in columns if c in schema)
 
 
 def _check_columns(expr: Expression, schema: Schema) -> None:
@@ -313,32 +357,41 @@ class Executor:
                 )
         return schema
 
-    def _run(self, node: PlanNode, stats: ExecutionStats) -> tuple[Schema, list[dict[str, Any]]]:
+    def _run(
+        self, node: PlanNode, stats: ExecutionStats, columns: Columns = None
+    ) -> tuple[Schema, list[dict[str, Any]]]:
+        """*node*'s output schema and rows.
+
+        *columns* names the columns *node*'s consumer reads (None: every
+        column). Each row holds at least those, in schema order, and may
+        hold more; the schema is always the node's whole output schema.
+        Each node asks its input for :func:`input_columns`.
+        """
         if isinstance(node, ScanNode):
             table = self.database.table(node.table)
-            return table.schema, table.to_dicts()
+            return table.schema, table.to_dicts(columns)
         if isinstance(node, FillNode):
             return self._run_fill(node, stats)
         if isinstance(node, FilterNode):
-            fast = self._vectorized_filter(node)
+            fast = self._vectorized_filter(node, columns)
             if fast is not None:
                 return fast
-            schema, rows = self._run(node.child, stats)
+            schema, rows = self._run(node.child, stats, input_columns(node, columns))
             kept = [r for r in rows if node.predicate.evaluate(r) is True]
             return schema, kept
         if isinstance(node, CrowdFilterNode):
-            return self._run_crowd_filter(node, stats)
+            return self._run_crowd_filter(node, stats, columns)
         if isinstance(node, JoinNode):
-            return self._run_join(node, stats, crowd=False)
+            return self._run_join(node, stats, columns, crowd=False)
         if isinstance(node, CrowdJoinNode):
-            return self._run_join(node, stats, crowd=True)
+            return self._run_join(node, stats, columns, crowd=True)
         if isinstance(node, ProjectNode):
-            schema, rows = self._run(node.child, stats)
+            schema, rows = self._run(node.child, stats, input_columns(node, columns))
             projected_schema = schema.project(node.columns)
             projected = [{c: r[c] for c in node.columns} for r in rows]
             return projected_schema, projected
         if isinstance(node, DistinctNode):
-            schema, rows = self._run(node.child, stats)
+            schema, rows = self._run(node.child, stats, input_columns(node, columns))
             seen: set[tuple[Any, ...]] = set()
             unique = []
             for row in rows:
@@ -348,12 +401,12 @@ class Executor:
                     unique.append(row)
             return schema, unique
         if isinstance(node, OrderNode):
-            schema, rows = self._run(node.child, stats)
+            schema, rows = self._run(node.child, stats, input_columns(node, columns))
             return schema, self._apply_order(rows, node.keys)
         if isinstance(node, CrowdOrderNode):
-            return self._run_crowd_order(node, stats)
+            return self._run_crowd_order(node, stats, columns)
         if isinstance(node, LimitNode):
-            schema, rows = self._run(node.child, stats)
+            schema, rows = self._run(node.child, stats, input_columns(node, columns))
             return schema, rows[: node.limit]
         if isinstance(node, AggregateNode):
             return self._run_aggregate(node, stats)
@@ -438,18 +491,24 @@ class Executor:
             ordered = present + nans + absent
         return ordered
 
-    def _vectorized_filter(self, node: FilterNode) -> tuple[Schema, list[dict[str, Any]]] | None:
-        """Fuse a machine filter chain over a scan into one vectorized pass."""
+    def _vectorized_filter(
+        self, node: FilterNode, columns: Columns
+    ) -> tuple[Schema, list[dict[str, Any]]] | None:
+        """Fuse a machine filter chain over a scan into one vectorized pass.
+
+        The predicates read the column arrays, so the rows hold only the
+        *columns* the consumer reads.
+        """
         resolved = self._columnar_rows(node)
         if resolved is None:
             return None
         table, pos = resolved
-        return table.schema, table.store.rows_at(pos)
+        return table.schema, table.store.rows_at(pos, columns)
 
     def _run_crowd_filter(
-        self, node: CrowdFilterNode, stats: ExecutionStats
+        self, node: CrowdFilterNode, stats: ExecutionStats, columns: Columns
     ) -> tuple[Schema, list[dict[str, Any]]]:
-        schema, rows = self._run(node.child, stats)
+        schema, rows = self._run(node.child, stats, input_columns(node, columns))
         with operator_span(self.platform, "crowd_filter", items=len(rows)):
             keep = self.crowd_mask(node.predicate, rows, stats)
         return schema, list(compress(rows, keep))
@@ -606,7 +665,7 @@ class Executor:
             table, pos = resolved
             schema, n, store = table.schema, int(pos.size), table.store
         else:
-            schema, rows = self._run(node.child, stats)
+            schema, rows = self._run(node.child, stats, input_columns(node, None))
             n = len(rows)
         out_schema = self._aggregate_schema(node, schema)
         specs = [(spec.output_name, spec.func, spec.column) for spec in node.aggregates]
@@ -695,14 +754,20 @@ class Executor:
         self,
         node: JoinNode | CrowdJoinNode,
         stats: ExecutionStats,
+        columns: Columns,
         crowd: bool,
     ) -> tuple[Schema, list[dict[str, Any]]]:
         if not crowd:
-            fast = self._columnar_join(node)
+            fast = self._columnar_join(node, columns)
             if fast is not None:
                 return fast
-        left_schema, left_rows = self._run(node.left, stats)
-        right_schema, right_rows = self._run(node.right, stats)
+        reads = input_columns(node, columns)
+        left_schema, left_rows = self._run(
+            node.left, stats, _side(reads, self._schema_of(node.left))
+        )
+        right_schema, right_rows = self._run(
+            node.right, stats, _side(reads, self._schema_of(node.right))
+        )
         joined_schema = left_schema.join(right_schema, "left", "right")
         out = []
         if crowd:
@@ -757,12 +822,13 @@ class Executor:
         return out
 
     def _columnar_join(
-        self, node: JoinNode
+        self, node: JoinNode, columns: Columns
     ) -> tuple[Schema, list[dict[str, Any]]] | None:
         """Equi-join two machine scan/filter chains on their column arrays.
 
         Build/probe happens on key arrays before any row dict exists; only
-        matched pairs materialize. Output order is the nested-loop order —
+        matched pairs materialize, each with the *columns* the consumer
+        reads and the residual's. Output order is the nested-loop order —
         left rows in order, each left row's matches in right insertion
         order — so results are bit-identical to the fallback.
         """
@@ -791,11 +857,14 @@ class Executor:
         else:
             lmatch, rmatch = self._probe_dict(lkeys, rkeys)
         # Matched pairs are still built row by row through row_dict, one dict
-        # per distinct input row, each cell one ``ndarray.item`` (~2 us for a
-        # six-column row): perfbench's data.materialize_ms wraps only
+        # per distinct input row, each cell one ``ndarray.item``. A row holds
+        # only the columns the consumer and the residual read (the keys were
+        # probed on arrays): perfbench's data.materialize_ms wraps only
         # row_dict, so this loop moves to rows_at with the benchmark change
         # that counts rows_at (ROADMAP item 9).
         res_expr = conjoin(residual) if residual else None
+        reads = None if columns is None else columns.union(*(c.columns() for c in residual))
+        lreads, rreads = _side(reads, left_schema), _side(reads, right_schema)
         lrids = ltab.rowids()[lpos] if lpos.size != len(ltab) else ltab.rowids()
         rrids = rtab.rowids()[rpos] if rpos.size != len(rtab) else rtab.rowids()
         lstore, rstore = ltab.store, rtab.store
@@ -805,10 +874,10 @@ class Executor:
         for lp, rp in zip(lmatch.tolist(), rmatch.tolist(), strict=True):
             lrow = lcache.get(lp)
             if lrow is None:
-                lrow = lcache[lp] = lstore.row_dict(lrids.item(lp))
+                lrow = lcache[lp] = lstore.row_dict(lrids.item(lp), lreads)
             rrow = rcache.get(rp)
             if rrow is None:
-                rrow = rcache[rp] = rstore.row_dict(rrids.item(rp))
+                rrow = rcache[rp] = rstore.row_dict(rrids.item(rp), rreads)
             merged = {**lrow, **rrow}
             if res_expr is None or res_expr.evaluate(merged) is True:
                 out.append(merged)
@@ -900,9 +969,9 @@ class Executor:
         return np.asarray(lmatch, dtype=np.int64), np.asarray(rmatch, dtype=np.int64)
 
     def _run_crowd_order(
-        self, node: CrowdOrderNode, stats: ExecutionStats
+        self, node: CrowdOrderNode, stats: ExecutionStats, columns: Columns
     ) -> tuple[Schema, list[dict[str, Any]]]:
-        schema, rows = self._run(node.child, stats)
+        schema, rows = self._run(node.child, stats, input_columns(node, columns))
         # NULL/CNULL cells are never asked about: they follow the sorted
         # rows in input order, as ORDER BY puts them.
         present: list[dict[str, Any]] = []

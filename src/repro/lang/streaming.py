@@ -48,7 +48,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.data.expressions import CrowdPredicate
-from repro.lang.executor import ExecutionStats, Executor, QueryResult, distinct_key
+from repro.lang.executor import (
+    Columns,
+    ExecutionStats,
+    Executor,
+    QueryResult,
+    distinct_key,
+    input_columns,
+)
 from repro.lang.planner import (
     CrowdFilterNode,
     DistinctNode,
@@ -81,6 +88,8 @@ class _Pipeline:
         project: Projection columns above the stream (or None).
         distinct: Whether DISTINCT applies to emitted rows.
         limit: The LIMIT whose rows, once emitted, stop the planning.
+        reads: The columns the stream reads of the crowd filter's child
+            (:func:`~repro.lang.executor.input_columns` down the chain).
     """
 
     filter_node: CrowdFilterNode
@@ -88,6 +97,7 @@ class _Pipeline:
     project: tuple[str, ...] | None
     distinct: bool
     limit: int
+    reads: Columns
 
 
 class StreamingExecutor(Executor):
@@ -128,6 +138,7 @@ class StreamingExecutor(Executor):
         if not isinstance(node, LimitNode):
             # Nothing can cancel: the barrier buys the same answers.
             raise _Unsupported
+        root = node
         limit = node.limit
         node = node.child
         distinct = isinstance(node, DistinctNode)
@@ -149,12 +160,18 @@ class StreamingExecutor(Executor):
             # A machine-only predicate buys nothing; a compound crowd
             # condition buys predicate by predicate on the barrier path.
             raise _Unsupported
+        reads: Columns = None  # the root's consumer reads every column
+        for above in root.walk():  # the LIMIT down to the crowd filter
+            reads = input_columns(above, reads)
+            if above is node:
+                break
         return _Pipeline(
             filter_node=node,
             order=order,
             project=project,
             distinct=distinct,
             limit=limit,
+            reads=reads,
         )
 
     # ------------------------------------------------------------------ #
@@ -165,7 +182,7 @@ class StreamingExecutor(Executor):
         self, pipe: _Pipeline, columns: tuple[str, ...], stats: ExecutionStats
     ) -> list[dict[str, Any]]:
         """Resolve the machine child, then stream its crowd filter to the LIMIT."""
-        _schema, rows = self._run(pipe.filter_node.child, stats)
+        _schema, rows = self._run(pipe.filter_node.child, stats, pipe.reads)
         if pipe.order is not None:
             # TOP-K: stable sort commutes with filtering, so rows match the
             # barrier's filter-then-sort exactly.

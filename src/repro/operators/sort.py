@@ -27,9 +27,15 @@ import numpy as np
 from repro.cost.deduction import ComparisonDeducer
 from repro.errors import ConfigurationError
 from repro.obs.instrument import operator_span
+from repro.platform.cache import question_signer, signature_piece
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
 from repro.quality.truth import MajorityVote, TruthInference
+
+
+#: A comparison's answer options, and its payload keys in payload order.
+_PAIR_OPTIONS = ("left", "right")
+_PAIR_KEYS = ("left", "left_score", "right", "right_score")
 
 
 @dataclass
@@ -101,14 +107,27 @@ class CrowdComparator:
         self._cache: dict[tuple[int, int], bool] = {}
         self.comparisons_asked = 0
         self.answers_bought = 0
+        # Per item index: its score, and the item and the score as a
+        # signed payload holds them, so each pair signs without encoding.
+        self._scored: dict[int, tuple[Any, str | None, str | None]] = {}
+        self._sign = question_signer(TaskType.COMPARE, _PAIR_OPTIONS, payload_keys=_PAIR_KEYS)
+
+    def _score(self, index: int) -> tuple[Any, str | None, str | None]:
+        scored = self._scored.get(index)
+        if scored is None:
+            item = self.items[index]
+            score = self.score_fn(item)
+            scored = self._scored[index] = (score, signature_piece(item), signature_piece(score))
+        return scored
 
     def _pair_task(self, key: tuple[int, int]) -> Task:
         left, right = self.items[key[0]], self.items[key[1]]
-        left_score, right_score = self.score_fn(left), self.score_fn(right)
-        return Task(
+        left_score, left_piece, left_score_piece = self._score(key[0])
+        right_score, right_piece, right_score_piece = self._score(key[1])
+        task = Task(
             TaskType.COMPARE,
             question=f"{self.question} A: {left} | B: {right}",
-            options=("left", "right"),
+            options=_PAIR_OPTIONS,
             payload={
                 "left": left,
                 "right": right,
@@ -117,6 +136,10 @@ class CrowdComparator:
             },
             truth="left" if left_score >= right_score else "right",
         )
+        pieces = (left_piece, left_score_piece, right_piece, right_score_piece)
+        if None not in pieces:  # else uncacheable: signature_of says None too
+            task.signature = self._sign(task.question, *pieces)
+        return task
 
     def _store(self, key: tuple[int, int], verdict_low_high: bool) -> None:
         self._cache[key] = verdict_low_high

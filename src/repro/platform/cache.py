@@ -77,9 +77,25 @@ _SIGNATURE_TAILS = {
 }
 
 
-def _unsigned(question: str) -> None:
+def _unsigned(question: str, *pieces: str) -> None:
     """The signer of an uncacheable question: no signature."""
     return None
+
+
+def signature_piece(value: Any) -> "str | None":
+    """*value* as a signed payload holds it (its JSON), or None when the
+    checkpoint codec cannot encode it (the question is then uncacheable).
+
+    A signer built with ``payload_keys`` (:func:`question_signer`) takes
+    its per-question payload values as these pieces, so a caller that
+    pairs the same values many times encodes each one once.
+    """
+    from repro.recovery.checkpoint import encode_value
+
+    try:
+        return _SIGNATURE_JSON.encode(encode_value(value))
+    except CheckpointError:
+        return None
 
 
 def question_signer(
@@ -87,7 +103,8 @@ def question_signer(
     options: Sequence[Any] = (),
     payload: "dict[str, Any] | None" = None,
     difficulty: float = 0.0,
-) -> Callable[[str], "str | None"]:
+    payload_keys: Sequence[str] = (),
+) -> Callable[..., "str | None"]:
     """``sign(question)`` for questions that share every other part.
 
     A signature is the sha256 of the sorted-key JSON of ``difficulty``,
@@ -98,7 +115,15 @@ def question_signer(
     side of ``question``, never by splitting on a marker string an option
     or payload value could contain. An uncacheable question kind
     (``COLLECT``, an opaque payload value) gets a signer that returns None.
+
+    A payload that changes with each question is named by *payload_keys*
+    instead of given as *payload*: ``sign(question, *pieces)`` then takes
+    each key's value, in *payload_keys* order, as its
+    :func:`signature_piece`, and lays the payload's JSON out from them
+    (positional keys' pieces are left out, as from a payload).
     """
+    if payload and payload_keys:
+        raise ConfigurationError("give a signer payload or payload_keys, not both")
     if task_type is TaskType.COLLECT:
         return _unsigned
     # Lazy import: recovery.checkpoint imports platform.platform at module
@@ -118,10 +143,26 @@ def question_signer(
     except CheckpointError:
         return _unsigned
     encode = _SIGNATURE_JSON.encode
-    before = {"difficulty": difficulty, "options": encoded_options, "payload": encoded_payload}
-    head = encode(before)[:-1] + ',"question":'  # the object left open
     tail = _SIGNATURE_TAILS[task_type]
     sha256 = hashlib.sha256
+    if payload_keys:
+        # The payload is a list of [key, value] pairs in key order.
+        head = encode({"difficulty": difficulty, "options": encoded_options})[:-1]
+        head += ',"payload":['
+        opened = [
+            (i, "[" + encode(payload_keys[i]) + ",")
+            for i in sorted(range(len(payload_keys)), key=payload_keys.__getitem__)
+            if payload_keys[i] not in POSITIONAL_PAYLOAD_KEYS
+        ]
+
+        def sign_with(question: str, *pieces: str) -> str:
+            pairs = ",".join([key + pieces[i] + "]" for i, key in opened])
+            blob = head + pairs + '],"question":' + encode(" ".join(question.split())) + tail
+            return sha256(blob.encode("utf-8")).hexdigest()
+
+        return sign_with
+    before = {"difficulty": difficulty, "options": encoded_options, "payload": encoded_payload}
+    head = encode(before)[:-1] + ',"question":'  # the object left open
 
     def sign(question: str) -> str:
         blob = head + encode(" ".join(question.split())) + tail

@@ -200,11 +200,16 @@ def answers_from_platform(
 
 def label_space(answers_by_task: Mapping[str, Sequence[Answer]]) -> list[Any]:
     """Sorted union of every answered label (stable, hashable order)."""
-    labels = {a.value for answers in answers_by_task.values() for a in answers}
+    return _sorted_labels({a.value for answers in answers_by_task.values() for a in answers})
+
+
+def _sorted_labels(labels: set[Any]) -> list[Any]:
+    """*labels* sorted, by ``repr`` when they do not compare."""
     try:
         return sorted(labels)
     except TypeError:
         return sorted(labels, key=repr)
+
 
 
 def votes_by_task(
@@ -286,32 +291,41 @@ class SparseObservations:
 def encode_observations(
     answers_by_task: Mapping[str, Sequence[Answer]],
 ) -> SparseObservations:
-    """Build the shared sparse encoding from validated evidence.
+    """Build the shared sparse encoding, validating the evidence as it goes.
 
     Tasks keep mapping order, workers and labels are sorted — the same
     orderings every legacy loop uses, so kernel and legacy paths tie-break
-    identically.
+    identically. Each answer is unpacked once; evidence that
+    :meth:`TruthInference._validate` rejects raises the same error here.
     """
-    labels = label_space(answers_by_task)
+    if not answers_by_task:
+        raise InferenceError("no answers supplied")
+    sizes: list[int] = []
+    workers: list[str] = []
+    values: list[Any] = []
+    for task_id, answers in answers_by_task.items():
+        if not answers:
+            raise InferenceError(f"task {task_id!r} has an empty answer list")
+        sizes.append(len(answers))
+        for a in answers:
+            if a.task_id != task_id:
+                raise InferenceError(f"answer for task {a.task_id!r} filed under {task_id!r}")
+            workers.append(a.worker_id)
+            values.append(a.value)
+    labels = _sorted_labels(set(values))
     label_index = {label: i for i, label in enumerate(labels)}
-    task_ids = list(answers_by_task)
-    worker_ids = sorted({a.worker_id for ans in answers_by_task.values() for a in ans})
+    task_ids = tuple(answers_by_task)
+    worker_ids = sorted(set(workers))
     worker_index = {w: i for i, w in enumerate(worker_ids)}
 
-    answer_lists = list(answers_by_task.values())
-    obs_task = np.repeat(
-        np.arange(len(task_ids), dtype=np.intp), [len(answers) for answers in answer_lists]
-    )
-    obs_worker = np.array(
-        [worker_index[a.worker_id] for answers in answer_lists for a in answers], dtype=np.intp
-    )
-    obs_label = np.array(
-        [label_index[a.value] for answers in answer_lists for a in answers], dtype=np.intp
-    )
+    n = len(values)
+    obs_task = np.repeat(np.arange(len(task_ids), dtype=np.intp), sizes)
+    obs_worker = np.fromiter(map(worker_index.__getitem__, workers), dtype=np.intp, count=n)
+    obs_label = np.fromiter(map(label_index.__getitem__, values), dtype=np.intp, count=n)
     candidate_mask = np.zeros((len(task_ids), len(labels)), dtype=bool)
     candidate_mask[obs_task, obs_label] = True
     return SparseObservations(
-        task_ids=tuple(task_ids),
+        task_ids=task_ids,
         worker_ids=tuple(worker_ids),
         labels=tuple(labels),
         obs_task=obs_task,

@@ -119,8 +119,7 @@ class DawidSkene(TruthInference):
         self._warm_quality = dict(state.get("worker_quality", {}))
 
     def infer(self, answers_by_task: Mapping[str, Sequence[Answer]]) -> InferenceResult:
-        self._validate(answers_by_task)
-        obs = encode_observations(answers_by_task)
+        obs = encode_observations(answers_by_task)  # validates as it encodes
         n_tasks, n_labels, n_workers = obs.n_tasks, obs.n_labels, obs.n_workers
         obs_task, obs_worker, obs_label = obs.obs_task, obs.obs_worker, obs.obs_label
 

@@ -21,10 +21,12 @@ from repro.platform.cache import (
     AnswerCache,
     question_signer,
     signature_of,
+    signature_piece,
     task_signature,
 )
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Answer, Task, TaskType, single_choice
+from repro.operators.sort import CrowdComparator
 from repro.recovery.checkpoint import Checkpoint, encode_value
 from repro.workers.pool import WorkerPool
 
@@ -225,6 +227,74 @@ def test_signer_matches_the_reference_encoding(
         expected = _reference_signature(task_type, question, options, payload, difficulty)
         assert sign(question) == expected
         assert signature_of(task_type, question, options, payload, difficulty) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    task_type=st.sampled_from(list(TaskType)),
+    questions=st.lists(_TEXT, min_size=1, max_size=3),
+    options=st.lists(_VALUES, max_size=3),
+    payload=_PAYLOADS,
+    difficulty=st.one_of(st.floats(), st.integers(-3, 3)),
+)
+def test_per_question_payload_signs_as_a_given_payload(
+    task_type, questions, options, payload, difficulty
+):
+    """A signer given the payload's keys, and each value as its piece per
+    question, signs what a signer given the whole payload signs."""
+    payload = payload or {}
+    keys = list(payload)  # insertion order: the signer sorts them itself
+    sign = question_signer(task_type, options, difficulty=difficulty, payload_keys=keys)
+    pieces = [signature_piece(payload[key]) for key in keys]
+    for question in questions:
+        expected = _reference_signature(task_type, question, options, payload, difficulty)
+        assert sign(question, *pieces) == expected
+
+
+def test_a_signer_takes_a_payload_or_its_keys_not_both():
+    with pytest.raises(ConfigurationError):
+        question_signer(TaskType.COMPARE, payload={"left": 1}, payload_keys=("left",))
+
+
+def test_an_opaque_value_has_no_piece():
+    assert signature_piece(object()) is None
+    assert signature_piece(CNULL) == '{"__kind__":"cnull"}'
+
+
+# Values whose JSON differs though they compare equal (0.0 and -0.0; 1, 1.0
+# and True), NaN, and strings with quotes and non-ASCII characters.
+_ITEMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1, 1.0, True, False, float("nan"), 'say "hi"', "ünï 東京"]),
+    st.integers(),
+    st.floats(),
+    _TEXT,
+)
+
+
+def _item_score(value):
+    return value if isinstance(value, float) else float(len(repr(value)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(items=st.lists(_ITEMS, min_size=2, max_size=6))
+def test_comparator_pairs_carry_their_signature(items):
+    """Each CROWDORDER pair is signed from its items' pieces, encoded once
+    per item, to exactly what signature_of computes from the task."""
+    comparator = CrowdComparator(None, items, _item_score)
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            task = comparator._pair_task((i, j))
+            assert task.signature is not None
+            assert task.signature == signature_of(
+                task.task_type, task.question, task.options, task.payload, task.difficulty
+            )
+
+
+def test_a_comparator_pair_over_an_opaque_item_is_unsigned():
+    comparator = CrowdComparator(None, [object(), 2.0], lambda value: 1.0)
+    task = comparator._pair_task((0, 1))
+    assert task.signature is None
+    assert task_signature(task) is None
 
 
 class TestCacheStore:

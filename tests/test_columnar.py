@@ -448,8 +448,8 @@ def _executor(database, fast):
         ex._columnar_rows = lambda node: None
         for table in database:
             store = table.store
-            store.rows_at = lambda positions, store=store: [
-                store.row_dict(int(rowid)) for rowid in store.rowids()[positions]
+            store.rows_at = lambda positions, columns=None, store=store: [
+                store.row_dict(int(rowid), columns) for rowid in store.rowids()[positions]
             ]
     return ex, platform
 

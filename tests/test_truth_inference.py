@@ -58,6 +58,24 @@ class TestValidation:
         with pytest.raises(InferenceError):
             MajorityVote().infer(evidence)
 
+    @pytest.mark.parametrize(
+        "evidence",
+        [
+            {},
+            {"t1": [Answer("t1", "w1", "a")], "t2": []},
+            {"t1": [Answer("t1", "w1", "a"), Answer("t3", "w2", "b")], "t2": []},
+            {"t1": [Answer("t1", "w1", [1])], "t2": [Answer("t1", "w1", "a")]},
+        ],
+    )
+    def test_encoding_raises_what_validation_raises(self, evidence):
+        """Dawid-Skene validates while it encodes (one pass over the
+        answers): the first error is the one MajorityVote's check raises."""
+        with pytest.raises(InferenceError) as checked:
+            MajorityVote().infer(evidence)
+        with pytest.raises(InferenceError) as encoded:
+            DawidSkene().infer(evidence)
+        assert str(encoded.value) == str(checked.value)
+
     def test_accuracy_requires_overlap(self):
         result = MajorityVote().infer(_manual({"t1": [("w1", "a")]}))
         with pytest.raises(InferenceError):
