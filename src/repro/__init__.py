@@ -16,36 +16,31 @@ Quickstart::
     result = engine.filter(photos, "Does this show a mountain?", truth_fn)
 """
 
-from repro import deco
-from repro.core import CrowdEngine, EngineConfig, JobReport, Requester
-from repro.data import CNULL, Database, Schema, SchemaBuilder, Table
-from repro.errors import CrowdDMError
-from repro.lang import CrowdOracle, CrowdSQLSession
-from repro.platform import BatchConfig, BatchScheduler, SimulatedPlatform, Task, TaskType
-from repro.workers import Worker, WorkerPool
+from repro import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BatchConfig",
-    "BatchScheduler",
-    "CNULL",
-    "CrowdDMError",
-    "CrowdEngine",
-    "CrowdOracle",
-    "CrowdSQLSession",
-    "Database",
-    "EngineConfig",
-    "JobReport",
-    "Requester",
-    "Schema",
-    "SchemaBuilder",
-    "SimulatedPlatform",
-    "Table",
-    "Task",
-    "TaskType",
-    "Worker",
-    "WorkerPool",
-    "__version__",
-    "deco",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "cli": (),
+        "core": ("CrowdEngine", "EngineConfig", "JobReport", "Requester"),
+        "cost": (),
+        "data": ("CNULL", "Database", "Schema", "SchemaBuilder", "Table"),
+        "deco": (),
+        "errors": ("CrowdDMError",),
+        "experiments": (),
+        "faults": (),
+        "hybrid": (),
+        "lang": ("CrowdOracle", "CrowdSQLSession"),
+        "latency": (),
+        "obs": (),
+        "operators": (),
+        "platform": ("BatchConfig", "BatchScheduler", "SimulatedPlatform", "Task", "TaskType"),
+        "quality": (),
+        "recovery": (),
+        "service": (),
+        "workers": ("Worker", "WorkerPool"),
+    },
+    public=("__version__", "deco"),
+)

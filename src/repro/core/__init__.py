@@ -1,7 +1,12 @@
 """Engine facade, configuration, and requester job management."""
 
-from repro.core.config import EngineConfig
-from repro.core.engine import CrowdEngine
-from repro.core.requester import JobReport, Requester
+from repro import _lazy
 
-__all__ = ["CrowdEngine", "EngineConfig", "JobReport", "Requester"]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "config": ("EngineConfig",),
+        "engine": ("CrowdEngine",),
+        "requester": ("JobReport", "Requester"),
+    },
+)

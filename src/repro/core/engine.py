@@ -19,29 +19,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro import cost, operators
 from repro.core.config import EngineConfig
-from repro.cost.pruning import SimilarityPruner
 from repro.data.database import Database
 from repro.data.table import Table
 from repro.errors import ConfigurationError
 from repro.lang.executor import CrowdOracle, QueryResult
 from repro.lang.interpreter import CrowdSQLSession, StatementResult
 from repro.obs import NULL_TRACER, JsonlSink, MetricsRegistry, Tracer
-from repro.operators.categorize import CategorizeResult, CrowdCategorize
-from repro.operators.collect import CollectResult, CrowdCollect
-from repro.operators.count import CountResult, CrowdCount
-from repro.operators.fill import CrowdFill, FillResult
-from repro.operators.filter import AdaptiveFilter, FilterResult, FixedKFilter
-from repro.operators.join import CrowdJoin, JoinResult
-from repro.operators.sort import (
-    CrowdComparator,
-    SortResult,
-    all_pairs_sort,
-    hybrid_sort,
-    merge_sort_crowd,
-    rating_sort,
-)
-from repro.operators.topk import TopKResult, topk_tournament, tournament_max
 from repro.platform.platform import PlatformStats, SimulatedPlatform
 from repro.quality.truth import TruthInference
 from repro.workers.pool import WorkerPool
@@ -165,12 +150,12 @@ class CrowdEngine:
         truth_fn: Callable[[Any], bool],
         adaptive: bool = True,
         **kwargs: Any,
-    ) -> FilterResult:
+    ) -> operators.FilterResult:
         """Crowd-filter *items* by a human-judged predicate."""
         if adaptive:
-            op = AdaptiveFilter(self.platform, question, truth_fn=truth_fn, **kwargs)
+            op = operators.AdaptiveFilter(self.platform, question, truth_fn=truth_fn, **kwargs)
         else:
-            op = FixedKFilter(
+            op = operators.FixedKFilter(
                 self.platform,
                 question,
                 truth_fn=truth_fn,
@@ -186,12 +171,12 @@ class CrowdEngine:
         prune_threshold: float | None = 0.3,
         use_transitivity: bool = True,
         **kwargs: Any,
-    ) -> JoinResult:
+    ) -> operators.JoinResult:
         """Entity-resolve *records* (machine pruning + transitivity on)."""
         pruner = (
-            SimilarityPruner(prune_threshold) if prune_threshold is not None else None
+            cost.SimilarityPruner(prune_threshold) if prune_threshold is not None else None
         )
-        op = CrowdJoin(
+        op = operators.CrowdJoin(
             self.platform,
             truth_fn,
             pruner=pruner,
@@ -208,7 +193,7 @@ class CrowdEngine:
         score_fn: Callable[[Any], float],
         strategy: str = "merge",
         **kwargs: Any,
-    ) -> SortResult:
+    ) -> operators.SortResult:
         """Crowd-sort *items* best-first with the chosen strategy."""
         if strategy not in _SORT_STRATEGIES:
             raise ConfigurationError(
@@ -216,10 +201,10 @@ class CrowdEngine:
             )
         redundancy = kwargs.pop("redundancy", self.config.redundancy)
         if strategy == "rating":
-            return rating_sort(self.platform, items, score_fn, redundancy, **kwargs)
+            return operators.rating_sort(self.platform, items, score_fn, redundancy, **kwargs)
         if strategy == "hybrid":
-            return hybrid_sort(self.platform, items, score_fn, redundancy, **kwargs)
-        comparator = CrowdComparator(
+            return operators.hybrid_sort(self.platform, items, score_fn, redundancy, **kwargs)
+        comparator = operators.CrowdComparator(
             self.platform,
             items,
             score_fn,
@@ -228,8 +213,8 @@ class CrowdEngine:
             **kwargs,
         )
         if strategy == "all_pairs":
-            return all_pairs_sort(comparator)
-        return merge_sort_crowd(comparator)
+            return operators.all_pairs_sort(comparator)
+        return operators.merge_sort_crowd(comparator)
 
     def max(
         self,
@@ -237,9 +222,9 @@ class CrowdEngine:
         score_fn: Callable[[Any], float],
         fan_in: int = 2,
         **kwargs: Any,
-    ) -> TopKResult:
+    ) -> operators.TopKResult:
         """Find the best item by tournament."""
-        comparator = CrowdComparator(
+        comparator = operators.CrowdComparator(
             self.platform,
             items,
             score_fn,
@@ -247,7 +232,7 @@ class CrowdEngine:
             inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
-        return tournament_max(comparator, fan_in=fan_in)
+        return operators.tournament_max(comparator, fan_in=fan_in)
 
     def topk(
         self,
@@ -256,9 +241,9 @@ class CrowdEngine:
         k: int,
         fan_in: int = 2,
         **kwargs: Any,
-    ) -> TopKResult:
+    ) -> operators.TopKResult:
         """Find the best k items by repeated tournaments."""
-        comparator = CrowdComparator(
+        comparator = operators.CrowdComparator(
             self.platform,
             items,
             score_fn,
@@ -266,7 +251,7 @@ class CrowdEngine:
             inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,
         )
-        return topk_tournament(comparator, k=k, fan_in=fan_in)
+        return operators.topk_tournament(comparator, k=k, fan_in=fan_in)
 
     def count(
         self,
@@ -275,9 +260,9 @@ class CrowdEngine:
         truth_fn: Callable[[Any], bool],
         sample_size: int,
         **kwargs: Any,
-    ) -> CountResult:
+    ) -> operators.CountResult:
         """Estimate how many items satisfy a predicate, by sampling."""
-        op = CrowdCount(
+        op = operators.CrowdCount(
             self.platform,
             question,
             truth_fn,
@@ -288,10 +273,10 @@ class CrowdEngine:
         )
         return op.run(items, sample_size=sample_size)
 
-    def collect(self, question: str, max_queries: int, **kwargs: Any) -> CollectResult:
+    def collect(self, question: str, max_queries: int, **kwargs: Any) -> operators.CollectResult:
         """Open-world enumeration (requires collector workers in the pool)."""
         stop_at_coverage = kwargs.pop("stop_at_coverage", None)
-        op = CrowdCollect(self.platform, question, **kwargs)
+        op = operators.CrowdCollect(self.platform, question, **kwargs)
         return op.run(max_queries=max_queries, stop_at_coverage=stop_at_coverage)
 
     def fill(
@@ -299,10 +284,10 @@ class CrowdEngine:
         table: Table | str,
         truth_fn: Callable[[dict[str, Any], str], Any],
         **kwargs: Any,
-    ) -> FillResult:
+    ) -> operators.FillResult:
         """Resolve a table's CNULL cells via the crowd."""
         target = self.database.table(table) if isinstance(table, str) else table
-        op = CrowdFill(
+        op = operators.CrowdFill(
             self.platform,
             truth_fn=truth_fn,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
@@ -317,9 +302,9 @@ class CrowdEngine:
         categories: Sequence[Any],
         truth_fn: Callable[[Any], Any],
         **kwargs: Any,
-    ) -> CategorizeResult:
+    ) -> operators.CategorizeResult:
         """Crowd GROUP BY into a fixed taxonomy."""
-        op = CrowdCategorize(
+        op = operators.CrowdCategorize(
             self.platform,
             categories,
             truth_fn=truth_fn,
@@ -336,9 +321,7 @@ class CrowdEngine:
         **kwargs: Any,
     ):
         """Crowd skyline over multiple subjective dimensions."""
-        from repro.operators.skyline import CrowdSkyline
-
-        op = CrowdSkyline(
+        op = operators.CrowdSkyline(
             self.platform,
             items,
             dimension_scores,
@@ -356,9 +339,7 @@ class CrowdEngine:
         **kwargs: Any,
     ):
         """Crowd schema matching between two attribute lists."""
-        from repro.operators.schema_matching import CrowdSchemaMatcher
-
-        matcher = CrowdSchemaMatcher(
+        matcher = operators.CrowdSchemaMatcher(
             self.platform,
             truth,
             redundancy=kwargs.pop("redundancy", self.config.redundancy),
@@ -377,12 +358,10 @@ class CrowdEngine:
         **kwargs: Any,
     ):
         """Crowd-guided planning (greedy or beam) over a successor graph."""
-        from repro.operators.plan import CrowdPlanner
-
         if strategy not in ("greedy", "beam"):
             raise ConfigurationError("plan strategy must be 'greedy' or 'beam'")
         width = kwargs.pop("width", 3)
-        planner = CrowdPlanner(
+        planner = operators.CrowdPlanner(
             self.platform,
             graph,
             edge_score,
@@ -396,9 +375,7 @@ class CrowdEngine:
 
     def find_fix_verify(self, documents: Sequence[Any], **kwargs: Any):
         """Find-Fix-Verify text correction over FfvDocument objects."""
-        from repro.operators.findfixverify import FindFixVerify
-
-        workflow = FindFixVerify(
+        workflow = operators.FindFixVerify(
             self.platform,
             inference=kwargs.pop("inference", self.make_inference()),
             **kwargs,

@@ -1,81 +1,26 @@
 """Cost control: pruning, selection, deduction, sampling, task design."""
 
-from repro.cost.deduction import ComparisonDeducer, TransitiveResolver, resolve_pairs
-from repro.cost.pruning import (
-    CandidatePair,
-    PruningReport,
-    SimilarityPruner,
-    pruning_recall,
-)
-from repro.cost.sampling import (
-    Estimate,
-    estimate_count,
-    estimate_mean,
-    estimate_proportion,
-    required_sample_size,
-    sample_indices,
-    stratified_estimate,
-)
-from repro.cost.selection import (
-    SELECTORS,
-    ExpectedErrorReductionSelector,
-    MarginSelector,
-    TaskSelector,
-    UncertaintySelector,
-    entropy,
-    margin,
-)
-from repro.cost.similarity import (
-    SIMILARITY_FUNCTIONS,
-    cosine_tokens,
-    edit_distance,
-    edit_similarity,
-    jaccard_ngrams,
-    jaccard_tokens,
-    ngrams,
-    tokenize,
-)
-from repro.cost.taskdesign import (
-    BatchingPlan,
-    FatigueModel,
-    batch_tasks,
-    best_batch_size,
-    plan_batching,
-)
+from repro import _lazy
 
-__all__ = [
-    "SELECTORS",
-    "SIMILARITY_FUNCTIONS",
-    "BatchingPlan",
-    "CandidatePair",
-    "ComparisonDeducer",
-    "Estimate",
-    "ExpectedErrorReductionSelector",
-    "FatigueModel",
-    "MarginSelector",
-    "PruningReport",
-    "SimilarityPruner",
-    "TaskSelector",
-    "TransitiveResolver",
-    "UncertaintySelector",
-    "batch_tasks",
-    "best_batch_size",
-    "cosine_tokens",
-    "edit_distance",
-    "edit_similarity",
-    "entropy",
-    "estimate_count",
-    "estimate_mean",
-    "estimate_proportion",
-    "jaccard_ngrams",
-    "jaccard_tokens",
-    "margin",
-    "ngrams",
-    "plan_batching",
-    "pruning_recall",
-    "required_sample_size",
-    "resolve_pairs",
-    "sample_indices",
-    "stratified_estimate",
-    "tokenize",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "deduction": ("ComparisonDeducer", "TransitiveResolver", "resolve_pairs"),
+        "pruning": ("CandidatePair", "PruningReport", "SimilarityPruner", "pruning_recall"),
+        "sampling": (
+            "Estimate", "estimate_count", "estimate_mean", "estimate_proportion",
+            "required_sample_size", "sample_indices", "stratified_estimate",
+        ),
+        "selection": (
+            "SELECTORS", "ExpectedErrorReductionSelector", "MarginSelector", "TaskSelector",
+            "UncertaintySelector", "entropy", "margin",
+        ),
+        "similarity": (
+            "SIMILARITY_FUNCTIONS", "cosine_tokens", "edit_distance", "edit_similarity",
+            "jaccard_ngrams", "jaccard_tokens", "ngrams", "tokenize",
+        ),
+        "taskdesign": (
+            "BatchingPlan", "FatigueModel", "batch_tasks", "best_batch_size", "plan_batching",
+        ),
+    },
+)

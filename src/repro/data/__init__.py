@@ -1,74 +1,21 @@
 """Relational substrate: schemas, columnar tables, CNULL, expressions, catalog."""
 
-from repro.data.columnstore import ColumnStore, ColumnVector
-from repro.data.database import Database
-from repro.data.expressions import (
-    CROWD_UNKNOWN,
-    And,
-    Arithmetic,
-    ColumnRef,
-    Comparison,
-    CrowdPredicate,
-    Expression,
-    InList,
-    IsCNull,
-    IsNull,
-    Like,
-    Literal,
-    Not,
-    Or,
-    col,
-    conjoin,
-    contains_crowd_predicate,
-    evaluate_mask,
-    evaluate_tristate,
-    evaluate_vector,
-    is_crowd_unknown,
-    lit,
-    split_conjuncts,
-    translate_like,
-)
-from repro.data.persistence import load_database, save_database
-from repro.data.schema import CNULL, Column, ColumnType, Schema, SchemaBuilder, is_cnull
-from repro.data.table import Row, Table, make_table
+from repro import _lazy
 
-__all__ = [
-    "CNULL",
-    "CROWD_UNKNOWN",
-    "And",
-    "Arithmetic",
-    "Column",
-    "ColumnRef",
-    "ColumnStore",
-    "ColumnType",
-    "ColumnVector",
-    "Comparison",
-    "CrowdPredicate",
-    "Database",
-    "Expression",
-    "InList",
-    "IsCNull",
-    "IsNull",
-    "Like",
-    "Literal",
-    "Not",
-    "Or",
-    "Row",
-    "Schema",
-    "SchemaBuilder",
-    "Table",
-    "col",
-    "conjoin",
-    "contains_crowd_predicate",
-    "evaluate_mask",
-    "evaluate_tristate",
-    "evaluate_vector",
-    "is_cnull",
-    "is_crowd_unknown",
-    "lit",
-    "load_database",
-    "make_table",
-    "save_database",
-    "split_conjuncts",
-    "translate_like",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "columnstore": ("ColumnStore", "ColumnVector"),
+        "csvio": (),
+        "database": ("Database",),
+        "expressions": (
+            "CROWD_UNKNOWN", "And", "Arithmetic", "ColumnRef", "Comparison", "CrowdPredicate",
+            "Expression", "InList", "IsCNull", "IsNull", "Like", "Literal", "Not", "Or", "col",
+            "conjoin", "contains_crowd_predicate", "evaluate_mask", "evaluate_tristate",
+            "evaluate_vector", "is_crowd_unknown", "lit", "split_conjuncts", "translate_like",
+        ),
+        "persistence": ("load_database", "save_database"),
+        "schema": ("CNULL", "Column", "ColumnType", "Schema", "SchemaBuilder", "is_cnull"),
+        "table": ("Row", "Table", "make_table"),
+    },
+)

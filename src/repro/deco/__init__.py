@@ -1,29 +1,16 @@
 """Deco-style declarative crowdsourcing: conceptual relations, fetch rules,
 resolution rules, and fetch-until-satisfied query semantics."""
 
-from repro.deco.fetch import AnchorFetchRule, DependentFetchRule, FetchRuleSet
-from repro.deco.model import (
-    ConceptualRelation,
-    DependentGroup,
-    dedup_exact,
-    first_resolution,
-    majority_resolution,
-    mean_resolution,
-    single_column_group,
-)
-from repro.deco.query import DecoQueryEngine, DecoQueryResult
+from repro import _lazy
 
-__all__ = [
-    "AnchorFetchRule",
-    "ConceptualRelation",
-    "DecoQueryEngine",
-    "DecoQueryResult",
-    "DependentFetchRule",
-    "DependentGroup",
-    "FetchRuleSet",
-    "dedup_exact",
-    "first_resolution",
-    "majority_resolution",
-    "mean_resolution",
-    "single_column_group",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "fetch": ("AnchorFetchRule", "DependentFetchRule", "FetchRuleSet"),
+        "model": (
+            "ConceptualRelation", "DependentGroup", "dedup_exact", "first_resolution",
+            "majority_resolution", "mean_resolution", "single_column_group",
+        ),
+        "query": ("DecoQueryEngine", "DecoQueryResult"),
+    },
+)

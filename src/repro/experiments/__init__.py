@@ -1,70 +1,23 @@
 """Experiment harness: datasets, metrics, runners, report rendering."""
 
-from repro.experiments.calibration import (
-    ReliabilityBin,
-    expected_calibration_error,
-    overconfidence,
-    reliability_bins,
-)
-from repro.experiments.datasets import (
-    CountingDataset,
-    EntityResolutionDataset,
-    FillDataset,
-    LabelingDataset,
-    RankingDataset,
-    collection_universe,
-    counting_dataset,
-    er_dataset,
-    fill_dataset,
-    labeling_dataset,
-    ranking_dataset,
-)
-from repro.experiments.harness import (
-    ExperimentResult,
-    PoolSpec,
-    TrialResult,
-    make_platform,
-    run_trials,
-)
-from repro.experiments.metrics import (
-    accuracy,
-    kendall_tau,
-    mean,
-    precision_at_k,
-    precision_recall_f1,
-    relative_error,
-)
-from repro.experiments.report import format_series, format_table, print_series, print_table
+from repro import _lazy
 
-__all__ = [
-    "CountingDataset",
-    "EntityResolutionDataset",
-    "ExperimentResult",
-    "FillDataset",
-    "LabelingDataset",
-    "PoolSpec",
-    "ReliabilityBin",
-    "RankingDataset",
-    "TrialResult",
-    "accuracy",
-    "collection_universe",
-    "counting_dataset",
-    "expected_calibration_error",
-    "er_dataset",
-    "fill_dataset",
-    "format_series",
-    "format_table",
-    "kendall_tau",
-    "labeling_dataset",
-    "make_platform",
-    "mean",
-    "overconfidence",
-    "precision_at_k",
-    "precision_recall_f1",
-    "print_series",
-    "print_table",
-    "ranking_dataset",
-    "reliability_bins",
-    "relative_error",
-    "run_trials",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "calibration": (
+            "ReliabilityBin", "expected_calibration_error", "overconfidence", "reliability_bins",
+        ),
+        "datasets": (
+            "CountingDataset", "EntityResolutionDataset", "FillDataset", "LabelingDataset",
+            "RankingDataset", "collection_universe", "counting_dataset", "er_dataset",
+            "fill_dataset", "labeling_dataset", "ranking_dataset",
+        ),
+        "harness": ("ExperimentResult", "PoolSpec", "TrialResult", "make_platform", "run_trials"),
+        "metrics": (
+            "accuracy", "kendall_tau", "mean", "precision_at_k", "precision_recall_f1",
+            "relative_error",
+        ),
+        "report": ("format_series", "format_table", "print_series", "print_table"),
+    },
+)

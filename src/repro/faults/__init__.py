@@ -7,31 +7,16 @@ applied at the platform/batch seams by a stateless injector
 and asserts survival + accounting coherence.
 """
 
-from repro.faults.chaos import ChaosReport, chaos_suite, run_chaos, verify_kill_resume
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    BudgetShock,
-    DeliveryFaults,
-    FaultPlan,
-    OutageWindow,
-    StragglerSpikes,
-    WorkerChurn,
-    random_plan,
-    straggler_spike_plan,
-)
+from repro import _lazy
 
-__all__ = [
-    "BudgetShock",
-    "ChaosReport",
-    "DeliveryFaults",
-    "FaultInjector",
-    "FaultPlan",
-    "OutageWindow",
-    "StragglerSpikes",
-    "WorkerChurn",
-    "chaos_suite",
-    "random_plan",
-    "run_chaos",
-    "straggler_spike_plan",
-    "verify_kill_resume",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "chaos": ("ChaosReport", "chaos_suite", "run_chaos", "verify_kill_resume"),
+        "injector": ("FaultInjector",),
+        "plan": (
+            "BudgetShock", "DeliveryFaults", "FaultPlan", "OutageWindow", "StragglerSpikes",
+            "WorkerChurn", "random_plan", "straggler_spike_plan",
+        ),
+    },
+)

@@ -1,6 +1,11 @@
 """Hybrid human/machine pipelines: classifier + crowd-in-the-loop labeling."""
 
-from repro.hybrid.active import ActiveLearner, ActiveLearningResult
-from repro.hybrid.naive_bayes import NaiveBayesText
+from repro import _lazy
 
-__all__ = ["ActiveLearner", "ActiveLearningResult", "NaiveBayesText"]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "active": ("ActiveLearner", "ActiveLearningResult"),
+        "naive_bayes": ("NaiveBayesText",),
+    },
+)

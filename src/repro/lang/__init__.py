@@ -1,59 +1,20 @@
 """CrowdSQL: lexer, parser, planner, optimizer, executor, session."""
 
-from repro.lang.ast_nodes import (
-    ColumnDef,
-    CreateTable,
-    CrowdOrderSpec,
-    DropTable,
-    Insert,
-    JoinClause,
-    OrderSpec,
-    ParsedScript,
-    Select,
-)
-from repro.lang.executor import (
-    CrowdOracle,
-    ExecutionStats,
-    Executor,
-    QueryResult,
-)
-from repro.lang.interpreter import CrowdSQLSession, StatementResult
-from repro.lang.lexer import Token, TokenType, tokenize
-from repro.lang.optimizer import CostModel, Optimizer, estimate_plan_cost
-from repro.lang.parser import parse, parse_one
-from repro.lang.planner import (
-    LogicalPlan,
-    build_plan,
-    count_crowd_operators,
-)
-from repro.lang.streaming import StreamingExecutor
+from repro import _lazy
 
-__all__ = [
-    "ColumnDef",
-    "CostModel",
-    "CreateTable",
-    "CrowdOracle",
-    "CrowdOrderSpec",
-    "CrowdSQLSession",
-    "DropTable",
-    "ExecutionStats",
-    "Executor",
-    "Insert",
-    "JoinClause",
-    "LogicalPlan",
-    "Optimizer",
-    "OrderSpec",
-    "ParsedScript",
-    "QueryResult",
-    "Select",
-    "StatementResult",
-    "StreamingExecutor",
-    "Token",
-    "TokenType",
-    "build_plan",
-    "count_crowd_operators",
-    "estimate_plan_cost",
-    "parse",
-    "parse_one",
-    "tokenize",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "ast_nodes": (
+            "ColumnDef", "CreateTable", "CrowdOrderSpec", "DropTable", "Insert", "JoinClause",
+            "OrderSpec", "ParsedScript", "Select",
+        ),
+        "executor": ("CrowdOracle", "ExecutionStats", "Executor", "QueryResult"),
+        "interpreter": ("CrowdSQLSession", "StatementResult"),
+        "lexer": ("Token", "TokenType", "tokenize"),
+        "optimizer": ("CostModel", "Optimizer", "estimate_plan_cost"),
+        "parser": ("parse", "parse_one"),
+        "planner": ("LogicalPlan", "build_plan", "count_crowd_operators"),
+        "streaming": ("StreamingExecutor",),
+    },
+)

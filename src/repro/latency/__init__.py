@@ -1,37 +1,18 @@
 """Latency control: round model, statistical model, mitigation."""
 
-from repro.latency.mitigation import (
-    MitigationResult,
-    RetainerPool,
-    run_baseline,
-    run_with_replication,
-    run_with_straggler_rescue,
-)
-from repro.latency.rounds import (
-    RoundOutcome,
-    RoundRecord,
-    RoundScheduler,
-    rounds_lower_bound,
-)
-from repro.latency.statistical import (
-    CompletionModel,
-    fit_completion_model,
-    predict_speedup_from_reward,
-    straggler_threshold,
-)
+from repro import _lazy
 
-__all__ = [
-    "CompletionModel",
-    "MitigationResult",
-    "RetainerPool",
-    "RoundOutcome",
-    "RoundRecord",
-    "RoundScheduler",
-    "fit_completion_model",
-    "predict_speedup_from_reward",
-    "rounds_lower_bound",
-    "run_baseline",
-    "run_with_replication",
-    "run_with_straggler_rescue",
-    "straggler_threshold",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "mitigation": (
+            "MitigationResult", "RetainerPool", "run_baseline", "run_with_replication",
+            "run_with_straggler_rescue",
+        ),
+        "rounds": ("RoundOutcome", "RoundRecord", "RoundScheduler", "rounds_lower_bound"),
+        "statistical": (
+            "CompletionModel", "fit_completion_model", "predict_speedup_from_reward",
+            "straggler_threshold",
+        ),
+    },
+)

@@ -21,60 +21,23 @@ disabled registry keep the instrumented hot path within noise of an
 uninstrumented build (guarded by ``bench_batch_runtime --quick``).
 """
 
-from repro.obs.instrument import operator_span
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    normalize_labels,
-    series_key,
-)
-from repro.obs.prom import (
-    CONTENT_TYPE,
-    DESCRIPTORS,
-    ExpositionError,
-    MetricDescriptor,
-    parse_exposition,
-    prom_name_for,
-    render_prometheus,
-    validate_exposition,
-)
-from repro.obs.report import build_tree, load_spans, render_report, report_from_file
-from repro.obs.server import MetricsServer
-from repro.obs.sinks import JsonlSink, MemorySink, NullSink, TraceSink
-from repro.obs.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
+from repro import _lazy
 
-__all__ = [
-    "CONTENT_TYPE",
-    "DEFAULT_BUCKETS",
-    "DESCRIPTORS",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "Counter",
-    "ExpositionError",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "MemorySink",
-    "MetricDescriptor",
-    "MetricsRegistry",
-    "MetricsServer",
-    "NullSink",
-    "NullTracer",
-    "Span",
-    "TraceSink",
-    "Tracer",
-    "build_tree",
-    "load_spans",
-    "normalize_labels",
-    "operator_span",
-    "parse_exposition",
-    "prom_name_for",
-    "render_prometheus",
-    "render_report",
-    "report_from_file",
-    "series_key",
-    "validate_exposition",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "instrument": ("operator_span",),
+        "metrics": (
+            "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+            "normalize_labels", "series_key",
+        ),
+        "prom": (
+            "CONTENT_TYPE", "DESCRIPTORS", "ExpositionError", "MetricDescriptor",
+            "parse_exposition", "prom_name_for", "render_prometheus", "validate_exposition",
+        ),
+        "report": ("build_tree", "load_spans", "render_report", "report_from_file"),
+        "server": ("MetricsServer",),
+        "sinks": ("JsonlSink", "MemorySink", "NullSink", "TraceSink"),
+        "tracer": ("NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer"),
+    },
+)

@@ -1,92 +1,27 @@
 """Crowd-powered operators: filter, join, sort, top-k, count, collect, fill."""
 
-from repro.operators.categorize import CategorizeResult, CrowdCategorize
-from repro.operators.collect import (
-    CollectResult,
-    CrowdCollect,
-    bind_zipf_knowledge,
-    chao84_estimate,
-    chao92_estimate,
-    good_turing_coverage,
-)
-from repro.operators.count import CountResult, CrowdCount
-from repro.operators.fill import CrowdFill, FillResult
-from repro.operators.findfixverify import (
-    FfvDocument,
-    FfvResult,
-    FindFixVerify,
-    proofreading_dataset,
-)
-from repro.operators.filter import (
-    NO,
-    YES,
-    AdaptiveFilter,
-    CrowdFilter,
-    FilterResult,
-    FixedKFilter,
-)
-from repro.operators.join import CrowdJoin, JoinResult, crossing_join
-from repro.operators.plan import CrowdPlanner, PlanResult, optimal_path, path_score
-from repro.operators.schema_matching import CrowdSchemaMatcher, MatchingResult
-from repro.operators.skyline import CrowdSkyline, SkylineResult, true_skyline
-from repro.operators.sort import (
-    CrowdComparator,
-    SortResult,
-    all_pairs_sort,
-    hybrid_sort,
-    merge_sort_crowd,
-    rating_sort,
-)
-from repro.operators.topk import (
-    TopKResult,
-    expected_tournament_cost,
-    topk_tournament,
-    tournament_max,
-)
+from repro import _lazy
 
-__all__ = [
-    "NO",
-    "YES",
-    "AdaptiveFilter",
-    "CategorizeResult",
-    "CollectResult",
-    "CountResult",
-    "CrowdCategorize",
-    "CrowdCollect",
-    "CrowdComparator",
-    "CrowdCount",
-    "CrowdFill",
-    "CrowdFilter",
-    "CrowdJoin",
-    "CrowdPlanner",
-    "CrowdSchemaMatcher",
-    "CrowdSkyline",
-    "FfvDocument",
-    "FfvResult",
-    "FindFixVerify",
-    "FillResult",
-    "FilterResult",
-    "FixedKFilter",
-    "JoinResult",
-    "MatchingResult",
-    "PlanResult",
-    "SkylineResult",
-    "SortResult",
-    "TopKResult",
-    "all_pairs_sort",
-    "bind_zipf_knowledge",
-    "chao84_estimate",
-    "chao92_estimate",
-    "crossing_join",
-    "expected_tournament_cost",
-    "good_turing_coverage",
-    "hybrid_sort",
-    "merge_sort_crowd",
-    "optimal_path",
-    "path_score",
-    "proofreading_dataset",
-    "rating_sort",
-    "topk_tournament",
-    "true_skyline",
-    "tournament_max",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "categorize": ("CategorizeResult", "CrowdCategorize"),
+        "collect": (
+            "CollectResult", "CrowdCollect", "bind_zipf_knowledge", "chao84_estimate",
+            "chao92_estimate", "good_turing_coverage",
+        ),
+        "count": ("CountResult", "CrowdCount"),
+        "fill": ("CrowdFill", "FillResult"),
+        "filter": ("NO", "YES", "AdaptiveFilter", "CrowdFilter", "FilterResult", "FixedKFilter"),
+        "findfixverify": ("FfvDocument", "FfvResult", "FindFixVerify", "proofreading_dataset"),
+        "join": ("CrowdJoin", "JoinResult", "crossing_join"),
+        "plan": ("CrowdPlanner", "PlanResult", "optimal_path", "path_score"),
+        "schema_matching": ("CrowdSchemaMatcher", "MatchingResult"),
+        "skyline": ("CrowdSkyline", "SkylineResult", "true_skyline"),
+        "sort": (
+            "CrowdComparator", "SortResult", "all_pairs_sort", "hybrid_sort", "merge_sort_crowd",
+            "rating_sort",
+        ),
+        "topk": ("TopKResult", "expected_tournament_cost", "topk_tournament", "tournament_max"),
+    },
+)

@@ -1,65 +1,22 @@
 """Simulated crowdsourcing platform: tasks, HITs, events, pricing, market."""
 
-from repro.platform.batch import (
-    BatchConfig,
-    BatchRecord,
-    BatchRunResult,
-    BatchScheduler,
-)
-from repro.platform.cache import (
-    AnswerCache,
-    CachedAnswer,
-    CacheEntry,
-    CacheResolution,
-    signature_of,
-    task_signature,
-)
-from repro.platform.events import Event, EventSimulator
-from repro.platform.platform import PlatformStats, SimulatedPlatform, TimelineResult
-from repro.platform.pricing import PriceResponseModel, PricingPolicy
-from repro.platform.task import (
-    HIT,
-    Answer,
-    Task,
-    TaskState,
-    TaskType,
-    collect,
-    compare,
-    fill,
-    multi_choice,
-    numeric,
-    rate,
-    single_choice,
-)
+from repro import _lazy
 
-__all__ = [
-    "HIT",
-    "Answer",
-    "AnswerCache",
-    "BatchConfig",
-    "BatchRecord",
-    "BatchRunResult",
-    "BatchScheduler",
-    "CacheEntry",
-    "CacheResolution",
-    "CachedAnswer",
-    "Event",
-    "EventSimulator",
-    "PlatformStats",
-    "PriceResponseModel",
-    "PricingPolicy",
-    "SimulatedPlatform",
-    "Task",
-    "TaskState",
-    "TaskType",
-    "TimelineResult",
-    "collect",
-    "compare",
-    "fill",
-    "multi_choice",
-    "numeric",
-    "rate",
-    "signature_of",
-    "single_choice",
-    "task_signature",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "batch": ("BatchConfig", "BatchRecord", "BatchRunResult", "BatchScheduler"),
+        "cache": (
+            "AnswerCache", "CachedAnswer", "CacheEntry", "CacheResolution", "signature_of",
+            "task_signature",
+        ),
+        "events": ("Event", "EventSimulator"),
+        "platform": ("PlatformStats", "SimulatedPlatform", "TimelineResult"),
+        "pricing": ("PriceResponseModel", "PricingPolicy"),
+        "streams": (),
+        "task": (
+            "HIT", "Answer", "Task", "TaskState", "TaskType", "collect", "compare", "fill",
+            "multi_choice", "numeric", "rate", "single_choice",
+        ),
+    },
+)

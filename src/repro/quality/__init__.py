@@ -1,63 +1,22 @@
 """Quality control: truth inference, task assignment, worker management."""
 
-from repro.quality import assignment, truth, workerqc
-from repro.quality.assignment import (
-    AssignmentOutcome,
-    Cdas,
-    Qasca,
-    RandomAssignment,
-    RoundRobinAssignment,
-    run_assignment,
-)
-from repro.quality.truth import (
-    CATEGORICAL_METHODS,
-    NUMERIC_METHODS,
-    BayesianVote,
-    CatdAggregator,
-    DawidSkene,
-    Glad,
-    InferenceResult,
-    Mace,
-    MajorityVote,
-    MeanAggregator,
-    MedianAggregator,
-    TruthInference,
-    WeightedMajorityVote,
-    ZenCrowd,
-)
-from repro.quality.workerqc import (
-    GoldInjector,
-    eliminate_spammers,
-    pool_accuracy_report,
-    qualification_test,
-)
+from repro import _lazy
 
-__all__ = [
-    "CATEGORICAL_METHODS",
-    "NUMERIC_METHODS",
-    "AssignmentOutcome",
-    "BayesianVote",
-    "CatdAggregator",
-    "Cdas",
-    "DawidSkene",
-    "Glad",
-    "GoldInjector",
-    "InferenceResult",
-    "Mace",
-    "MajorityVote",
-    "MeanAggregator",
-    "MedianAggregator",
-    "Qasca",
-    "RandomAssignment",
-    "RoundRobinAssignment",
-    "TruthInference",
-    "WeightedMajorityVote",
-    "ZenCrowd",
-    "assignment",
-    "eliminate_spammers",
-    "pool_accuracy_report",
-    "qualification_test",
-    "run_assignment",
-    "truth",
-    "workerqc",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "assignment": (
+            "AssignmentOutcome", "Cdas", "Qasca", "RandomAssignment", "RoundRobinAssignment",
+            "run_assignment",
+        ),
+        "truth": (
+            "CATEGORICAL_METHODS", "NUMERIC_METHODS", "BayesianVote", "CatdAggregator",
+            "DawidSkene", "Glad", "InferenceResult", "Mace", "MajorityVote", "MeanAggregator",
+            "MedianAggregator", "TruthInference", "WeightedMajorityVote", "ZenCrowd",
+        ),
+        "workerqc": (
+            "GoldInjector", "eliminate_spammers", "pool_accuracy_report", "qualification_test",
+        ),
+    },
+    public=("assignment", "truth", "workerqc"),
+)

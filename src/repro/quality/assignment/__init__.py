@@ -1,22 +1,14 @@
 """Online task assignment strategies."""
 
-from repro.quality.assignment.base import (
-    AssignmentOutcome,
-    AssignmentStrategy,
-    run_assignment,
-)
-from repro.quality.assignment.baseline import RandomAssignment, RoundRobinAssignment
-from repro.quality.assignment.cdas import Cdas
-from repro.quality.assignment.domain import DomainAwareAssignment
-from repro.quality.assignment.qasca import Qasca
+from repro import _lazy
 
-__all__ = [
-    "AssignmentOutcome",
-    "AssignmentStrategy",
-    "Cdas",
-    "DomainAwareAssignment",
-    "Qasca",
-    "RandomAssignment",
-    "RoundRobinAssignment",
-    "run_assignment",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "base": ("AssignmentOutcome", "AssignmentStrategy", "run_assignment"),
+        "baseline": ("RandomAssignment", "RoundRobinAssignment"),
+        "cdas": ("Cdas",),
+        "domain": ("DomainAwareAssignment",),
+        "qasca": ("Qasca",),
+    },
+)

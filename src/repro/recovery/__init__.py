@@ -11,25 +11,14 @@
   the kill-and-resume harness.
 """
 
-from repro.recovery.breakers import BudgetBreaker, CircuitBreaker, DeadlineBreaker
-from repro.recovery.checkpoint import Checkpoint
-from repro.recovery.degrade import (
-    CoverageReport,
-    DegradedResult,
-    FailureInfo,
-    FailurePolicy,
-)
-from repro.recovery.runner import CheckpointingRunner, RunOutcome
+from repro import _lazy
 
-__all__ = [
-    "BudgetBreaker",
-    "Checkpoint",
-    "CheckpointingRunner",
-    "CircuitBreaker",
-    "CoverageReport",
-    "DeadlineBreaker",
-    "DegradedResult",
-    "FailureInfo",
-    "FailurePolicy",
-    "RunOutcome",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "breakers": ("BudgetBreaker", "CircuitBreaker", "DeadlineBreaker"),
+        "checkpoint": ("Checkpoint",),
+        "degrade": ("CoverageReport", "DegradedResult", "FailureInfo", "FailurePolicy"),
+        "runner": ("CheckpointingRunner", "RunOutcome"),
+    },
+)

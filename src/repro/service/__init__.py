@@ -18,21 +18,12 @@ bit-identical to the plain engine path — the dispatcher degenerates to
 FIFO and adds no RNG draws of its own.
 """
 
-from repro.service.service import CrowdService, WorkUnit
-from repro.service.tenancy import (
-    Tenant,
-    TenantAccount,
-    TenantPlatform,
-    TenantScheduler,
-    TenantSpec,
-)
+from repro import _lazy
 
-__all__ = [
-    "CrowdService",
-    "Tenant",
-    "TenantAccount",
-    "TenantPlatform",
-    "TenantScheduler",
-    "TenantSpec",
-    "WorkUnit",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "service": ("CrowdService", "WorkUnit"),
+        "tenancy": ("Tenant", "TenantAccount", "TenantPlatform", "TenantScheduler", "TenantSpec"),
+    },
+)

@@ -1,31 +1,16 @@
 """Simulated worker substrate: answer models, workers, pools."""
 
-from repro.workers.models import (
-    AnswerModel,
-    BiasedModel,
-    CollectorModel,
-    ComparisonNoiseModel,
-    ConfusionMatrixModel,
-    DiverseSkillsModel,
-    GladModel,
-    OneCoinModel,
-    SpammerModel,
-)
-from repro.workers.pool import WorkerPool, true_accuracy
-from repro.workers.worker import LatencyModel, Worker
+from repro import _lazy
 
-__all__ = [
-    "AnswerModel",
-    "BiasedModel",
-    "CollectorModel",
-    "ComparisonNoiseModel",
-    "ConfusionMatrixModel",
-    "DiverseSkillsModel",
-    "GladModel",
-    "LatencyModel",
-    "OneCoinModel",
-    "SpammerModel",
-    "Worker",
-    "WorkerPool",
-    "true_accuracy",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    __name__,
+    {
+        "models": (
+            "AnswerModel", "BiasedModel", "CollectorModel", "ComparisonNoiseModel",
+            "ConfusionMatrixModel", "DiverseSkillsModel", "GladModel", "OneCoinModel",
+            "SpammerModel",
+        ),
+        "pool": ("WorkerPool", "true_accuracy"),
+        "worker": ("LatencyModel", "Worker"),
+    },
+)

@@ -5,6 +5,8 @@ structure — experiment coverage, method registries, example inventory —
 so the docs cannot silently drift from the code.
 """
 
+import os
+import re
 from pathlib import Path
 
 import pytest
@@ -194,34 +196,87 @@ class TestExamplesInventory:
 
     def test_readme_points_at_real_paths(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
-        for path in ("src/repro/data", "src/repro/deco", "src/repro/hybrid",
-                     "docs/TUTORIAL.md", "DESIGN.md", "EXPERIMENTS.md"):
+        for path in ("docs/TUTORIAL.md", "DESIGN.md", "EXPERIMENTS.md"):
             assert path.split("/")[-1] in readme
             assert (REPO / path).exists(), path
+        # The repository map has one row per package, and no other.
+        mapped = set(re.findall(r"^\| `(src/repro/\w+)` \|", readme, flags=re.M))
+        packages = {
+            f"src/repro/{init.parent.name}" for init in (REPO / "src/repro").glob("*/__init__.py")
+        }
+        assert mapped == packages
+
+    def test_design_layout_names_every_package_and_example(self):
+        design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+        layout = design.split("## 3. Repository layout", 1)[1].split("\n## ", 1)[0]
+        for init in (REPO / "src/repro").glob("*/__init__.py"):
+            assert re.search(rf"^  {init.parent.name}/ ", layout, flags=re.M), init.parent.name
+        for example in (REPO / "examples").glob("*.py"):
+            assert example.name in layout, example.name
+
+
+SUBPACKAGES = [
+    "repro.core", "repro.data", "repro.platform", "repro.workers",
+    "repro.quality", "repro.quality.truth", "repro.quality.assignment",
+    "repro.cost", "repro.latency", "repro.operators", "repro.lang",
+    "repro.deco", "repro.hybrid", "repro.experiments",
+    "repro.obs", "repro.service", "repro.recovery", "repro.faults",
+]
 
 
 class TestPublicApiSurface:
+    def test_every_subpackage_is_listed(self):
+        on_disk = {
+            ".".join(init.parent.relative_to(REPO / "src").parts)
+            for init in (REPO / "src" / "repro").rglob("*/__init__.py")
+        }
+        assert on_disk == set(SUBPACKAGES)
+
     def test_top_level_exports_resolve(self):
         import repro
 
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
 
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "repro.core", "repro.data", "repro.platform", "repro.workers",
-            "repro.quality", "repro.quality.truth", "repro.quality.assignment",
-            "repro.cost", "repro.latency", "repro.operators", "repro.lang",
-            "repro.deco", "repro.hybrid", "repro.experiments",
-        ],
-    )
+    @pytest.mark.parametrize("module", SUBPACKAGES)
     def test_subpackage_all_exports_resolve(self, module):
         import importlib
 
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert getattr(mod, name, None) is not None, f"{module}.{name}"
+
+    @pytest.mark.parametrize("module", ["repro", *SUBPACKAGES])
+    def test_dir_and_star_import_agree_with_getattr(self, module):
+        import importlib
+
+        mod = importlib.import_module(module)
+        assert set(mod.__all__) <= set(dir(mod))
+        namespace: dict = {}
+        exec(f"from {module} import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(mod.__all__)
+        for name in mod.__all__:
+            assert namespace[name] is getattr(mod, name), f"{module}.{name}"
+
+    def test_subpackages_resolve_after_a_bare_import(self):
+        """`repro.<sub>` needs no import of its own: the package's export
+        table resolves it on first access."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import repro, sys\n"
+            f"for path in {SUBPACKAGES!r}:\n"
+            "    obj = repro\n"
+            "    for part in path.split('.')[1:]:\n"
+            "        obj = getattr(obj, part)\n"
+            "    assert obj is sys.modules[path], path\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=False,
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestDocstringCoverage:
